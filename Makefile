@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet race bench bench-json bench-store bench-session bench-redteam bench-diff loadsmoke storm-smoke recovery-smoke repl-smoke session-smoke redteam-smoke docs-lint cover ci
+.PHONY: all build test vet race bench bench-json bench-store bench-session bench-redteam bench-diff loadsmoke storm-smoke recovery-smoke repl-smoke session-smoke redteam-smoke fuzz-smoke docs-lint cover ci
 
 all: build vet test
 
@@ -37,7 +37,9 @@ bench-json:
 # bench-store records the vault backends — including the durable
 # store at every fsync policy — on the auth mix and the pure-write
 # path as BENCH_store.json (the fsync-latency table in
-# PERFORMANCE.md's "Durable vault" section).
+# PERFORMANCE.md's "Durable vault" section), plus the start-up rows:
+# opening 10k records from a snapshot (open-snapshot) and by log
+# replay (open-replay).
 bench-store:
 	$(GO) run ./cmd/pwbench -store -out .
 
@@ -125,6 +127,18 @@ bench-redteam:
 redteam-smoke:
 	$(GO) test ./cmd/pwserver -run TestRedteamSmoke -v
 
+# fuzz-smoke runs the decoder fuzz targets for FUZZTIME each (go test
+# -fuzz takes one target per run): the differential
+# FuzzCanonicalDecode of the vault formats and of the replication
+# messages, FuzzOpen and FuzzUnmarshalRecord. Under `go test ./...`
+# they only replay their seeds.
+FUZZTIME ?= 20s
+fuzz-smoke:
+	$(GO) test ./internal/vault -run '^$$' -fuzz '^FuzzCanonicalDecode$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/vault/repl -run '^$$' -fuzz '^FuzzCanonicalDecode$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/vault -run '^$$' -fuzz '^FuzzOpen$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/passpoints -run '^$$' -fuzz '^FuzzUnmarshalRecord$$' -fuzztime $(FUZZTIME)
+
 # docs-lint gates godoc coverage: go vet plus the repo's doclint
 # checker (package comment on every internal/ and cmd/ package,
 # doc comment on every exported identifier under internal/).
@@ -137,4 +151,4 @@ docs-lint:
 cover:
 	$(GO) test -cover ./...
 
-ci: build docs-lint test race loadsmoke storm-smoke recovery-smoke repl-smoke session-smoke redteam-smoke
+ci: build docs-lint test race loadsmoke storm-smoke recovery-smoke repl-smoke session-smoke redteam-smoke fuzz-smoke

@@ -3,6 +3,7 @@ package main
 import (
 	"encoding/json"
 	"fmt"
+	"math/rand/v2"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -11,14 +12,20 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"clickpass/internal/core"
+	"clickpass/internal/geom"
 	"clickpass/internal/passpoints"
 	"clickpass/internal/vault"
 )
 
 // StoreRun is one (backend, op) measurement in BENCH_store.json.
 type StoreRun struct {
-	Backend     string  `json:"backend"`
-	Op          string  `json:"op"` // "readheavy" (10 Gets : 1 Replace), "put" (fresh-user writes), "put8" (8 concurrent writers, one log)
+	Backend string `json:"backend"`
+	// Op is "readheavy" (10 Gets : 1 Replace), "put" (fresh-user
+	// writes), "put8" (8 concurrent writers, one log), or a start-up
+	// row: "open-snapshot" (open from a JSON snapshot) or "open-replay"
+	// (open by replaying the logs).
+	Op          string  `json:"op"`
 	NsPerOp     float64 `json:"ns_per_op"`
 	BytesPerOp  int64   `json:"bytes_per_op"`
 	AllocsPerOp int64   `json:"allocs_per_op"`
@@ -224,6 +231,11 @@ func runStoreBench(outDir string) error {
 		})
 		fmt.Fprintf(os.Stderr, "pwbench: measured store backend %s\n", backend.name)
 	}
+	opens, err := measureOpens(tmp)
+	if err != nil {
+		return err
+	}
+	bench.Runs = append(bench.Runs, opens...)
 	out, err := json.MarshalIndent(bench, "", "  ")
 	if err != nil {
 		return err
@@ -235,6 +247,98 @@ func runStoreBench(outDir string) error {
 	fmt.Fprintf(os.Stderr, "pwbench: wrote %s\n", file)
 	fmt.Print(storeMarkdownTable(bench))
 	return nil
+}
+
+// openRecords is the population the start-up rows load: servebench's
+// 10k accounts.
+const openRecords = 10000
+
+// measureOpens times the two start-up load paths on openRecords
+// enrolled records: open-snapshot opens a Sharded store from the
+// MarshalIndent snapshot SaveTo writes, and open-replay opens a
+// Durable store by replaying the same records from its shard logs.
+// Both spend most of their time decoding records, so these rows gate
+// the decode path.
+func measureOpens(dir string) ([]StoreRun, error) {
+	scheme, err := core.NewCentered(13)
+	if err != nil {
+		return nil, err
+	}
+	cfg := passpoints.Config{Image: geom.Size{W: 451, H: 331}, Clicks: passpoints.DefaultClicks, Scheme: scheme, Iterations: 1}
+	src := vault.NewSharded(0)
+	rng := rand.New(rand.NewPCG(1, 2))
+	for i := 0; i < openRecords; i++ {
+		clicks := make([]geom.Point, cfg.Clicks)
+		for k := range clicks {
+			clicks[k] = geom.Pt(rng.IntN(cfg.Image.W), rng.IntN(cfg.Image.H))
+		}
+		rec, err := passpoints.Enroll(cfg, fmt.Sprintf("user-%05d", i), clicks)
+		if err != nil {
+			return nil, err
+		}
+		if err := src.Put(rec); err != nil {
+			return nil, err
+		}
+	}
+	snapshot := filepath.Join(dir, "open.json")
+	if err := src.SaveTo(snapshot); err != nil {
+		return nil, err
+	}
+	logs := filepath.Join(dir, "open-wal")
+	opts := vault.DurableOptions{Sync: vault.SyncNever, NoAutoCompact: true}
+	d, err := vault.OpenDurable(logs, opts)
+	if err != nil {
+		return nil, err
+	}
+	if err := d.ImportJSON(snapshot); err != nil {
+		d.Close()
+		return nil, err
+	}
+	if err := d.Close(); err != nil {
+		return nil, err
+	}
+	var openErr error
+	run := func(backend, op string, open func() error) StoreRun {
+		r := testing.Benchmark(func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if err := open(); err != nil {
+					openErr = err
+					b.FailNow()
+				}
+			}
+		})
+		return StoreRun{Backend: backend, Op: op,
+			NsPerOp:    float64(r.T.Nanoseconds()) / float64(max(r.N, 1)),
+			BytesPerOp: r.AllocedBytesPerOp(), AllocsPerOp: r.AllocsPerOp()}
+	}
+	runs := []StoreRun{
+		run("sharded32", "open-snapshot", func() error {
+			s, err := vault.OpenSharded(snapshot, 32)
+			if err == nil && s.Len() != openRecords {
+				err = fmt.Errorf("opened %d records from the snapshot, want %d", s.Len(), openRecords)
+			}
+			return err
+		}),
+		run("durable-never", "open-replay", func() error {
+			d, err := vault.OpenDurable(logs, opts)
+			if err != nil {
+				return err
+			}
+			if d.Len() != openRecords {
+				err = fmt.Errorf("replayed %d records, want %d", d.Len(), openRecords)
+			}
+			if cerr := d.Close(); err == nil {
+				err = cerr
+			}
+			return err
+		}),
+	}
+	if openErr != nil {
+		return nil, openErr
+	}
+	fmt.Fprintf(os.Stderr, "pwbench: measured store start-up\n")
+	return runs, nil
 }
 
 // storeMarkdownTable renders the backend comparison CI publishes.
@@ -253,6 +357,12 @@ func storeMarkdownTable(bench StoreBench) string {
 		fmt.Fprintf(&b, "| %s | %.0f | %.0f | %.0f |\n",
 			name, byKey[name+"/readheavy"].NsPerOp, byKey[name+"/put"].NsPerOp,
 			byKey[name+"/put8"].NsPerOp)
+	}
+	b.WriteString("\n| start-up | ms/op | allocs/op |\n|---|---|---|\n")
+	for _, r := range bench.Runs {
+		if strings.HasPrefix(r.Op, "open-") {
+			fmt.Fprintf(&b, "| %s %s | %.1f | %d |\n", r.Backend, r.Op, r.NsPerOp/1e6, r.AllocsPerOp)
+		}
 	}
 	return b.String()
 }

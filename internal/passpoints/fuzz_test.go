@@ -1,6 +1,8 @@
 package passpoints
 
 import (
+	"encoding/json"
+	"reflect"
 	"testing"
 
 	"clickpass/internal/core"
@@ -8,7 +10,8 @@ import (
 )
 
 // FuzzUnmarshalRecord: arbitrary bytes must never panic the record
-// decoder, and any record it does accept must be structurally sound.
+// decoder, and any record it does accept must be structurally sound
+// and exactly what encoding/json decodes from the same bytes.
 func FuzzUnmarshalRecord(f *testing.F) {
 	scheme, err := core.NewCentered(13)
 	if err != nil {
@@ -37,6 +40,10 @@ func FuzzUnmarshalRecord(f *testing.F) {
 		}
 		if r.SquareSidePx <= 0 || r.Iterations <= 0 || len(r.Digest) == 0 {
 			t.Fatalf("decoder accepted malformed record: %+v", r)
+		}
+		var ref Record
+		if err := json.Unmarshal(data, &ref); err != nil || !reflect.DeepEqual(*r, ref) {
+			t.Fatalf("decoded %+v; encoding/json gives %+v, %v", *r, ref, err)
 		}
 	})
 }

@@ -15,6 +15,7 @@ import (
 	"encoding/json"
 	"fmt"
 
+	"clickpass/internal/canonjson"
 	"clickpass/internal/core"
 	"clickpass/internal/fixed"
 	"clickpass/internal/geom"
@@ -203,10 +204,84 @@ func SchemeForRecord(rec *Record) (core.Scheme, error) {
 // Marshal encodes the record as JSON.
 func (r *Record) Marshal() ([]byte, error) { return json.Marshal(r) }
 
+// recordKeys and clearKeys are the JSON member names of Record and
+// ClearID in declaration order.
+var (
+	recordKeys = []string{"user", "kind", "square_side_px", "image_w", "image_h", "clears", "salt", "iterations", "digest"}
+	clearKeys  = []string{"dx", "dy", "grid"}
+)
+
+// ReadRecord reads a record, or null as nil, without reflection: the
+// canonjson decoder every vault load path shares. The record owns all
+// its memory, its Kind is one of the Kind constants when it names one,
+// and its Clears has exactly the stored length.
+func ReadRecord(r *canonjson.Reader) *Record {
+	if r.Null() {
+		return nil
+	}
+	rec := new(Record)
+	readRecord(r, rec)
+	return rec
+}
+
+// readRecord reads a record object into rec.
+func readRecord(r *canonjson.Reader, rec *Record) {
+	r.Object(recordKeys, func(i int) {
+		switch i {
+		case 0:
+			rec.User = r.Str()
+		case 1:
+			rec.Kind = SchemeKind(r.Intern(string(KindCentered), string(KindRobust)))
+		case 2:
+			rec.SquareSidePx = r.Int()
+		case 3:
+			rec.ImageW = r.Int()
+		case 4:
+			rec.ImageH = r.Int()
+		case 5:
+			rec.Clears = readClears(r)
+		case 6:
+			rec.Salt = r.Bytes()
+		case 7:
+			rec.Iterations = r.Int()
+		case 8:
+			rec.Digest = r.Bytes()
+		}
+	})
+}
+
+// readClears reads the clear identifiers, or null as nil, into a slice
+// of exactly their count (encoding/json would leave 5 clicks in a
+// slice of capacity 8).
+func readClears(r *canonjson.Reader) []ClearID {
+	if r.Null() {
+		return nil
+	}
+	var buf [DefaultClicks]ClearID
+	clears := buf[:0]
+	r.Array(func() {
+		var c ClearID
+		r.Object(clearKeys, func(i int) {
+			switch i {
+			case 0:
+				c.DX = r.Int64()
+			case 1:
+				c.DY = r.Int64()
+			case 2:
+				c.Grid = r.Uint8()
+			}
+		})
+		clears = append(clears, c)
+	})
+	out := make([]ClearID, len(clears))
+	copy(out, clears)
+	return out
+}
+
 // UnmarshalRecord decodes a record from JSON and sanity-checks it.
 func UnmarshalRecord(data []byte) (*Record, error) {
 	var r Record
-	if err := json.Unmarshal(data, &r); err != nil {
+	if err := canonjson.Unmarshal(data, &r, readRecord); err != nil {
 		return nil, fmt.Errorf("passpoints: decoding record: %w", err)
 	}
 	if r.SquareSidePx <= 0 || r.Iterations <= 0 || len(r.Digest) == 0 {

@@ -7,6 +7,25 @@ import (
 	"testing"
 )
 
+// openSeeds are FuzzOpen's seeds, shared with FuzzCanonicalDecode.
+var openSeeds = [][]byte{
+	[]byte(`[]`),
+	[]byte(`[{"user":"a","kind":"centered","square_side_px":13}]`),
+	// Duplicate users.
+	[]byte(`[{"user":"a"},{"user":"a"}]`),
+	// Empty user.
+	[]byte(`[{"user":""}]`),
+	[]byte(`[{"kind":"centered"}]`),
+	// Truncated file (mid-record and mid-array).
+	[]byte(`[{"user":"a","kind":"cente`),
+	[]byte(`[{"user":"a"},`),
+	// Null record, wrong top-level type, junk.
+	[]byte(`[null]`),
+	[]byte(`{"user":"a"}`),
+	[]byte(`not json at all`),
+	{0xff, 0xfe, 0x00},
+}
+
 // FuzzOpen: arbitrary vault-file bytes must never panic the loaders,
 // and all three Store backends must agree byte-for-byte on what is a
 // valid password file — Vault and Sharded load it directly, Durable
@@ -17,22 +36,9 @@ import (
 // format rejects by contract: duplicate users, records without a
 // user, and truncated JSON.
 func FuzzOpen(f *testing.F) {
-	f.Add([]byte(`[]`))
-	f.Add([]byte(`[{"user":"a","kind":"centered","square_side_px":13}]`))
-	// Duplicate users.
-	f.Add([]byte(`[{"user":"a"},{"user":"a"}]`))
-	// Empty user.
-	f.Add([]byte(`[{"user":""}]`))
-	f.Add([]byte(`[{"kind":"centered"}]`))
-	// Truncated file (mid-record and mid-array).
-	f.Add([]byte(`[{"user":"a","kind":"cente`))
-	f.Add([]byte(`[{"user":"a"},`))
-	// Null record, wrong top-level type, junk.
-	f.Add([]byte(`[null]`))
-	f.Add([]byte(`{"user":"a"}`))
-	f.Add([]byte(`not json at all`))
-	f.Add([]byte{0xff, 0xfe, 0x00})
-
+	for _, seed := range openSeeds {
+		f.Add(seed)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		dir := t.TempDir()
 		path := filepath.Join(dir, "vault.json")

@@ -98,6 +98,7 @@ type primaryState struct {
 	ackHigh []uint64 // max acked seq per shard across all followers
 	waiters []*qwaiter
 	closed  bool
+	cause   error // why close ran; every later quorum wait fails with it
 }
 
 // startPrimaryLocked starts the primary machinery: listener, accept
@@ -136,6 +137,7 @@ func (ps *primaryState) close(cause error) {
 		return
 	}
 	ps.closed = true
+	ps.cause = cause
 	for _, w := range ps.waiters {
 		w.ch <- cause
 	}
@@ -146,6 +148,20 @@ func (ps *primaryState) close(cause error) {
 	ps.cond.Broadcast()
 	ps.mu.Unlock()
 	ps.ln.Close()
+}
+
+// stopPrimary tears ps down and detaches its Commit sink from the
+// store. In quorum mode the closed state's QuorumWait stays installed:
+// a writer that passed writable() before the teardown but reaches the
+// store's quorum gate after it must be refused, not acked on local
+// durability alone.
+func (n *Node) stopPrimary(ps *primaryState, cause error) {
+	ps.close(cause)
+	var hooks vault.ReplHooks
+	if n.opts.Ack == AckQuorum {
+		hooks.QuorumWait = ps.quorumWait
+	}
+	n.store.SetReplHooks(hooks)
 }
 
 // commit is the vault's ReplHooks.Commit sink: it labels the batch's
@@ -187,12 +203,13 @@ func (ps *primaryState) commit(shard int, frames []byte, lastSeq uint64) {
 
 // quorumWait is the vault's ReplHooks.QuorumWait hook: block the
 // writer until a follower acknowledges (shard, seq) or the quorum
-// timeout passes. Called with no locks held.
+// timeout passes. Called with no locks held. Once the state is closed
+// it refuses every wait at once.
 func (ps *primaryState) quorumWait(shard int, seq uint64) error {
 	ps.mu.Lock()
 	if ps.closed {
 		ps.mu.Unlock()
-		return errFenced
+		return ps.cause
 	}
 	if ps.ackHigh[shard] >= seq {
 		ps.mu.Unlock()

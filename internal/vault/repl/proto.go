@@ -3,13 +3,13 @@ package repl
 import (
 	"bufio"
 	"encoding/binary"
+	"encoding/json"
 	"fmt"
 	"hash/crc32"
 	"io"
 
+	"clickpass/internal/canonjson"
 	"clickpass/internal/passpoints"
-
-	"encoding/json"
 )
 
 // The replication wire protocol: length-prefixed, CRC32-checksummed
@@ -77,6 +77,42 @@ type wireMsg struct {
 	KV       map[string][]byte    `json:"kv,omitempty"`
 }
 
+// wireMsgKeys are wireMsg's JSON member names in declaration order.
+var wireMsgKeys = []string{"type", "epoch", "run_id", "shards", "seqs", "advertise", "shard", "seq", "frames", "records", "lockouts", "kv"}
+
+// readWireMsg reads a message payload without reflection (see package
+// canonjson).
+func readWireMsg(r *canonjson.Reader, m *wireMsg) {
+	r.Object(wireMsgKeys, func(i int) {
+		switch i {
+		case 0:
+			m.Type = r.Intern(msgHello, msgWelcome, msgSnapshot, msgFrames, msgAck, msgPing)
+		case 1:
+			m.Epoch = r.Uint64()
+		case 2:
+			m.RunID = r.Uint64()
+		case 3:
+			m.Shards = r.Int()
+		case 4:
+			m.Seqs = canonjson.Slice(r, (*canonjson.Reader).Uint64)
+		case 5:
+			m.Advertise = r.Str()
+		case 6:
+			m.Shard = r.Int()
+		case 7:
+			m.Seq = r.Uint64()
+		case 8:
+			m.Frames = r.Bytes()
+		case 9:
+			m.Records = canonjson.Slice(r, passpoints.ReadRecord)
+		case 10:
+			m.Lockouts = canonjson.Map(r, (*canonjson.Reader).Int)
+		case 11:
+			m.KV = canonjson.Map(r, (*canonjson.Reader).Bytes)
+		}
+	})
+}
+
 // wireHeaderSize is the fixed framing: little-endian uint32 payload
 // length then IEEE CRC32 of the payload.
 const wireHeaderSize = 8
@@ -120,7 +156,7 @@ func readMsg(r *bufio.Reader, m *wireMsg) error {
 		return fmt.Errorf("repl: message CRC mismatch")
 	}
 	*m = wireMsg{}
-	if err := json.Unmarshal(payload, m); err != nil {
+	if err := canonjson.Unmarshal(payload, m, readWireMsg); err != nil {
 		return fmt.Errorf("repl: decoding message: %w", err)
 	}
 	return nil

@@ -528,15 +528,16 @@ func (n *Node) fence(remoteEpoch uint64, newPrimary string) {
 	n.mu.Unlock()
 	n.touch() // the staleness clock starts at the deposition
 	if ps != nil {
-		ps.close(errFenced)
-		n.store.SetReplHooks(vault.ReplHooks{})
+		n.stopPrimary(ps, errFenced)
 	}
 	n.opts.Logf("repl: fenced at epoch %d (new primary %q); refusing writes", remoteEpoch, newPrimary)
 }
 
 // Close stops the node's replication machinery (listener, stream
 // connections, dial loop) and fails pending quorum waiters. It does
-// NOT close the wrapped store — the caller owns it.
+// NOT close the wrapped store — the caller owns it — but in quorum
+// mode the store keeps refusing every ack afterwards, since no
+// follower can cover a write any more.
 func (n *Node) Close() error {
 	n.mu.Lock()
 	if n.closed {
@@ -553,8 +554,7 @@ func (n *Node) Close() error {
 		fo.halt()
 	}
 	if ps != nil {
-		ps.close(errNodeClosed)
-		n.store.SetReplHooks(vault.ReplHooks{})
+		n.stopPrimary(ps, errNodeClosed)
 	}
 	n.wg.Wait()
 	return nil

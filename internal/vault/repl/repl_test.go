@@ -3,6 +3,7 @@ package repl
 import (
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"sync"
 	"testing"
@@ -406,5 +407,42 @@ func TestStaleFenceIgnoredAtOrBelowOwnEpoch(t *testing.T) {
 	}
 	if got := p.Epoch(); got != e+1 {
 		t.Fatalf("fenced epoch = %d, want %d", got, e+1)
+	}
+}
+
+// TestQuorumRefusesStoreWritesAfterCloseAndFence: once a quorum
+// primary is closed, or fenced by a higher-epoch hello, its store must
+// refuse to ack. A Replace sent straight to the wrapped store stands
+// in for a writer that passed the node's writable check just before
+// the teardown; acking it on local durability alone would let the
+// failover that follows lose an acked write.
+func TestQuorumRefusesStoreWritesAfterCloseAndFence(t *testing.T) {
+	st := openTestStore(t)
+	p := newTestPrimary(t, st, Options{Ack: AckQuorum, QuorumTimeout: 5 * time.Second})
+	p.Close()
+	if err := st.Replace(testRecord("after-close")); !errors.Is(err, errNodeClosed) {
+		t.Fatalf("store write after Close = %v, want %v", err, errNodeClosed)
+	}
+
+	st = openTestStore(t)
+	p = newTestPrimary(t, st, Options{Ack: AckQuorum, QuorumTimeout: 5 * time.Second})
+	c, err := net.Dial("tcp", p.ReplAddr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if err := writeMsg(c, &wireMsg{Type: msgHello, Epoch: p.Epoch() + 1}); err != nil {
+		t.Fatal(err)
+	}
+	// The primary fences inside the connection handler and drops the
+	// connection only afterwards, so end of stream means the fence,
+	// hook swap included, has completed.
+	_ = c.SetReadDeadline(time.Now().Add(10 * time.Second))
+	_, _ = io.Copy(io.Discard, c)
+	if !p.Stats().Fenced {
+		t.Fatal("higher-epoch hello did not fence the primary")
+	}
+	if err := st.Replace(testRecord("after-fence")); !errors.Is(err, errFenced) {
+		t.Fatalf("store write after fence = %v, want %v", err, errFenced)
 	}
 }

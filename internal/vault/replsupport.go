@@ -28,13 +28,13 @@ package vault
 
 import (
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/crc32"
 	"log"
 	"sort"
 
+	"clickpass/internal/canonjson"
 	"clickpass/internal/passpoints"
 )
 
@@ -386,7 +386,7 @@ func (d *Durable) ApplyReplFrames(i int, frames []byte) error {
 	var entries []walEntry
 	err := scanFrames(frames, func(_, payload []byte) error {
 		var e walEntry
-		if err := json.Unmarshal(payload, &e); err != nil {
+		if err := canonjson.Unmarshal(payload, &e, readWalEntry); err != nil {
 			return fmt.Errorf("vault: corrupt frame payload: %w", err)
 		}
 		if e.Op == walOpCkpt {

@@ -20,6 +20,7 @@ import (
 	"sort"
 	"sync"
 
+	"clickpass/internal/canonjson"
 	"clickpass/internal/passpoints"
 )
 
@@ -82,7 +83,7 @@ func loadRecords(path string) ([]*passpoints.Record, error) {
 // stores use.
 func ParseRecords(data []byte) ([]*passpoints.Record, error) {
 	var recs []*passpoints.Record
-	if err := json.Unmarshal(data, &recs); err != nil {
+	if err := canonjson.Unmarshal(data, &recs, readSnapshot); err != nil {
 		return nil, fmt.Errorf("parsing: %w", err)
 	}
 	seen := make(map[string]bool, len(recs))
@@ -99,6 +100,12 @@ func ParseRecords(data []byte) ([]*passpoints.Record, error) {
 		seen[r.User] = true
 	}
 	return recs, nil
+}
+
+// readSnapshot reads a snapshot file without reflection: the JSON
+// array of records writeRecords produces.
+func readSnapshot(r *canonjson.Reader, recs *[]*passpoints.Record) {
+	*recs = canonjson.Slice(r, passpoints.ReadRecord)
 }
 
 // Put stores a record for a new user.

@@ -55,6 +55,7 @@ import (
 	"sort"
 	"time"
 
+	"clickpass/internal/canonjson"
 	"clickpass/internal/passpoints"
 )
 
@@ -100,6 +101,32 @@ type walCkpt struct {
 	KV map[string][]byte `json:"kv,omitempty"`
 }
 
+// walCkptKeys are walCkpt's JSON member names in declaration order.
+var walCkptKeys = []string{"version", "id", "base_log_id", "base_off", "records", "lockouts", "kv"}
+
+// readWalCkpt reads a checkpoint document without reflection (see
+// package canonjson).
+func readWalCkpt(r *canonjson.Reader, ck *walCkpt) {
+	r.Object(walCkptKeys, func(i int) {
+		switch i {
+		case 0:
+			ck.Version = r.Int()
+		case 1:
+			ck.ID = r.Uint64()
+		case 2:
+			ck.BaseLogID = r.Uint64()
+		case 3:
+			ck.BaseOff = r.Int64()
+		case 4:
+			ck.Records = canonjson.Slice(r, passpoints.ReadRecord)
+		case 5:
+			ck.Lockouts = canonjson.Map(r, (*canonjson.Reader).Int)
+		case 6:
+			ck.KV = canonjson.Map(r, (*canonjson.Reader).Bytes)
+		}
+	})
+}
+
 // readMarker decodes the log's first record if it is an intact
 // generation marker (op "ckpt" with a nonzero id), returning the
 // marker and its framed length. A missing, torn, corrupt, or
@@ -123,7 +150,7 @@ func readMarker(f walFile) (*walEntry, int64, error) {
 		return nil, 0, nil
 	}
 	var e walEntry
-	if err := json.Unmarshal(payload, &e); err != nil {
+	if err := canonjson.Unmarshal(payload, &e, readWalEntry); err != nil {
 		return nil, 0, nil
 	}
 	if e.Op != walOpCkpt || e.Ckpt == 0 {
@@ -152,7 +179,7 @@ func loadCkpt(path string) (*walCkpt, error) {
 		return nil, fmt.Errorf("vault: reading checkpoint %s: %w", path, err)
 	}
 	var ck walCkpt
-	if err := json.Unmarshal(data, &ck); err != nil {
+	if err := canonjson.Unmarshal(data, &ck, readWalCkpt); err != nil {
 		return nil, fmt.Errorf("vault: parsing checkpoint %s: %w", path, err)
 	}
 	if ck.Version != 1 || ck.ID == 0 || ck.BaseOff < 0 {

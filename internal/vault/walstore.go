@@ -16,6 +16,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"clickpass/internal/canonjson"
 	"clickpass/internal/par"
 	"clickpass/internal/passpoints"
 )
@@ -376,6 +377,35 @@ const (
 	walOpCkpt = "ckpt"
 )
 
+// walEntryKeys are walEntry's JSON member names in declaration order.
+var walEntryKeys = []string{"op", "user", "rec", "failures", "key", "val", "ckpt", "full"}
+
+// readWalEntry reads a log record's payload without reflection (see
+// package canonjson); every string and blob is a copy, so the entry
+// never aliases the replay buffer.
+func readWalEntry(r *canonjson.Reader, e *walEntry) {
+	r.Object(walEntryKeys, func(i int) {
+		switch i {
+		case 0:
+			e.Op = r.Intern(walOpPut, walOpDel, walOpLock, walOpKV, walOpCkpt)
+		case 1:
+			e.User = r.Str()
+		case 2:
+			e.Rec = passpoints.ReadRecord(r)
+		case 3:
+			e.Failures = r.Int()
+		case 4:
+			e.Key = r.Str()
+		case 5:
+			e.Val = r.Bytes()
+		case 6:
+			e.Ckpt = r.Uint64()
+		case 7:
+			e.Full = r.Bool()
+		}
+	})
+}
+
 // walHeaderSize is the fixed per-record framing: a little-endian
 // uint32 payload length followed by the IEEE CRC32 of the payload.
 const walHeaderSize = 8
@@ -615,7 +645,7 @@ func replayLog(f walFile, start int64, apply func(*walEntry)) (int, int64, error
 			break // corrupt payload
 		}
 		var e walEntry
-		if err := json.Unmarshal(payload, &e); err != nil {
+		if err := canonjson.Unmarshal(payload, &e, readWalEntry); err != nil {
 			break // checksummed garbage: treat like corruption
 		}
 		apply(&e)
