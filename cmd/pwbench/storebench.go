@@ -3,7 +3,6 @@ package main
 import (
 	"encoding/json"
 	"fmt"
-	"math/rand/v2"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -12,8 +11,6 @@ import (
 	"sync/atomic"
 	"testing"
 
-	"clickpass/internal/core"
-	"clickpass/internal/geom"
 	"clickpass/internal/passpoints"
 	"clickpass/internal/vault"
 )
@@ -88,15 +85,21 @@ func storeBackends(dir string) []storeBackend {
 	}
 }
 
-// storeRecords builds n records without real hashing (the bench
-// measures the store, not the crypto).
+// storeRecords builds n records shaped like enrolled ones (five clear
+// offsets, a 32-byte digest) without real hashing: the bench measures
+// the store, not the crypto.
 func storeRecords(n int) []*passpoints.Record {
+	clears := []passpoints.ClearID{{DX: 12, DY: 40}, {DX: 71, DY: 3}, {DX: 36, DY: 36}, {DX: 5, DY: 66}, {DX: 58, DY: 21}}
+	digest := make([]byte, 32)
+	for i := range digest {
+		digest[i] = byte(i * 37)
+	}
 	recs := make([]*passpoints.Record, n)
 	for i := range recs {
 		recs[i] = &passpoints.Record{
 			User: fmt.Sprintf("u-%d", i), Kind: passpoints.KindCentered,
-			SquareSidePx: 13, Iterations: 2,
-			Salt: []byte{1, 2, 3, 4}, Digest: []byte{5, 6, 7, 8},
+			SquareSidePx: 13, Iterations: 2, Clears: clears,
+			Salt: []byte{1, 2, 3, 4}, Digest: digest,
 		}
 	}
 	return recs
@@ -254,28 +257,13 @@ func runStoreBench(outDir string) error {
 const openRecords = 10000
 
 // measureOpens times the two start-up load paths on openRecords
-// enrolled records: open-snapshot opens a Sharded store from the
-// MarshalIndent snapshot SaveTo writes, and open-replay opens a
-// Durable store by replaying the same records from its shard logs.
-// Both spend most of their time decoding records, so these rows gate
-// the decode path.
+// records: open-snapshot opens a Sharded store from the MarshalIndent
+// snapshot SaveTo writes, and open-replay opens a Durable store by
+// replaying the same records from its shard logs. Both spend most of
+// their time decoding records, so these rows gate the decode path.
 func measureOpens(dir string) ([]StoreRun, error) {
-	scheme, err := core.NewCentered(13)
-	if err != nil {
-		return nil, err
-	}
-	cfg := passpoints.Config{Image: geom.Size{W: 451, H: 331}, Clicks: passpoints.DefaultClicks, Scheme: scheme, Iterations: 1}
 	src := vault.NewSharded(0)
-	rng := rand.New(rand.NewPCG(1, 2))
-	for i := 0; i < openRecords; i++ {
-		clicks := make([]geom.Point, cfg.Clicks)
-		for k := range clicks {
-			clicks[k] = geom.Pt(rng.IntN(cfg.Image.W), rng.IntN(cfg.Image.H))
-		}
-		rec, err := passpoints.Enroll(cfg, fmt.Sprintf("user-%05d", i), clicks)
-		if err != nil {
-			return nil, err
-		}
+	for _, rec := range storeRecords(openRecords) {
 		if err := src.Put(rec); err != nil {
 			return nil, err
 		}

@@ -1,11 +1,11 @@
 // Package canonjson reads the canonical JSON that encoding/json writes
-// for a fixed Go type, without reflection, and declines everything
-// else. Type-specific decoders live next to the types they decode and
-// drive a Reader by hand; Unmarshal runs one and, when it declines,
-// hands the input to encoding/json unchanged. A decoder that accepts
-// an input therefore returns exactly the value encoding/json would
-// have, and one that declines costs only the bytes it scanned before
-// giving up.
+// for a fixed Go type, without reflection per decode, and declines
+// everything else. Type-specific decoders live next to the types they
+// decode and drive a Reader by hand; Unmarshal runs one and, when it
+// declines, hands the input to encoding/json unchanged. A decoder that
+// accepts an input therefore returns exactly the value encoding/json
+// would have, and one that declines costs only the bytes it scanned
+// before giving up.
 //
 // A Reader accepts only this subset of what encoding/json's Marshal
 // writes:
@@ -14,14 +14,18 @@
 //   - object members in struct declaration order, each at most once,
 //     with omitted members left zero;
 //   - map members in strictly ascending key order;
-//   - ASCII strings without escapes or control bytes below 0x20;
+//   - strings of valid UTF-8 without control bytes below 0x20, with
+//     their escapes decoded as encoding/json decodes them, except a \u
+//     escape naming a UTF-16 surrogate;
 //   - integers without a fraction, exponent, leading zero or minus
 //     zero, range-checked for the target type;
 //   - standard base64 for []byte;
 //   - null where the caller allows it (a nil slice, map or pointer).
 //
-// Anything else — escapes, non-ASCII bytes, unknown, duplicate,
-// reordered or case-variant keys, floats, trailing bytes — declines.
+// Anything else — invalid UTF-8, surrogate escapes, unknown, duplicate,
+// reordered or case-variant keys, floats, trailing bytes — declines:
+// encoding/json repairs the first two (to U+FFFD or a surrogate pair)
+// and accepts the rest under rules the Reader does not guess at.
 // Every decoded string and []byte is a copy, so a value never aliases
 // (or pins) the input buffer.
 package canonjson
@@ -30,6 +34,10 @@ import (
 	"encoding/base64"
 	"encoding/json"
 	"math"
+	"reflect"
+	"strings"
+	"unicode/utf16"
+	"unicode/utf8"
 )
 
 // Reader walks one JSON document. Reads never fail loudly: the first
@@ -41,6 +49,7 @@ type Reader struct {
 	buf      []byte
 	off      int
 	declined bool
+	scratch  []byte // decoded contents of the last string that had escapes or non-ASCII bytes
 }
 
 // Decode runs dec over data and reports whether it accepted the whole
@@ -68,9 +77,38 @@ func Unmarshal[T any](data []byte, v *T, dec func(*Reader, *T)) error {
 	return json.Unmarshal(data, v)
 }
 
+// Keys returns the JSON member names of the struct type T in
+// declaration order, the order encoding/json writes them in: each
+// field's json tag name, or the field name when the tag gives none.
+// Index i of the result is field i of T, so a decoder passes the result
+// to Object and switches on field indexes. It panics on a field
+// encoding/json would not write under its own name in its own place
+// (unexported, embedded, or tagged "-"). Decoders call it once, when
+// their package initializes.
+func Keys[T any]() []string {
+	t := reflect.TypeFor[T]()
+	keys := make([]string, t.NumField())
+	for i := range keys {
+		f := t.Field(i)
+		name, _, _ := strings.Cut(f.Tag.Get("json"), ",")
+		if !f.IsExported() || f.Anonymous || name == "-" {
+			panic("canonjson: " + t.String() + "." + f.Name + " is not a plain JSON member")
+		}
+		if name == "" {
+			name = f.Name
+		}
+		keys[i] = name
+	}
+	return keys
+}
+
 // Byte classes: JSON whitespace, and the bytes a string may hold
 // without an escape (ASCII from 0x20, less the quote and backslash).
 var spaceByte, plainByte [256]bool
+
+// escapes maps the byte after a backslash to the byte it stands for,
+// for every JSON escape but \u; zero marks the rest.
+var escapes = [256]byte{'"': '"', '\\': '\\', '/': '/', 'b': '\b', 'f': '\f', 'n': '\n', 'r': '\r', 't': '\t'}
 
 func init() {
 	for _, c := range " \t\n\r" {
@@ -128,9 +166,12 @@ func (r *Reader) literal(lit string) bool {
 // pointer.
 func (r *Reader) Null() bool { return r.literal("null") }
 
-// raw reads a string token of ASCII without escapes or control bytes
-// and returns its contents, which alias the input.
-func (r *Reader) raw() []byte {
+// text reads a string token and returns its decoded contents. A token
+// of plain bytes, which is every key and nearly every value the vault
+// writes, comes back aliasing the input; any other is decoded into
+// r.scratch, which the next such token overwrites. Callers copy what
+// they keep.
+func (r *Reader) text() []byte {
 	if !r.expect('"') {
 		return nil
 	}
@@ -138,22 +179,98 @@ func (r *Reader) raw() []byte {
 	for i < len(buf) && plainByte[buf[i]] {
 		i++
 	}
-	if i == len(buf) || buf[i] != '"' {
-		r.declined = true
-		return nil
+	if i < len(buf) && buf[i] == '"' {
+		s := buf[r.off:i]
+		r.off = i + 1
+		return s
 	}
-	s := buf[r.off:i]
-	r.off = i + 1
-	return s
+	return r.unquote(i)
+}
+
+// unquote decodes the rest of the string token whose plain prefix ends
+// at buf[i]: multi-byte UTF-8 is copied and escapes are decoded, as
+// encoding/json does. It declines what encoding/json rejects (a
+// control byte, a malformed escape, a missing closing quote) and what
+// it repairs rather than copies (a byte that is not valid UTF-8, a \u
+// escape naming a surrogate).
+func (r *Reader) unquote(i int) []byte {
+	buf := r.buf
+	out := append(r.scratch[:0], buf[r.off:i]...)
+	for i < len(buf) {
+		c := buf[i]
+		switch {
+		case c == '"':
+			r.scratch = out
+			r.off = i + 1
+			return out
+		case plainByte[c]:
+			out = append(out, c)
+			i++
+		case c == '\\':
+			e, n := escape(buf[i+1:])
+			if n == 0 {
+				r.declined = true
+				return nil
+			}
+			out = utf8.AppendRune(out, e)
+			i += 1 + n
+		case c >= utf8.RuneSelf:
+			e, n := utf8.DecodeRune(buf[i:])
+			if e == utf8.RuneError && n == 1 {
+				r.declined = true
+				return nil
+			}
+			out = append(out, buf[i:i+n]...)
+			i += n
+		default:
+			r.declined = true
+			return nil
+		}
+	}
+	r.declined = true
+	return nil
+}
+
+// escape decodes the escape sequence s begins with (the bytes after a
+// backslash), returning its rune and length, or a zero length when the
+// sequence is malformed or a \u escape names a surrogate.
+func escape(s []byte) (rune, int) {
+	if len(s) == 0 {
+		return 0, 0
+	}
+	if e := escapes[s[0]]; e != 0 {
+		return rune(e), 1
+	}
+	if s[0] != 'u' || len(s) < 5 {
+		return 0, 0
+	}
+	var e rune
+	for _, c := range s[1:5] {
+		switch {
+		case '0' <= c && c <= '9':
+			c -= '0'
+		case 'a' <= c && c <= 'f':
+			c -= 'a' - 10
+		case 'A' <= c && c <= 'F':
+			c -= 'A' - 10
+		default:
+			return 0, 0
+		}
+		e = e<<4 | rune(c)
+	}
+	if utf16.IsSurrogate(e) {
+		return 0, 0
+	}
+	return e, 5
 }
 
 // Str reads a string into new memory.
-func (r *Reader) Str() string { return string(r.raw()) }
+func (r *Reader) Str() string { return string(r.text()) }
 
 // Intern reads a string and returns the element of known it equals,
 // allocating a copy only when it equals none of them.
 func (r *Reader) Intern(known ...string) string {
-	s := r.raw()
+	s := r.text()
 	for _, k := range known {
 		if string(s) == k {
 			return k
@@ -169,7 +286,7 @@ func (r *Reader) Bytes() []byte {
 	if r.Null() {
 		return nil
 	}
-	s := r.raw()
+	s := r.text()
 	if r.declined {
 		return nil
 	}
@@ -297,20 +414,21 @@ func Map[V any](r *Reader, val func(*Reader) V) map[string]V {
 		return nil
 	}
 	m := map[string]V{}
-	var prev []byte
+	var prev string
 	r.members(func(k []byte) {
-		if len(m) > 0 && string(k) <= string(prev) {
+		if len(m) > 0 && string(k) <= prev {
 			r.declined = true
 			return
 		}
-		prev = k
-		m[string(k)] = val(r)
+		prev = string(k)
+		m[prev] = val(r)
 	})
 	return m
 }
 
-// members reads an object, calling member with each key (aliasing the
-// input) once its colon is consumed; member must read the value.
+// members reads an object, calling member with each decoded key once
+// its colon is consumed; member must read the value, and the key is
+// valid only until it does.
 func (r *Reader) members(member func(key []byte)) {
 	if !r.expect('{') {
 		return
@@ -320,7 +438,7 @@ func (r *Reader) members(member func(key []byte)) {
 		return
 	}
 	for !r.declined {
-		k := r.raw()
+		k := r.text()
 		if !r.expect(':') {
 			return
 		}

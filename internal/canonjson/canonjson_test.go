@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -22,7 +23,7 @@ type sample struct {
 	P   *sample           `json:"p,omitempty"`
 }
 
-var sampleKeys = []string{"s", "i", "i64", "u8", "u64", "b", "t", "l", "m", "mb", "p"}
+var sampleKeys = Keys[sample]()
 
 func readSample(r *Reader, s *sample) {
 	r.Object(sampleKeys, func(i int) {
@@ -90,6 +91,15 @@ func TestAcceptsMarshalOutput(t *testing.T) {
 			M: map[string]int{"": 0, "a": -1, "b": 1}, MB: map[string][]byte{"k": {9}, "nil": nil, "z": {}},
 			P: &sample{S: "inner", I64: -1},
 		},
+		{
+			// Marshal escapes quotes, backslashes, control bytes, <, >,
+			// &, U+2028 and U+2029, writes other UTF-8 as is, and
+			// replaces invalid UTF-8 with U+FFFD.
+			S:  "q\"b\\ \n\t\x00\x1f <a&b> zoë 密码 😀 " + string(rune(0x2028)) + string(rune(0x2029)) + " \xff",
+			M:  map[string]int{"<": 1, "zoë": 2, "\"": 3, "😀": 4},
+			MB: map[string][]byte{"a&b": {1}, "é": {2}},
+			P:  &sample{S: "ünïcode"},
+		},
 	} {
 		compact, _ := json.Marshal(v)
 		indented, _ := json.MarshalIndent(v, "", "  ")
@@ -101,10 +111,18 @@ func TestAcceptsMarshalOutput(t *testing.T) {
 	}
 }
 
+// unicodeEscapes turns each %u in s into a JSON unicode escape's
+// backslash-u, so inputs can spell such escapes inside raw strings.
+func unicodeEscapes(s string) string { return strings.ReplaceAll(s, "%u", "\\u") }
+
 func TestDeclinesNonCanonical(t *testing.T) {
 	for _, in := range []string{
 		``, `null`, `[]`, `{`, `{"s":"x",}`, `{"s":"x"} x`, `{"s":"x"}{}`,
-		`{"s":"a\"b"}`, `{"s":"é"}`, "{\"s\":\"\t\"}",
+		"{\"s\":\"\t\"}", `{"s":"\x"}`, `{"s":"\`, `{"s":"é`,
+		unicodeEscapes(`{"s":"%u12"}`), unicodeEscapes(`{"s":"%u12g4"}`),
+		unicodeEscapes(`{"s":"%ud800"}`), unicodeEscapes(`{"s":"%udfff"}`), unicodeEscapes(`{"s":"%ud83d%ude00"}`),
+		"{\"s\":\"\xff\"}", "{\"s\":\"\xc3\"}", "{\"s\":\"\xed\xa0\x80\"}",
+		`{"m":{"é":1,"è":2}}`, `{"m":{"é":1,"é":2}}`, unicodeEscapes(`{"m":{"%u00e9":1,"%u00e8":2}}`),
 		`{"x":1}`, `{"S":"x"}`, `{"s":"x","s":"y"}`, `{"i64":1,"i":2}`,
 		`{"i":1.0}`, `{"i":1e2}`, `{"i":01}`, `{"i":-0}`, `{"i":+1}`, `{"i":-}`,
 		`{"u8":256}`, `{"u8":-1}`, `{"u64":18446744073709551616}`, `{"i64":9223372036854775808}`,
@@ -116,6 +134,52 @@ func TestDeclinesNonCanonical(t *testing.T) {
 		if agree(t, []byte(in)) {
 			t.Errorf("accepted non-canonical %q", in)
 		}
+	}
+}
+
+func TestDecodesEscapesAndUTF8(t *testing.T) {
+	for _, in := range []string{
+		`{"s":"a\"b\\c\/d\be\ff\ng\rh\ti"}`,
+		unicodeEscapes(`{"s":"%u0000%u001F%u003c%u00E9%u2028%uffff"}`),
+		unicodeEscapes(`{"s":"é","m":{"a":1,"%u00e9":2,"%u00e9a":3},"mb":{"x":"%u0041Q==","y":"AQ=="}}`),
+		unicodeEscapes(`{"s":"k%u006eown"}`), unicodeEscapes(`{"%u0073":"known"}`),
+		"{\"s\":\"\x7f\xef\xbf\xbd\"}",
+	} {
+		if !agree(t, []byte(in)) {
+			t.Errorf("declined %s", in)
+		}
+	}
+}
+
+func TestKeys(t *testing.T) {
+	type plain struct {
+		A int `json:"a,omitempty"`
+		B int
+		C int `json:",string"`
+	}
+	if got, want := Keys[plain](), []string{"a", "B", "C"}; !reflect.DeepEqual(got, want) {
+		t.Errorf("Keys = %q, want %q", got, want)
+	}
+	type skipped struct {
+		A int `json:"-"`
+	}
+	type unexported struct {
+		a int
+	}
+	type embedded struct {
+		plain
+	}
+	for name, keys := range map[string]func() []string{
+		"skipped": Keys[skipped], "unexported": Keys[unexported], "embedded": Keys[embedded],
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("Keys[%s] did not panic", name)
+				}
+			}()
+			keys()
+		}()
 	}
 }
 

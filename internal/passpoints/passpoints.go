@@ -207,8 +207,8 @@ func (r *Record) Marshal() ([]byte, error) { return json.Marshal(r) }
 // recordKeys and clearKeys are the JSON member names of Record and
 // ClearID in declaration order.
 var (
-	recordKeys = []string{"user", "kind", "square_side_px", "image_w", "image_h", "clears", "salt", "iterations", "digest"}
-	clearKeys  = []string{"dx", "dy", "grid"}
+	recordKeys = canonjson.Keys[Record]()
+	clearKeys  = canonjson.Keys[ClearID]()
 )
 
 // ReadRecord reads a record, or null as nil, without reflection: the

@@ -36,7 +36,9 @@ func readRecordPtr(r *canonjson.Reader, rec **passpoints.Record) { *rec = passpo
 
 // canonRecords covers the record shapes the decoder must take on its
 // fast path: every field set, robust grids, negative values, an
-// unknown kind, and nil against empty slices.
+// unknown kind, nil against empty slices, and user names encoding/json
+// escapes (quotes, control bytes, <, >, &, U+2028) or writes as
+// multi-byte UTF-8.
 func canonRecords(t testing.TB) []*passpoints.Record {
 	full := &passpoints.Record{
 		User: "alice", Kind: passpoints.KindCentered, SquareSidePx: 13, ImageW: 451, ImageH: 331,
@@ -52,6 +54,8 @@ func canonRecords(t testing.TB) []*passpoints.Record {
 		{User: "negative", Kind: "other", SquareSidePx: -1, ImageW: -451, ImageH: -331, Iterations: -5, Clears: []passpoints.ClearID{{DX: -7, DY: -8}}},
 		{User: "nil"},
 		{User: "empty", Clears: []passpoints.ClearID{}, Salt: []byte{}, Digest: []byte{}},
+		{User: "zoë <admin> & 密码 😀", Kind: passpoints.KindCentered, SquareSidePx: 13},
+		{User: "q\"\\\n\x01" + string(rune(0x2028)), Kind: passpoints.KindRobust, SquareSidePx: 36},
 	}
 }
 
@@ -81,8 +85,8 @@ func canonCkpt(t testing.TB) *walCkpt {
 	ck := &walCkpt{
 		Version: 1, ID: math.MaxUint64, BaseLogID: 12345678901234567890, BaseOff: 1 << 40,
 		Records:  canonRecords(t),
-		Lockouts: map[string]int{"alice": 3, "bob": 9},
-		KV:       map[string][]byte{"session/a": {1}, "session/b": {2, 3}},
+		Lockouts: map[string]int{"alice": 3, "bob": 9, "zoë <admin>": 1},
+		KV:       map[string][]byte{"session/a": {1}, "session/b": {2, 3}, "session/zoë&": {4}},
 	}
 	allFieldsSet(t, *ck)
 	return ck
@@ -190,6 +194,7 @@ func FuzzCanonicalDecode(f *testing.F) {
 		`[{"user":"a","iterations":1.0}]`,
 		`[{"user":"a","iterations":1e3}]`,
 		`[{"user":"a","clears":null,"salt":null,"digest":null}]`,
+		"[{\"user\":\"\xff\"}]",
 		`[{"user":"a","clears":[{"dx":-0,"grid":256}]}]`,
 		`{"op":"put","user":"","rec":null}`,
 		`{"op":"ckpt","ckpt":18446744073709551616}`,

@@ -14,7 +14,7 @@ import (
 // protocol sends in it (20-digit epochs and run ids), plus one message
 // with every field set.
 func canonMsgs(t testing.TB) []wireMsg {
-	recs := []*passpoints.Record{testRecord("alice"), {User: "nil"}}
+	recs := []*passpoints.Record{testRecord("alice"), {User: "nil"}, testRecord("zoë <admin> & 密码")}
 	every := wireMsg{
 		Type: msgSnapshot, Epoch: math.MaxUint64, RunID: 10000000000000000000, Shards: 4,
 		Seqs: []uint64{0, math.MaxUint64}, Advertise: "10.0.0.1:7000", Shard: 3, Seq: 42,
@@ -31,7 +31,7 @@ func canonMsgs(t testing.TB) []wireMsg {
 		{Type: msgHello, Epoch: math.MaxUint64, RunID: 18446744073709551615, Seqs: []uint64{1, 0, 18446744073709551615}, Shards: 3, Advertise: "a:1"},
 		{Type: msgHello, Epoch: 7},
 		{Type: msgWelcome, Epoch: 1, RunID: 12345678901234567890, Shards: 32, Advertise: "b:2"},
-		{Type: msgSnapshot, Shard: 1, Seq: 9, Records: recs, Lockouts: map[string]int{"a": 1, "b": 10}, KV: map[string][]byte{"k": {1}}},
+		{Type: msgSnapshot, Shard: 1, Seq: 9, Records: recs, Lockouts: map[string]int{"a": 1, "b": 10, "zoë <admin>": 2}, KV: map[string][]byte{"k": {1}, "k&é": {2}}},
 		{Type: msgSnapshot, Shard: 0, Records: []*passpoints.Record{}},
 		{Type: msgFrames, Shard: 31, Seq: math.MaxUint64, Frames: []byte("framed bytes")},
 		{Type: msgAck, Shard: 2, Seq: 5},

@@ -98,7 +98,6 @@ type primaryState struct {
 	ackHigh []uint64 // max acked seq per shard across all followers
 	waiters []*qwaiter
 	closed  bool
-	cause   error // why close ran; every later quorum wait fails with it
 }
 
 // startPrimaryLocked starts the primary machinery: listener, accept
@@ -137,7 +136,6 @@ func (ps *primaryState) close(cause error) {
 		return
 	}
 	ps.closed = true
-	ps.cause = cause
 	for _, w := range ps.waiters {
 		w.ch <- cause
 	}
@@ -150,16 +148,17 @@ func (ps *primaryState) close(cause error) {
 	ps.ln.Close()
 }
 
-// stopPrimary tears ps down and detaches its Commit sink from the
-// store. In quorum mode the closed state's QuorumWait stays installed:
-// a writer that passed writable() before the teardown but reaches the
-// store's quorum gate after it must be refused, not acked on local
-// durability alone.
+// stopPrimary tears ps down and detaches it from the store. In quorum
+// mode the store keeps a QuorumWait that refuses with cause: a writer
+// that passed writable() before the teardown but reaches the store's
+// quorum gate after it must be refused, not acked on local durability
+// alone. The hook does not reference ps, so its retention buffers can
+// be freed.
 func (n *Node) stopPrimary(ps *primaryState, cause error) {
 	ps.close(cause)
 	var hooks vault.ReplHooks
 	if n.opts.Ack == AckQuorum {
-		hooks.QuorumWait = ps.quorumWait
+		hooks.QuorumWait = func(int, uint64) error { return cause }
 	}
 	n.store.SetReplHooks(hooks)
 }
@@ -203,13 +202,12 @@ func (ps *primaryState) commit(shard int, frames []byte, lastSeq uint64) {
 
 // quorumWait is the vault's ReplHooks.QuorumWait hook: block the
 // writer until a follower acknowledges (shard, seq) or the quorum
-// timeout passes. Called with no locks held. Once the state is closed
-// it refuses every wait at once.
+// timeout passes. Called with no locks held.
 func (ps *primaryState) quorumWait(shard int, seq uint64) error {
 	ps.mu.Lock()
 	if ps.closed {
 		ps.mu.Unlock()
-		return ps.cause
+		return errFenced
 	}
 	if ps.ackHigh[shard] >= seq {
 		ps.mu.Unlock()

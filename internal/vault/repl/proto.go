@@ -78,7 +78,7 @@ type wireMsg struct {
 }
 
 // wireMsgKeys are wireMsg's JSON member names in declaration order.
-var wireMsgKeys = []string{"type", "epoch", "run_id", "shards", "seqs", "advertise", "shard", "seq", "frames", "records", "lockouts", "kv"}
+var wireMsgKeys = canonjson.Keys[wireMsg]()
 
 // readWireMsg reads a message payload without reflection (see package
 // canonjson).

@@ -102,7 +102,7 @@ type walCkpt struct {
 }
 
 // walCkptKeys are walCkpt's JSON member names in declaration order.
-var walCkptKeys = []string{"version", "id", "base_log_id", "base_off", "records", "lockouts", "kv"}
+var walCkptKeys = canonjson.Keys[walCkpt]()
 
 // readWalCkpt reads a checkpoint document without reflection (see
 // package canonjson).

@@ -378,7 +378,7 @@ const (
 )
 
 // walEntryKeys are walEntry's JSON member names in declaration order.
-var walEntryKeys = []string{"op", "user", "rec", "failures", "key", "val", "ckpt", "full"}
+var walEntryKeys = canonjson.Keys[walEntry]()
 
 // readWalEntry reads a log record's payload without reflection (see
 // package canonjson); every string and blob is a copy, so the entry
