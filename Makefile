@@ -127,17 +127,19 @@ bench-redteam:
 redteam-smoke:
 	$(GO) test ./cmd/pwserver -run TestRedteamSmoke -v
 
-# fuzz-smoke runs the decoder fuzz targets for FUZZTIME each (go test
-# -fuzz takes one target per run): the differential
+# fuzz-smoke runs the decoder and token fuzz targets for FUZZTIME each
+# (go test -fuzz takes one target per run): the differential
 # FuzzCanonicalDecode of the vault formats and of the replication
-# messages, FuzzOpen and FuzzUnmarshalRecord. Under `go test ./...`
-# they only replay their seeds.
+# messages, FuzzOpen, FuzzUnmarshalRecord, and FuzzValidateToken,
+# whose mutated session tokens meet a verify cache that holds the
+# genuine ones. Under `go test ./...` they only replay their seeds.
 FUZZTIME ?= 20s
 fuzz-smoke:
 	$(GO) test ./internal/vault -run '^$$' -fuzz '^FuzzCanonicalDecode$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/vault/repl -run '^$$' -fuzz '^FuzzCanonicalDecode$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/vault -run '^$$' -fuzz '^FuzzOpen$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/passpoints -run '^$$' -fuzz '^FuzzUnmarshalRecord$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/session -run '^$$' -fuzz '^FuzzValidateToken$$' -fuzztime $(FUZZTIME)
 
 # docs-lint gates godoc coverage: go vet plus the repo's doclint
 # checker (package comment on every internal/ and cmd/ package,

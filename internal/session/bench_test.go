@@ -40,7 +40,7 @@ func BenchmarkValidate(b *testing.B) {
 			// it into pathological eviction behavior mid-run.
 			for i := range m.cache {
 				m.cache[i].mu.Lock()
-				m.cache[i].m = make(map[string]cacheEntry)
+				m.cache[i].m = nil
 				m.cache[i].mu.Unlock()
 			}
 			b.ReportAllocs()

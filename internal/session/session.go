@@ -29,12 +29,13 @@
 package session
 
 import (
+	"bytes"
 	"crypto/ed25519"
 	"crypto/rand"
+	"crypto/sha256"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"io"
 	"strconv"
 	"strings"
@@ -123,15 +124,22 @@ type keyRecord struct {
 // supposed to undercut — so the Manager remembers tokens whose
 // signature has already checked out and re-verifies only the cheap,
 // mutable predicates (expiry, generation window, revocation
-// watermark) on later sightings. Only signature validity is cached;
-// nothing that can change after minting is.
+// watermark, and that the verifying key is still the one installed)
+// on later sightings. Only signature validity is cached; nothing that
+// can change after minting is.
+//
+// Entries are keyed by the SHA-256 digest of the token string, not by
+// the string: a 32-byte array in the map slot instead of a ~130-byte
+// string allocation behind it. A token that never verified can hit
+// only through a SHA-256 collision. The digest's first byte picks the
+// shard.
 const (
 	cacheShardCount = 16
 	cacheShardCap   = 4096
 )
 
 type cacheEntry struct {
-	gen    uint64
+	k      *key // the key that verified the signature
 	expiry int64
 	minted int64
 	user   string
@@ -139,7 +147,7 @@ type cacheEntry struct {
 
 type cacheShard struct {
 	mu sync.Mutex
-	m  map[string]cacheEntry
+	m  map[[sha256.Size]byte]cacheEntry // nil until the first insert
 }
 
 // Manager mints, validates, rotates, and revokes session tokens.
@@ -206,9 +214,6 @@ func New(opts Options) (*Manager, error) {
 		rev:  make(map[string]int64),
 		stop: make(chan struct{}),
 		done: make(chan struct{}),
-	}
-	for i := range m.cache {
-		m.cache[i].m = make(map[string]cacheEntry, 64)
 	}
 	if err := m.Reseed(); err != nil {
 		return nil, err
@@ -374,7 +379,11 @@ func (m *Manager) ApplyKV(kvKey string, val []byte) {
 			return
 		}
 		m.mu.Lock()
-		m.keys[gen] = k
+		// A re-delivered record (Reseed, a snapshot install) keeps the
+		// installed key: cache hits are checked against its identity.
+		if old := m.keys[gen]; old == nil || old.alg != k.alg || !bytes.Equal(old.secret, k.secret) {
+			m.keys[gen] = k
+		}
 		if gen > m.cur {
 			m.cur = gen
 			for g := range m.keys {
@@ -439,9 +448,13 @@ func (m *Manager) Mint(user string) (string, error) {
 // and revocation watermarks are all consulted in memory. The error is
 // ErrBadToken, ErrExpired, ErrStaleGeneration, or ErrRevoked.
 func (m *Manager) Validate(token string) (string, error) {
-	sh := &m.cache[cacheShardFor(token)]
+	// Hashing a copy in a stack buffer keeps tokens up to 256 bytes
+	// from allocating; []byte(token) would allocate on every call.
+	var buf [256]byte
+	digest := sha256.Sum256(append(buf[:0], token...))
+	sh := &m.cache[digest[0]%cacheShardCount]
 	sh.mu.Lock()
-	ent, hit := sh.m[token]
+	ent, hit := sh.m[digest]
 	sh.mu.Unlock()
 	if !hit {
 		c, payload, sig, err := decodeToken(token)
@@ -461,8 +474,11 @@ func (m *Manager) Validate(token string) (string, error) {
 			m.rejBadToken.Add(1)
 			return "", ErrBadToken
 		}
-		ent = cacheEntry{gen: c.gen, expiry: c.expiry, minted: c.minted, user: c.user}
+		ent = cacheEntry{k: k, expiry: c.expiry, minted: c.minted, user: c.user}
 		sh.mu.Lock()
+		if sh.m == nil {
+			sh.m = make(map[[sha256.Size]byte]cacheEntry)
+		}
 		if len(sh.m) >= cacheShardCap {
 			// Arbitrary single-entry eviction: the cache is a
 			// memoization, not an LRU, and correctness never depends
@@ -472,20 +488,27 @@ func (m *Manager) Validate(token string) (string, error) {
 				break
 			}
 		}
-		sh.m[token] = ent
+		sh.m[digest] = ent
 		sh.mu.Unlock()
 	} else {
 		m.cacheHits.Add(1)
 	}
 
 	// The mutable predicates are re-checked on every call, cached or
-	// not: a cache hit only skips the signature arithmetic.
+	// not: a cache hit only skips the signature arithmetic. A key
+	// deleted or replaced under its generation since the entry was
+	// cached refuses it, as the signature check would on a miss.
 	m.mu.RLock()
-	inWindow := ent.gen == m.cur || ent.gen+1 == m.cur
+	inWindow := ent.k.gen == m.cur || ent.k.gen+1 == m.cur
+	keyHeld := m.keys[ent.k.gen] == ent.k
 	m.mu.RUnlock()
 	if !inWindow {
 		m.rejStaleGen.Add(1)
 		return "", ErrStaleGeneration
+	}
+	if !keyHeld {
+		m.rejBadToken.Add(1)
+		return "", ErrBadToken
 	}
 	if m.opts.Now().UnixNano() >= ent.expiry {
 		m.rejExpired.Add(1)
@@ -567,21 +590,22 @@ func (m *Manager) Generations() (cur uint64, active int) {
 	return m.cur, len(m.keys)
 }
 
-// cacheShardFor picks the verify-cache shard for a token.
-func cacheShardFor(token string) int {
-	h := fnv.New32a()
-	io.WriteString(h, token)
-	return int(h.Sum32() % cacheShardCount)
-}
-
 // WritePrometheus writes the session tier's metrics in the
 // Prometheus text exposition format: mint/validate/reject counters,
-// cache hits, rotations, revocations, and the key-generation gauges.
+// cache hits and entries, rotations, revocations, and the
+// key-generation gauges.
 func (m *Manager) WritePrometheus(w io.Writer) {
 	cur, active := m.Generations()
 	m.revMu.RLock()
 	revoked := len(m.rev)
 	m.revMu.RUnlock()
+	cached := 0
+	for i := range m.cache {
+		sh := &m.cache[i]
+		sh.mu.Lock()
+		cached += len(sh.m)
+		sh.mu.Unlock()
+	}
 	fmt.Fprintf(w, "# HELP session_mint_total Session tokens minted.\n")
 	fmt.Fprintf(w, "# TYPE session_mint_total counter\n")
 	fmt.Fprintf(w, "session_mint_total %d\n", m.mints.Load())
@@ -598,6 +622,9 @@ func (m *Manager) WritePrometheus(w io.Writer) {
 	fmt.Fprintf(w, "# HELP session_verify_cache_hits_total Validations served from the signature memoization cache.\n")
 	fmt.Fprintf(w, "# TYPE session_verify_cache_hits_total counter\n")
 	fmt.Fprintf(w, "session_verify_cache_hits_total %d\n", m.cacheHits.Load())
+	fmt.Fprintf(w, "# HELP session_verify_cache_entries Verified tokens held in the signature memoization cache.\n")
+	fmt.Fprintf(w, "# TYPE session_verify_cache_entries gauge\n")
+	fmt.Fprintf(w, "session_verify_cache_entries %d\n", cached)
 	fmt.Fprintf(w, "# HELP session_rotations_total Key rotations performed.\n")
 	fmt.Fprintf(w, "# TYPE session_rotations_total counter\n")
 	fmt.Fprintf(w, "session_rotations_total %d\n", m.rotations.Load())

@@ -1,8 +1,12 @@
 package session
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
+	"runtime"
+	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -342,38 +346,132 @@ func TestApplyKVRevocationAndDeletes(t *testing.T) {
 	m.ApplyKV("unrelated/key", []byte("ignored"))
 }
 
+// TestTamperedTokensRejected validates the genuine token first, so
+// every forgery below meets a warm cache that holds the original.
 func TestTamperedTokensRejected(t *testing.T) {
-	clk := newClock()
-	m := newTestManager(t, Options{TTL: time.Hour, Now: clk.now})
-	tok, err := m.Mint("alice")
-	if err != nil {
-		t.Fatalf("Mint: %v", err)
-	}
-	// A token signed by a different manager (attacker's own key, same
-	// format) must fail: "resigned" case.
-	other := newTestManager(t, Options{TTL: time.Hour, Now: clk.now})
-	forged, err := other.Mint("alice")
-	if err != nil {
-		t.Fatalf("other Mint: %v", err)
-	}
-	if _, err := m.Validate(forged); !errors.Is(err, ErrBadToken) {
-		t.Fatalf("foreign-key token: err = %v, want ErrBadToken", err)
-	}
-	// Truncations.
-	for _, n := range []int{1, 2, len(tok) / 2, len(tok) - 1} {
-		if _, err := m.Validate(tok[:n]); err == nil {
-			t.Fatalf("truncated token (len %d) validated", n)
-		}
-	}
-	if _, err := m.Validate(""); err == nil {
-		t.Fatalf("empty token validated")
+	const alphabet = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789-_"
+	for _, alg := range []Alg{AlgEd25519, AlgHMAC} {
+		t.Run(alg.String(), func(t *testing.T) {
+			clk := newClock()
+			m := newTestManager(t, Options{Alg: alg, TTL: time.Hour, Now: clk.now})
+			tok, err := m.Mint("alice")
+			if err != nil {
+				t.Fatalf("Mint: %v", err)
+			}
+			if user, err := m.Validate(tok); err != nil || user != "alice" {
+				t.Fatalf("genuine token: %q, %v", user, err)
+			}
+			// Every single-character substitution. One that moves the
+			// generation out of the window (past the current 1) meets
+			// the window check, which comes before the signature check.
+			for i := range len(tok) {
+				for _, ch := range alphabet {
+					if byte(ch) == tok[i] {
+						continue
+					}
+					mut := tok[:i] + string(ch) + tok[i+1:]
+					want := ErrBadToken
+					if c, _, _, err := decodeToken(mut); err == nil && c.gen > 1 {
+						want = ErrStaleGeneration
+					}
+					if _, err := m.Validate(mut); !errors.Is(err, want) {
+						t.Fatalf("substitution %q at %d: err = %v, want %v", ch, i, err, want)
+					}
+				}
+			}
+			// The cached token's signature over a changed payload: the
+			// first user byte, then the expiry's low byte (raw[10]).
+			raw, err := tokenEncoding.DecodeString(tok)
+			if err != nil {
+				t.Fatalf("decoding the genuine token: %v", err)
+			}
+			for _, off := range []int{tokenHdrLen, 10} {
+				mut := bytes.Clone(raw)
+				mut[off] ^= 1
+				if _, err := m.Validate(tokenEncoding.EncodeToString(mut)); !errors.Is(err, ErrBadToken) {
+					t.Fatalf("payload byte %d changed under the cached signature: err = %v, want ErrBadToken", off, err)
+				}
+			}
+			// A token signed by a different manager (attacker's own
+			// key, same format) must fail: "resigned" case.
+			other := newTestManager(t, Options{Alg: alg, TTL: time.Hour, Now: clk.now})
+			forged, err := other.Mint("alice")
+			if err != nil {
+				t.Fatalf("other Mint: %v", err)
+			}
+			if _, err := m.Validate(forged); !errors.Is(err, ErrBadToken) {
+				t.Fatalf("foreign-key token: err = %v, want ErrBadToken", err)
+			}
+			// Truncations.
+			for _, n := range []int{1, 2, len(tok) / 2, len(tok) - 1} {
+				if _, err := m.Validate(tok[:n]); err == nil {
+					t.Fatalf("truncated token (len %d) validated", n)
+				}
+			}
+			if _, err := m.Validate(""); err == nil {
+				t.Fatalf("empty token validated")
+			}
+		})
 	}
 }
 
+// TestCacheHitNeedsInstalledKey: a cached verification stands only
+// while the key that made it is installed. After its generation is
+// deleted or given a different secret, the token must get the verdict
+// a cold cache gives; the same record delivered again (Reseed at
+// promotion, a snapshot install) must keep it valid.
+func TestCacheHitNeedsInstalledKey(t *testing.T) {
+	for _, alg := range []Alg{AlgEd25519, AlgHMAC} {
+		for _, tc := range []struct {
+			name string
+			val  func(t *testing.T, st *memKV) []byte // the new value of session/key/1
+			want error
+		}{
+			{"delete", func(*testing.T, *memKV) []byte { return nil }, ErrBadToken},
+			{"replace", func(t *testing.T, _ *memKV) []byte {
+				other := newMemKV()
+				newTestManager(t, Options{Alg: alg, Store: other})
+				v, _ := other.GetKV("session/key/1")
+				return v
+			}, ErrBadToken},
+			{"redeliver", func(_ *testing.T, st *memKV) []byte {
+				v, _ := st.GetKV("session/key/1")
+				return v
+			}, nil},
+		} {
+			t.Run(alg.String()+"/"+tc.name, func(t *testing.T) {
+				clk := newClock()
+				st := newMemKV()
+				warm := newTestManager(t, Options{Alg: alg, TTL: time.Hour, Now: clk.now, Store: st})
+				cold := newTestManager(t, Options{Alg: alg, TTL: time.Hour, Now: clk.now, Store: st})
+				tok, err := warm.Mint("alice")
+				if err != nil {
+					t.Fatalf("Mint: %v", err)
+				}
+				if _, err := warm.Validate(tok); err != nil {
+					t.Fatalf("Validate before the key change: %v", err)
+				}
+				val := tc.val(t, st)
+				warm.ApplyKV("session/key/1", val)
+				cold.ApplyKV("session/key/1", val)
+				_, werr := warm.Validate(tok)
+				_, cerr := cold.Validate(tok)
+				if !errors.Is(cerr, tc.want) || !errors.Is(werr, tc.want) {
+					t.Fatalf("warm cache: %v, cold cache: %v, want %v for both", werr, cerr, tc.want)
+				}
+			})
+		}
+	}
+}
+
+// TestVerifyCacheBounded overfills the cache: it must hold at most
+// cacheShardCount*cacheShardCap entries, each costing at most 200
+// bytes of live heap (map slot and user name).
 func TestVerifyCacheBounded(t *testing.T) {
 	clk := newClock()
 	// HMAC keeps 70k+ mint/validate pairs fast under -race.
 	m := newTestManager(t, Options{Alg: AlgHMAC, TTL: time.Hour, Now: clk.now})
+	before := liveHeap()
 	// Overfill well past one shard's capacity; total held entries must
 	// stay within the global bound.
 	total := cacheShardCount*cacheShardCap + 5000
@@ -386,15 +484,86 @@ func TestVerifyCacheBounded(t *testing.T) {
 			t.Fatalf("Validate: %v", err)
 		}
 	}
+	held := cacheEntries(m)
+	perEntry := float64(liveHeap()-before) / float64(held)
+	t.Logf("%.1f bytes of live heap per cached entry", perEntry)
+	if held > cacheShardCount*cacheShardCap {
+		t.Fatalf("cache holds %d entries, bound is %d", held, cacheShardCount*cacheShardCap)
+	}
+	if perEntry > 200 {
+		t.Fatalf("cache holds %.1f bytes of live heap per entry, want at most 200", perEntry)
+	}
+}
+
+// TestWritePrometheusVerifyCache checks the verify cache's series: the
+// entries gauge counts what the cache holds, and a second validation of
+// one token is a hit.
+func TestWritePrometheusVerifyCache(t *testing.T) {
+	m := newTestManager(t, Options{Alg: AlgHMAC, TTL: time.Hour, Now: newClock().now})
+	series := func(name string) int {
+		t.Helper()
+		var b strings.Builder
+		m.WritePrometheus(&b)
+		for _, line := range strings.Split(b.String(), "\n") {
+			if v, ok := strings.CutPrefix(line, name+" "); ok {
+				n, err := strconv.Atoi(v)
+				if err != nil {
+					t.Fatalf("%s: %v", line, err)
+				}
+				return n
+			}
+		}
+		t.Fatalf("no %s series", name)
+		return 0
+	}
+	if n := series("session_verify_cache_entries"); n != 0 {
+		t.Fatalf("fresh manager: session_verify_cache_entries = %d, want 0", n)
+	}
+	var tok string
+	for i := 0; i < 100; i++ {
+		var err error
+		if tok, err = m.Mint(fmt.Sprintf("user-%d", i)); err != nil {
+			t.Fatalf("Mint: %v", err)
+		}
+		if _, err := m.Validate(tok); err != nil {
+			t.Fatalf("Validate: %v", err)
+		}
+	}
+	if n, held := series("session_verify_cache_entries"), cacheEntries(m); n != held || n != 100 {
+		t.Fatalf("session_verify_cache_entries = %d with %d held, want 100", n, held)
+	}
+	hits := series("session_verify_cache_hits_total")
+	if _, err := m.Validate(tok); err != nil {
+		t.Fatalf("second Validate: %v", err)
+	}
+	if n := series("session_verify_cache_hits_total"); n != hits+1 {
+		t.Fatalf("session_verify_cache_hits_total went %d -> %d on a repeat validation, want +1", hits, n)
+	}
+	if n := series("session_verify_cache_entries"); n != 100 {
+		t.Fatalf("a cache hit changed session_verify_cache_entries to %d", n)
+	}
+}
+
+// cacheEntries counts the entries m's verify cache holds.
+func cacheEntries(m *Manager) int {
 	held := 0
 	for i := range m.cache {
 		m.cache[i].mu.Lock()
 		held += len(m.cache[i].m)
 		m.cache[i].mu.Unlock()
 	}
-	if held > cacheShardCount*cacheShardCap {
-		t.Fatalf("cache holds %d entries, bound is %d", held, cacheShardCount*cacheShardCap)
-	}
+	return held
+}
+
+// liveHeap collects garbage twice (the first collection only moves
+// sync.Pool contents to their victim caches) and returns the bytes
+// still in use.
+func liveHeap() int64 {
+	runtime.GC()
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return int64(ms.HeapAlloc)
 }
 
 func TestConcurrentUse(t *testing.T) {
