@@ -90,10 +90,14 @@ recovery-smoke:
 # the follower via POST /v1/promote on its admin listener, and assert
 # the survivor serves every acked mutation — records AND the lockout
 # counter — with no false accepts. Also runs the in-process
-# replicated-pair swarm (TestLoadReplicatedPair).
+# replicated-pair swarm (TestLoadReplicatedPair), and stresses the
+# replication package's tests, the failover and link torture suites
+# included, 20 times over under the race detector (about 40 s on a
+# 2-vCPU VM): a flaky run there is a bug report.
 repl-smoke:
 	$(GO) test ./cmd/pwserver -run TestReplSmoke -v
 	$(GO) test ./internal/loadtest -run TestLoadReplicatedPair -v
+	$(GO) test -race -count=20 -run 'TestRepl|TestCollectWork|TestQuorum|TestStaleFence' ./internal/vault/repl
 
 # session-smoke is the CI session-tier drill: build the real pwserver,
 # start a quorum primary and a follower, log in for a signed session

@@ -443,7 +443,8 @@ func vaultHealthMetrics(d *vault.Durable) func(io.Writer) {
 }
 
 // replMetrics exposes the replication node's state on /metrics: role,
-// epoch, fencing, staleness, and per-follower replication lag.
+// epoch, fencing, staleness, retained stream bytes, and per-follower
+// replication lag.
 func replMetrics(n *repl.Node) func(io.Writer) {
 	return func(w io.Writer) {
 		st := n.Stats()
@@ -465,8 +466,11 @@ func replMetrics(n *repl.Node) func(io.Writer) {
 			fmt.Fprintf(w, "# TYPE repl_staleness_ms gauge\n")
 			fmt.Fprintf(w, "repl_staleness_ms %d\n", st.StaleMs)
 		}
+		fmt.Fprintf(w, "# HELP repl_retained_bytes Bytes of committed frames the primary retains until a follower acknowledges them.\n")
+		fmt.Fprintf(w, "# TYPE repl_retained_bytes gauge\n")
+		fmt.Fprintf(w, "repl_retained_bytes %d\n", st.RetainedBytes)
 		if len(st.Followers) > 0 {
-			fmt.Fprintf(w, "# HELP repl_follower_lag_records Shipped records not yet acknowledged, per follower.\n")
+			fmt.Fprintf(w, "# HELP repl_follower_lag_records Committed records not yet acknowledged, per follower.\n")
 			fmt.Fprintf(w, "# TYPE repl_follower_lag_records gauge\n")
 			for _, f := range st.Followers {
 				fmt.Fprintf(w, "repl_follower_lag_records{follower=%q} %d\n", f.Addr, f.LagRecords)

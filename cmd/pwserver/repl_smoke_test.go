@@ -109,6 +109,7 @@ func TestReplSmoke(t *testing.T) {
 	for _, want := range []string{
 		`repl_role{role="primary"} 1`,
 		fmt.Sprintf("repl_epoch %d", pr.Epoch),
+		"\nrepl_retained_bytes ",
 		`vault_shard_up{shard="0"} 1`,
 	} {
 		if !strings.Contains(string(body), want) {

@@ -34,19 +34,40 @@ type bufEntry struct {
 	frame []byte
 }
 
-// shardBuf is one shard's bounded retention buffer: the recent tail
-// of the shard's stream a reconnecting follower can resume from
-// without a re-bootstrap. Entries are ascending by seq (gaps legal —
+// shardBuf is one shard's retention buffer: the unacknowledged tail
+// of the shard's stream, which a reconnecting follower resumes from
+// without a re-bootstrap. A follower's ack drops everything at or
+// below it, and Options.RetainBytes caps what a lagging or detached
+// follower leaves behind. Entries are ascending by seq (gaps legal —
 // a failed batch consumes seqs that are never shipped).
 type shardBuf struct {
 	entries []bufEntry
 	bytes   int
-	// trimmedThrough is the highest seq the retention trim has
-	// discarded (0 when nothing was ever trimmed). A cursor at or below
+	// trimmedThrough is the trim watermark: nothing at or below it is
+	// retained (0 when nothing was ever trimmed). A cursor at or below
 	// it may be owed a trimmed committed record, so resuming it from
 	// the retained tail could silently skip acked writes — such a
 	// follower must re-bootstrap from a snapshot instead.
 	trimmedThrough uint64
+}
+
+// trimThrough drops every retained entry at or below seq and raises
+// the trim watermark to seq. An emptied buffer releases its backing
+// array, so a caught-up shard retains nothing.
+func (b *shardBuf) trimThrough(seq uint64) {
+	k := 0
+	for k < len(b.entries) && b.entries[k].seq <= seq {
+		b.bytes -= len(b.entries[k].frame)
+		b.entries[k] = bufEntry{}
+		k++
+	}
+	b.entries = b.entries[k:]
+	if len(b.entries) == 0 {
+		b.entries = nil
+	}
+	if seq > b.trimmedThrough {
+		b.trimmedThrough = seq
+	}
 }
 
 // qwaiter is one quorum-mode writer waiting for follower coverage of
@@ -94,7 +115,7 @@ type primaryState struct {
 	cond    *sync.Cond // broadcast: new entries, acks, conn changes, close
 	conns   map[*pconn]struct{}
 	bufs    []shardBuf
-	head    []uint64 // last shipped seq per shard
+	head    []uint64 // last committed seq per shard
 	ackHigh []uint64 // max acked seq per shard across all followers
 	waiters []*qwaiter
 	closed  bool
@@ -190,11 +211,8 @@ func (ps *primaryState) commit(shard int, frames []byte, lastSeq uint64) {
 		b.bytes += len(cp)
 	}
 	ps.head[shard] = lastSeq
-	for b.bytes > ps.n.opts.RetainBytes && len(b.entries) > 0 {
-		b.bytes -= len(b.entries[0].frame)
-		b.trimmedThrough = b.entries[0].seq
-		b.entries[0] = bufEntry{}
-		b.entries = b.entries[1:]
+	for b.bytes > ps.n.opts.RetainBytes {
+		b.trimThrough(b.entries[0].seq)
 	}
 	ps.cond.Broadcast()
 	ps.mu.Unlock()
@@ -238,7 +256,10 @@ func (ps *primaryState) quorumWait(shard int, seq uint64) error {
 }
 
 // ack folds a follower acknowledgement in, waking satisfied quorum
-// waiters.
+// waiters and dropping the acknowledged frames from retention. The
+// follower records a batch as applied before acking it and resumes
+// from applied+1, so it is never owed a frame at or below its own
+// ack; any other cursor at or below it is snapshotted.
 func (ps *primaryState) ack(pc *pconn, shard int, seq uint64) {
 	if shard < 0 || shard >= len(ps.ackHigh) {
 		return
@@ -249,6 +270,7 @@ func (ps *primaryState) ack(pc *pconn, shard int, seq uint64) {
 	}
 	if seq > ps.ackHigh[shard] {
 		ps.ackHigh[shard] = seq
+		ps.bufs[shard].trimThrough(seq)
 		keep := ps.waiters[:0]
 		for _, w := range ps.waiters {
 			if w.shard == shard && w.seq <= seq {
@@ -314,11 +336,15 @@ func (ps *primaryState) handleConn(c net.Conn) {
 		return
 	}
 	// Cursor: the next seq each shard owes this follower. 0 means the
-	// shard needs a snapshot bootstrap first.
+	// shard needs a snapshot bootstrap first. A resuming follower has
+	// applied through its hello seqs, so they seed its acked floors
+	// too: a caught-up shard is shipped nothing, so is never acked.
+	// That feeds the lag stat only; quorum waiters need a real ack.
 	next := make([]uint64, n.shards)
 	if hello.RunID == runID && len(hello.Seqs) == n.shards {
 		for s := range next {
 			next[s] = hello.Seqs[s] + 1
+			pc.acked[s] = hello.Seqs[s]
 		}
 	}
 	ps.mu.Lock()
@@ -402,9 +428,9 @@ type senderAction struct {
 
 // collectWork scans the retention buffers for everything the follower
 // at cursor `next` is owed. Caller holds ps.mu. next[s] == 0 requests
-// a snapshot; a cursor that points below the buffer's retained floor
-// escalates to a snapshot too (the follower fell behind the bounded
-// buffer).
+// a snapshot; a cursor at or below the shard's trim watermark
+// escalates to a snapshot too (the follower fell behind the
+// RetainBytes cap, or reattached below frames already acked).
 func (ps *primaryState) collectWork(next []uint64) []senderAction {
 	var actions []senderAction
 	for s := range next {
@@ -421,8 +447,7 @@ func (ps *primaryState) collectWork(next []uint64) []senderAction {
 			// cursor: the retained tail may start above it, but shipping
 			// from there would silently skip the trimmed records (and in
 			// quorum mode release their waiters on the batch's high
-			// ack). The follower fell behind the bounded buffer;
-			// re-bootstrap it.
+			// ack). Re-bootstrap it.
 			actions = append(actions, senderAction{shard: s, snapshot: true})
 			continue
 		}

@@ -22,10 +22,11 @@
 // failover that promotes the follower.
 //
 // Followers bootstrap (and re-bootstrap after falling behind the
-// primary's bounded retention buffer) from per-shard snapshots that
-// reuse the checkpoint machinery: the installed snapshot becomes a
-// freshly rewritten shard log behind a full generation marker, and
-// the frame stream resumes after the snapshot's sequence floor.
+// primary's retention of unacknowledged frames) from per-shard
+// snapshots that reuse the checkpoint machinery: the installed
+// snapshot becomes a freshly rewritten shard log behind a full
+// generation marker, and the frame stream resumes after the
+// snapshot's sequence floor.
 package repl
 
 import (
@@ -146,9 +147,12 @@ type Options struct {
 	// Heartbeat is the primary's idle ping period (what keeps a
 	// follower's staleness clock fresh); <= 0 selects 500ms.
 	Heartbeat time.Duration
-	// RetainBytes bounds the per-shard retained stream buffer a
-	// reconnecting follower can resume from; beyond it the follower
-	// re-bootstraps that shard from a snapshot. <= 0 selects 1 MiB.
+	// RetainBytes caps each shard's retention buffer: the frames
+	// committed but not yet acknowledged by a follower, which a
+	// reconnecting follower resumes from. Acknowledged frames are
+	// dropped at once, so the cap binds only while a follower lags or
+	// is detached; a follower that falls behind it re-bootstraps that
+	// shard from a snapshot. <= 0 selects 1 MiB.
 	RetainBytes int
 	// Redial is the follower's pause between connection attempts;
 	// <= 0 selects 200ms.
@@ -564,8 +568,10 @@ func (n *Node) Close() error {
 type FollowerStat struct {
 	// Addr is the follower connection's remote address.
 	Addr string
-	// LagRecords is the number of shipped records not yet acknowledged
-	// by this follower, summed over shards.
+	// LagRecords is the number of committed seqs this follower has not
+	// acknowledged, summed over shards. It counts the gaps failed
+	// batches leave, which are never shipped, until a later ack covers
+	// them.
 	LagRecords uint64
 }
 
@@ -592,6 +598,9 @@ type Stats struct {
 	// StaleMs is the time since the last upstream message in
 	// milliseconds (followers and fenced ex-primaries; -1 otherwise).
 	StaleMs int64
+	// RetainedBytes is the primary's retention summed over shards: the
+	// frames no follower has acknowledged yet (0 on a follower).
+	RetainedBytes int
 }
 
 // Stats returns the node's current replication state.
@@ -616,6 +625,9 @@ func (n *Node) Stats() Stats {
 				}
 			}
 			s.Followers = append(s.Followers, FollowerStat{Addr: pc.addr, LagRecords: lag})
+		}
+		for sh := range ps.bufs {
+			s.RetainedBytes += ps.bufs[sh].bytes
 		}
 		ps.mu.Unlock()
 		sort.Slice(s.Followers, func(a, b int) bool { return s.Followers[a].Addr < s.Followers[b].Addr })

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -84,6 +86,69 @@ func waitFor(t *testing.T, d time.Duration, what string, cond func() bool) {
 		time.Sleep(5 * time.Millisecond)
 	}
 	t.Fatalf("timed out waiting for %s", what)
+}
+
+// link is a follower dialer a test can sever: cut closes every
+// connection it made and refuses new dials until restore.
+type link struct {
+	mu      sync.Mutex
+	blocked bool
+	conns   []net.Conn
+}
+
+func (l *link) dial(addr string) (net.Conn, error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.blocked {
+		return nil, fmt.Errorf("link severed")
+	}
+	c, err := net.Dial("tcp", addr)
+	if err == nil {
+		l.conns = append(l.conns, c)
+	}
+	return c, err
+}
+
+func (l *link) cut() {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.blocked = true
+	for _, c := range l.conns {
+		c.Close()
+	}
+	l.conns = nil
+}
+
+func (l *link) restore() {
+	l.mu.Lock()
+	l.blocked = false
+	l.mu.Unlock()
+}
+
+// logLines collects a node's log lines for assertions; unlike
+// quietLogf it stays safe to call after the test returns.
+type logLines struct {
+	mu    sync.Mutex
+	lines []string
+}
+
+func (l *logLines) logf(format string, args ...any) {
+	l.mu.Lock()
+	l.lines = append(l.lines, fmt.Sprintf(format, args...))
+	l.mu.Unlock()
+}
+
+// count returns how many collected lines contain substr.
+func (l *logLines) count(substr string) int {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	n := 0
+	for _, line := range l.lines {
+		if strings.Contains(line, substr) {
+			n++
+		}
+	}
+	return n
 }
 
 // TestReplPairConverges is the basic log-shipping test: mutations on
@@ -327,6 +392,137 @@ func TestCollectWorkSnapshotsAcrossTrimGap(t *testing.T) {
 	}
 }
 
+// TestCollectWorkAfterAckTrim: an ack drops exactly the retained
+// entries at or below it and raises the trim watermark to it, so the
+// acking follower's cursor still resumes from the retained tail while
+// any cursor at or below the ack is snapshotted.
+func TestCollectWorkAfterAckTrim(t *testing.T) {
+	ps := &primaryState{head: []uint64{6}, ackHigh: []uint64{0}, bufs: make([]shardBuf, 1)}
+	ps.cond = sync.NewCond(&ps.mu)
+	b := &ps.bufs[0]
+	for _, seq := range []uint64{1, 2, 4, 5, 6} { // seq 3 is a failed batch's gap
+		fr := []byte(fmt.Sprintf("x%d", seq))
+		b.entries = append(b.entries, bufEntry{seq: seq, frame: fr})
+		b.bytes += len(fr)
+	}
+	pc := &pconn{acked: make([]uint64, 1)}
+
+	const k = 4
+	ps.ack(pc, 0, k)
+	var seqs []uint64
+	sum := 0
+	for _, e := range b.entries {
+		seqs = append(seqs, e.seq)
+		sum += len(e.frame)
+	}
+	if !reflect.DeepEqual(seqs, []uint64{5, 6}) {
+		t.Fatalf("retained seqs after ack %d = %v, want [5 6]", k, seqs)
+	}
+	if b.bytes != sum {
+		t.Fatalf("bytes = %d, retained frames sum to %d", b.bytes, sum)
+	}
+	if b.trimmedThrough != k {
+		t.Fatalf("trimmedThrough = %d, want %d", b.trimmedThrough, k)
+	}
+
+	acts := ps.collectWork([]uint64{k + 1})
+	if len(acts) != 1 || acts[0].snapshot || acts[0].lastSeq != 6 || string(acts[0].frames) != "x5x6" {
+		t.Fatalf("cursor %d: got %+v, want frames x5x6 through seq 6", k+1, acts)
+	}
+	for cur := uint64(1); cur <= b.trimmedThrough; cur++ {
+		if acts := ps.collectWork([]uint64{cur}); len(acts) != 1 || !acts[0].snapshot {
+			t.Fatalf("cursor %d at or below the trim: got %+v, want a snapshot", cur, acts)
+		}
+	}
+
+	// Acking the rest empties the shard and releases its array.
+	ps.ack(pc, 0, 6)
+	if b.entries != nil || b.bytes != 0 || b.trimmedThrough != 6 {
+		t.Fatalf("after acking everything: entries=%v bytes=%d trimmedThrough=%d", b.entries, b.bytes, b.trimmedThrough)
+	}
+}
+
+// TestReplRetentionHoldsOnlyUnacked: a quorum primary retains nothing
+// once its writes are acked. With the link severed in async mode,
+// retention grows only to RetainBytes per shard; on reconnect the
+// follower resumes, converges, and its acks drain retention to zero.
+func TestReplRetentionHoldsOnlyUnacked(t *testing.T) {
+	const writes = 40
+	pst := openTestStore(t)
+	p := newTestPrimary(t, pst, Options{Ack: AckQuorum, QuorumTimeout: 5 * time.Second})
+	newTestFollower(t, openTestStore(t), p.ReplAddr(), Options{})
+	for i := 0; i < writes; i++ {
+		if err := p.Put(testRecord(fmt.Sprintf("user%03d", i))); err != nil {
+			t.Fatalf("Put: %v", err)
+		}
+	}
+	if got := p.Stats().RetainedBytes; got != 0 {
+		t.Fatalf("quorum primary retains %d bytes after %d acked writes, want 0", got, writes)
+	}
+
+	const retain = 1024
+	logs := &logLines{}
+	pst = openTestStore(t)
+	p = newTestPrimary(t, pst, Options{Ack: AckAsync, RetainBytes: retain, Logf: logs.logf})
+	fst := openTestStore(t)
+	l := &link{}
+	newTestFollower(t, fst, p.ReplAddr(), Options{Dial: l.dial, Redial: 20 * time.Millisecond})
+	if err := p.Put(testRecord("seed")); err != nil {
+		t.Fatalf("Put: %v", err)
+	}
+	waitFor(t, 5*time.Second, "initial convergence", func() bool { return fst.Len() == 1 })
+	l.cut()
+	for i := 0; i < writes; i++ {
+		if err := p.Put(testRecord(fmt.Sprintf("user%03d", i))); err != nil {
+			t.Fatalf("Put: %v", err)
+		}
+	}
+	if got := p.Stats().RetainedBytes; got == 0 {
+		t.Fatal("detached follower's unacked writes are not retained")
+	}
+	p.mu.Lock()
+	ps := p.pr
+	p.mu.Unlock()
+	ps.mu.Lock()
+	for s := range ps.bufs {
+		if got := ps.bufs[s].bytes; got > retain {
+			t.Errorf("shard %d retains %d bytes, cap %d", s, got, retain)
+		}
+	}
+	ps.mu.Unlock()
+
+	l.restore()
+	waitFor(t, 10*time.Second, "resumed convergence", func() bool {
+		return logs.count("attached (resume=true)") > 0 && fst.Len() == pst.Len() && p.Stats().RetainedBytes == 0
+	})
+	if !reflect.DeepEqual(fst.All(), pst.All()) {
+		t.Fatal("resumed follower's records differ from the primary's")
+	}
+}
+
+// TestReplLagClearsAfterResume: a follower that resumes with every
+// shard caught up is shipped nothing, so its lag must come from its
+// resume point, not from acks that will never arrive.
+func TestReplLagClearsAfterResume(t *testing.T) {
+	logs := &logLines{}
+	p := newTestPrimary(t, openTestStore(t), Options{Ack: AckQuorum, QuorumTimeout: 5 * time.Second, Logf: logs.logf})
+	l := &link{}
+	newTestFollower(t, openTestStore(t), p.ReplAddr(), Options{Dial: l.dial, Redial: 20 * time.Millisecond})
+	for i := 0; i < 40; i++ {
+		if err := p.Put(testRecord(fmt.Sprintf("user%03d", i))); err != nil {
+			t.Fatalf("Put: %v", err)
+		}
+	}
+	l.cut()
+	l.restore()
+	waitFor(t, 5*time.Second, "resumed attach", func() bool {
+		return logs.count("attached (resume=true)") > 0 && len(p.Stats().Followers) == 1
+	})
+	if f := p.Stats().Followers[0]; f.LagRecords != 0 {
+		t.Fatalf("caught-up resumed follower %s lags %d records, want 0", f.Addr, f.LagRecords)
+	}
+}
+
 // TestReplPartialTrimForcesSnapshot: when retention trims only part
 // of what a detached follower missed (trimmed records below, retained
 // tail above), resuming from the retained tail would silently skip
@@ -336,25 +532,8 @@ func TestReplPartialTrimForcesSnapshot(t *testing.T) {
 	pst := openTestStore(t)
 	p := newTestPrimary(t, pst, Options{Ack: AckAsync, RetainBytes: 2048})
 	fst := openTestStore(t)
-	var mu sync.Mutex
-	blocked := false
-	var conns []net.Conn
-	dial := func(addr string) (net.Conn, error) {
-		mu.Lock()
-		if blocked {
-			mu.Unlock()
-			return nil, fmt.Errorf("link severed")
-		}
-		mu.Unlock()
-		c, err := net.Dial("tcp", addr)
-		if err == nil {
-			mu.Lock()
-			conns = append(conns, c)
-			mu.Unlock()
-		}
-		return c, err
-	}
-	newTestFollower(t, fst, p.ReplAddr(), Options{Dial: dial, Redial: 20 * time.Millisecond})
+	l := &link{}
+	newTestFollower(t, fst, p.ReplAddr(), Options{Dial: l.dial, Redial: 20 * time.Millisecond})
 	if err := p.Put(testRecord("seed")); err != nil {
 		t.Fatalf("Put: %v", err)
 	}
@@ -362,20 +541,13 @@ func TestReplPartialTrimForcesSnapshot(t *testing.T) {
 	// Sever the link, then churn enough that each shard's retention
 	// trims part — but typically not all — of what the follower
 	// missed.
-	mu.Lock()
-	blocked = true
-	for _, c := range conns {
-		c.Close()
-	}
-	mu.Unlock()
+	l.cut()
 	for i := 0; i < 100; i++ {
 		if err := p.Put(testRecord(fmt.Sprintf("churn%03d", i))); err != nil {
 			t.Fatalf("Put: %v", err)
 		}
 	}
-	mu.Lock()
-	blocked = false
-	mu.Unlock()
+	l.restore()
 	waitFor(t, 10*time.Second, "re-bootstrap convergence", func() bool { return fst.Len() == 101 })
 	// The oldest churn record sits below the retained tail of its
 	// shard; it must have arrived via the snapshot.
