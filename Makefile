@@ -78,9 +78,9 @@ bench-diff:
 # a durable vault, enroll over the wire, SIGKILL it, restart on the
 # same logs, and assert every acked mutation (records + lockout
 # counters) survived. The pattern also picks up
-# TestRecoveryCheckpointSmoke, which re-runs the drill with the
-# background checkpointer ticking every 25ms so the SIGKILL lands in
-# or near a checkpoint+rotation window.
+# TestRecoveryCompactionSmoke, which re-runs the drill on one shard
+# while password changes churn its log until the background compactor
+# has replaced it twice, so the SIGKILL lands in or near a compaction.
 recovery-smoke:
 	$(GO) test ./cmd/pwserver -run TestRecovery -v
 
@@ -147,10 +147,13 @@ fuzz-smoke:
 
 # docs-lint gates godoc coverage: go vet plus the repo's doclint
 # checker (package comment on every internal/ and cmd/ package,
-# doc comment on every exported identifier under internal/).
+# doc comment on every exported identifier under internal/). It also
+# fails when gofmt would change any tracked Go file.
 docs-lint:
 	$(GO) vet ./...
 	$(GO) run ./cmd/doclint
+	@unformatted=$$(gofmt -l $$(git ls-files '*.go')); \
+	if [ -n "$$unformatted" ]; then echo "gofmt -l lists:"; echo "$$unformatted"; exit 1; fi
 
 # cover prints per-package coverage (CI publishes this to the Actions
 # summary).

@@ -9,7 +9,7 @@
 // bucket. -queue bounds the admission wait queue (default 4x
 // maxconns): past the per-priority watermarks, work is shed with fast
 // "overloaded" responses (logins shed last) instead of queueing
-// toward its deadline; -queue 0 restores unbounded queueing. -chaos
+// toward its deadline; -queue 0 queues without bound. -chaos
 // injects deterministic faults (dev only) and -logjson emits one
 // structured log line per request. -metrics starts the admin surface
 // (Prometheus exposition at /metrics, JSON at /metrics.json, plus the
@@ -23,8 +23,8 @@
 //	memory   single-lock vault over a JSON snapshot at -vault
 //	sharded  -shards-way partitioned store, same JSON file
 //	durable  crash-safe append-log store; -vault names a directory,
-//	         -fsync/-compact-ratio tune it, and every enroll, change,
-//	         delete, and lockout write survives a kill -9
+//	         -fsync tunes it, and every enroll, change, delete, and
+//	         lockout write survives a kill -9
 //	auto     (default) memory, or sharded when -shards > 0 — the
 //	         pre-durable flag behavior, kept for compatibility
 //
@@ -94,10 +94,6 @@ func main() {
 		backendArg  = flag.String("backend", "auto", "storage backend: memory, sharded, durable, or auto (-shards decides)")
 		shards      = flag.Int("shards", 0, "vault shard count (0 = backend default; with -backend auto, >0 selects the sharded store)")
 		fsyncArg    = flag.String("fsync", "always", "durable backend sync policy: always, interval, or never")
-		compactAt   = flag.Float64("compact-ratio", vault.DefaultCompactRatio, "durable backend: rewrite a shard log when garbage exceeds ratio x live records")
-		ckptEvery   = flag.Duration("checkpoint-every", 0, "durable backend: periodic per-shard checkpoint+log-rotation interval bounding startup replay (0 = off)")
-		ckptMin     = flag.Int("checkpoint-min", vault.DefaultCheckpointMin, "durable backend: skip checkpointing a shard with fewer than this many records since its last checkpoint")
-		ckptMinB    = flag.Int64("checkpoint-min-bytes", 0, "durable backend: a shard whose WAL grew at least this many bytes since its last checkpoint is checkpointed even below -checkpoint-min records (0 = record-count gate only)")
 		migrateFrom = flag.String("migrate-from", "", "durable backend: JSON snapshot to import into an empty log directory")
 		commitWin   = flag.Duration("commit-window", 0, "durable backend: hold each shard's group commit open this long so concurrent writers share one fsync (0 = flush immediately)")
 		sessionTTL  = flag.Duration("session-ttl", time.Hour, "session token lifetime; 0 disables the session tier (no tokens minted, validate refused)")
@@ -106,7 +102,7 @@ func main() {
 		maxConns    = flag.Int("maxconns", authproto.DefaultMaxConns, "max in-flight requests across all fronts (and TCP connection pool size)")
 		userRate    = flag.Float64("userrate", 0, "per-user request rate limit in req/s across all fronts (0 = off)")
 		userBurst   = flag.Int("userburst", 5, "per-user burst budget for -userrate")
-		queue       = flag.Int("queue", -1, "overload policy: bounded admission wait queue depth; low-priority ops shed at watermarks (-1 = 4x maxconns, 0 = legacy unbounded queueing)")
+		queue       = flag.Int("queue", -1, "overload policy: bounded admission wait queue depth; low-priority ops shed at watermarks (-1 = 4x maxconns, 0 = unbounded queueing)")
 		retryAfter  = flag.Duration("retry-after", authsvc.DefaultRetryAfter, "retry hint returned with shed (overloaded) responses")
 		chaos       = flag.String("chaos", "", "dev fault injection, e.g. seed=7,err=0.01,latrate=0.05,lat=25ms (empty = off)")
 		logJSON     = flag.Bool("logjson", false, "emit one structured JSON log line per request to stderr")
@@ -136,7 +132,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	store, backend, closeStore, err := openBackend(*backendArg, *vaultPath, *shards, *fsyncArg, *compactAt, *ckptEvery, *ckptMin, *ckptMinB, *commitWin, *migrateFrom)
+	store, backend, closeStore, err := openBackend(*backendArg, *vaultPath, *shards, *fsyncArg, *commitWin, *migrateFrom)
 	if err != nil {
 		fatal(err)
 	}
@@ -353,7 +349,7 @@ func main() {
 // human-readable description for the startup banner, and a close func
 // (a no-op for the snapshot backends, a log flush-and-close for the
 // durable one).
-func openBackend(backend, path string, shards int, fsync string, compactRatio float64, ckptEvery time.Duration, ckptMin int, ckptMinBytes int64, commitWindow time.Duration, migrateFrom string) (vault.Store, string, func() error, error) {
+func openBackend(backend, path string, shards int, fsync string, commitWindow time.Duration, migrateFrom string) (vault.Store, string, func() error, error) {
 	noClose := func() error { return nil }
 	if backend == "auto" {
 		if shards > 0 {
@@ -381,13 +377,9 @@ func openBackend(backend, path string, shards int, fsync string, compactRatio fl
 			return nil, "", nil, err
 		}
 		d, err := vault.OpenDurable(path, vault.DurableOptions{
-			Shards:             shards,
-			Sync:               policy,
-			CompactRatio:       compactRatio,
-			CheckpointEvery:    ckptEvery,
-			CheckpointMin:      ckptMin,
-			CheckpointMinBytes: ckptMinBytes,
-			CommitWindow:       commitWindow,
+			Shards:       shards,
+			Sync:         policy,
+			CommitWindow: commitWindow,
 		})
 		if err != nil {
 			return nil, "", nil, err
@@ -406,11 +398,7 @@ func openBackend(backend, path string, shards int, fsync string, compactRatio fl
 				fmt.Printf("pwserver: skipping -migrate-from %s: %s already holds %d records\n", migrateFrom, path, d.Len())
 			}
 		}
-		desc := fmt.Sprintf("durable %d-shard (fsync=%s)", d.Shards(), policy)
-		if ckptEvery > 0 {
-			desc += fmt.Sprintf(" (checkpoint every %s)", ckptEvery)
-		}
-		return d, desc, d.Close, nil
+		return d, fmt.Sprintf("durable %d-shard (fsync=%s)", d.Shards(), policy), d.Close, nil
 	default:
 		return nil, "", nil, fmt.Errorf("unknown backend %q (want memory, sharded, durable or auto)", backend)
 	}

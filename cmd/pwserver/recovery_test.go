@@ -84,14 +84,14 @@ func TestRecoverySmoke(t *testing.T) {
 	}
 }
 
-// TestRecoveryCheckpointSmoke is the same crash drill with the
-// background checkpointer turned up aggressively (-checkpoint-every
-// 25ms, -checkpoint-min 1): a steady stream of password changes keeps
-// every shard rotating through the checkpoint+rename protocol, so the
-// SIGKILL lands in or near a checkpoint window. The restart must
-// recover every acked mutation from whatever mix of checkpoint files,
-// rotation markers, and log tails the crash left behind.
-func TestRecoveryCheckpointSmoke(t *testing.T) {
+// TestRecoveryCompactionSmoke is the same crash drill against a
+// server whose background compactor keeps rewriting its one shard's
+// log: a stream of password changes churns that log past the garbage
+// ratio until the compaction rename has replaced the file at least
+// twice, so the SIGKILL lands in or near a compaction. The restart
+// must recover every acked change from whatever log, or stranded
+// compaction temp file, the crash left behind.
+func TestRecoveryCompactionSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and kills a real server binary; skipped in -short")
 	}
@@ -102,13 +102,12 @@ func TestRecoveryCheckpointSmoke(t *testing.T) {
 		t.Fatalf("building pwserver: %v\n%s", err, out)
 	}
 	vaultDir := filepath.Join(dir, "vault.d")
-	ckptFlags := []string{"-checkpoint-every", "25ms", "-checkpoint-min", "1"}
+	logPath := filepath.Join(vaultDir, "shard-0000.wal")
 	ctx := context.Background()
 
-	// First life: enroll, then churn password changes so the
-	// checkpointer has deltas to snapshot on every tick. Track the last
-	// acked password version per user; SIGKILL with no drain.
-	addr, kill := startPwserver(t, bin, vaultDir, ckptFlags...)
+	// First life: enroll, then churn password changes, tracking the
+	// last acked password version per user; SIGKILL with no drain.
+	addr, kill := startPwserver(t, bin, vaultDir, "-shards", "1")
 	c := dialT(t, addr)
 	users := []string{"ck-alpha", "ck-beta", "ck-gamma"}
 	for i, u := range users {
@@ -117,8 +116,20 @@ func TestRecoveryCheckpointSmoke(t *testing.T) {
 			t.Fatalf("enroll %s: %+v %v", u, resp, err)
 		}
 	}
+	// Holding the current log open pins its inode, so the file that
+	// replaces it cannot reuse the number and fool os.SameFile.
+	held, prev := openLog(t, logPath)
+	defer func() { held.Close() }()
+	// Each change appends its record and its session revocation, so at
+	// the default ratio the log is rewritten about every 125 changes.
+	// The cap fails the drill if the compactor never runs.
+	const maxRounds = 400
 	acked := map[string]int{}
-	for round := 0; round < 12; round++ {
+	rewrites := 0
+	for round := 0; rewrites < 2; round++ {
+		if round == maxRounds {
+			t.Fatalf("the shard log was replaced %d times in %d rounds of %d changes, want 2: the background compactor never engaged", rewrites, maxRounds, len(users))
+		}
 		for i, u := range users {
 			old, next := acked[u]*len(users)+i, (acked[u]+1)*len(users)+i
 			resp, err := c.Do(ctx, authsvc.Request{Op: authsvc.OpChange, User: u,
@@ -128,21 +139,21 @@ func TestRecoveryCheckpointSmoke(t *testing.T) {
 			}
 			acked[u]++
 		}
-		time.Sleep(10 * time.Millisecond) // let checkpoint ticks interleave with the churn
+		cur, err := os.Stat(logPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !os.SameFile(prev, cur) {
+			rewrites++
+			held.Close()
+			held, prev = openLog(t, logPath)
+		}
 	}
 	c.Close()
 	kill()
 
-	// The drill is only meaningful if the checkpointer actually ran:
-	// the directory must hold shard snapshots next to the rotated logs.
-	if ckpts, _ := filepath.Glob(filepath.Join(vaultDir, "shard-*.ckpt")); len(ckpts) == 0 {
-		t.Fatal("no checkpoint files on disk after the churn: the background checkpointer never engaged")
-	}
-
-	// Second life: the directory now holds checkpoints + rotated logs
-	// (plus whatever partial protocol step the kill interrupted). Every
-	// acked password change must have survived.
-	addr, kill2 := startPwserver(t, bin, vaultDir, ckptFlags...)
+	// Second life: every acked password change must have survived.
+	addr, kill2 := startPwserver(t, bin, vaultDir, "-shards", "1")
 	defer kill2()
 	c = dialT(t, addr)
 	defer c.Close()
@@ -158,6 +169,21 @@ func TestRecoveryCheckpointSmoke(t *testing.T) {
 			t.Errorf("stale password for %s accepted after crash: %+v %v", u, resp, err)
 		}
 	}
+}
+
+// openLog opens the log at path and returns the file with its info.
+func openLog(t *testing.T, path string) (*os.File, os.FileInfo) {
+	t.Helper()
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	info, err := f.Stat()
+	if err != nil {
+		f.Close()
+		t.Fatal(err)
+	}
+	return f, info
 }
 
 // startPwserver launches the built binary on the durable backend and

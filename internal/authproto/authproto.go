@@ -256,9 +256,9 @@ func (s *Server) rebuild() {
 	//     forever.
 	//   - UserRate outside admission, so a flood aimed at one user is
 	//     shed before it competes for the shared concurrency budget.
-	//   - Overload (or plain Admission when no policy is set) owns the
-	//     shared limiter: bounded wait queue, priority watermarks,
-	//     fast CodeOverloaded sheds.
+	//   - Overload owns the shared limiter: wait queue (unbounded
+	//     when no policy is set), priority watermarks, fast
+	//     CodeOverloaded sheds.
 	//   - InFlight inside admission, so the gauge's high-water mark is
 	//     provably capped by the limiter.
 	//   - Faults innermost: an injected latency spike must occupy a
@@ -283,12 +283,10 @@ func (s *Server) rebuild() {
 		authsvc.WithDeadline(s.reqTimeout),
 		authsvc.WithUserRate(s.userRate, s.userBurst),
 	)
-	if s.overload.Queue > 0 {
-		mw = append(mw, authsvc.WithOverload(s.limiter, s.overload, s.metrics))
-	} else {
-		mw = append(mw, authsvc.WithAdmission(s.limiter))
-	}
-	mw = append(mw, authsvc.WithInFlight(s.metrics))
+	mw = append(mw,
+		authsvc.WithOverload(s.limiter, s.overload, s.metrics),
+		authsvc.WithInFlight(s.metrics),
+	)
 	if s.faults.Enabled() {
 		mw = append(mw, authsvc.WithFaults(s.faults))
 	}
@@ -320,8 +318,8 @@ func (s *Server) SetUserRate(perSec float64, burst int) {
 // shared limiter's wait queue is bounded at pol.Queue, low-priority
 // work sheds at the policy's watermarks with fast CodeOverloaded
 // responses, and requests that outlive their deadline in the queue
-// are dropped before touching the vault. pol.Queue <= 0 restores the
-// legacy unbounded-queue WithAdmission. Call before serving.
+// are dropped before touching the vault. pol.Queue <= 0 queues
+// without bound and sheds nothing. Call before serving.
 func (s *Server) SetOverload(pol authsvc.OverloadPolicy) {
 	s.overload = pol
 	s.rebuild()

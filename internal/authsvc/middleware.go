@@ -7,7 +7,6 @@ import (
 	"sync"
 	"time"
 
-	"clickpass/internal/par"
 	"clickpass/internal/vault"
 )
 
@@ -24,23 +23,6 @@ func WithRecover() Middleware {
 					resp = Response{Version: Version, Code: CodeInternal, Err: "internal error"}
 				}
 			}()
-			return next.Handle(ctx, req)
-		})
-	}
-}
-
-// WithAdmission gates every request through one shared par.Limiter —
-// the single concurrency budget all transports draw from, closing the
-// seam where net/http used to spawn unboundedly past the TCP worker
-// pool. A request whose context expires while queued is refused with
-// CodeUnavailable instead of being served late.
-func WithAdmission(lim *par.Limiter) Middleware {
-	return func(next Handler) Handler {
-		return HandlerFunc(func(ctx context.Context, req Request) Response {
-			if err := lim.AcquireContext(ctx); err != nil {
-				return Response{Version: Version, Code: CodeUnavailable, Err: "server busy"}
-			}
-			defer lim.Release()
 			return next.Handle(ctx, req)
 		})
 	}
@@ -109,7 +91,7 @@ func WithMetrics(m *Metrics) Middleware {
 }
 
 // WithInFlight tracks the in-flight gauge and its high-water mark in
-// m. Place it inside WithAdmission so the gauge counts requests being
+// m. Place it inside WithOverload so the gauge counts requests being
 // handled, not requests queued for a slot — which makes its peak a
 // proof that the shared limiter caps the combined transports.
 func WithInFlight(m *Metrics) Middleware {
@@ -127,7 +109,7 @@ func WithInFlight(m *Metrics) Middleware {
 // Requests without a user (ping) pass through. perSec <= 0 disables
 // the middleware. Exceeding the budget returns CodeThrottled — the
 // cheap, steady-state complement to the lockout's hard stop. Compose
-// it outside WithAdmission so a flood aimed at one user is shed
+// it outside WithOverload so a flood aimed at one user is shed
 // before it competes for the shared concurrency budget.
 //
 // The bucket table is partitioned into rateShards independently

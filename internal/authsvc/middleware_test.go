@@ -49,15 +49,16 @@ func TestWithRecoverContainsPanic(t *testing.T) {
 	}
 }
 
-// TestWithAdmissionCapsConcurrency: the limiter must cap concurrent
-// handling, queue excess requests, and refuse a request whose context
-// dies while it waits.
+// TestWithAdmissionCapsConcurrency: under the zero OverloadPolicy,
+// admission must cap concurrent handling at the limiter's slots, queue
+// excess requests without shedding any, and refuse a request whose
+// context dies while it waits.
 func TestWithAdmissionCapsConcurrency(t *testing.T) {
 	lim := par.NewLimiter(2)
 	gate := make(chan struct{})
 	var m Metrics
 	h := Chain(echoHandler(Response{Code: CodeOK}, gate),
-		WithMetrics(&m), WithAdmission(lim), WithInFlight(&m))
+		WithMetrics(&m), WithOverload(lim, OverloadPolicy{}, &m), WithInFlight(&m))
 
 	var wg sync.WaitGroup
 	for i := 0; i < 5; i++ {

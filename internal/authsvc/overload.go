@@ -2,6 +2,7 @@ package authsvc
 
 import (
 	"context"
+	"math"
 	"strconv"
 	"time"
 
@@ -68,8 +69,9 @@ func PriorityFor(op Op) Priority {
 // roughly Queue/capacity service times.
 type OverloadPolicy struct {
 	// Queue bounds the total admission wait queue (the high-priority
-	// budget). <= 0 disables overload handling entirely (unbounded
-	// queueing, the legacy behavior).
+	// budget). <= 0 queues every priority without bound, so nothing
+	// is shed; a request still leaves the queue with CodeUnavailable
+	// once its deadline passes.
 	Queue int
 	// NormalMark is the fraction of Queue above which PriorityNormal
 	// requests are shed; 0 selects DefaultNormalMark.
@@ -94,12 +96,15 @@ const (
 )
 
 // budgets returns the per-priority queue-depth bounds, indexed by
-// Priority. Every priority gets at least depth 1 when Queue > 0, so a
-// watermark rounding to zero degrades to "admit only when a slot is
-// free", not "always shed".
+// Priority: all unbounded when Queue <= 0. Every priority gets at
+// least depth 1 when Queue > 0, so a watermark rounding to zero
+// degrades to "admit only when a slot is free", not "always shed".
 func (p OverloadPolicy) budgets() [numPriorities]int {
 	var b [numPriorities]int
 	if p.Queue <= 0 {
+		for i := range b {
+			b[i] = math.MaxInt
+		}
 		return b
 	}
 	normal, low := p.NormalMark, p.LowMark
@@ -141,14 +146,16 @@ func metaFrom(ctx context.Context) *reqMeta {
 }
 
 // WithOverload is priority admission over a shared limiter — the
-// overload-robust replacement for WithAdmission. Each request joins
-// the limiter's bounded wait queue under its priority's depth budget
-// (see OverloadPolicy); a request that would push the queue past its
-// watermark is refused with CodeOverloaded in microseconds, and a
-// request whose deadline expires while queued — or that emerges from
-// the queue with its budget already burned — is dropped with
-// CodeUnavailable before touching the vault. m (optional, may be
-// nil) receives shed counts by priority and queue-wait observations.
+// single concurrency budget all transports draw from, closing the
+// seam where net/http used to spawn unboundedly past the TCP worker
+// pool. Each request joins the limiter's wait queue under its
+// priority's depth budget (see OverloadPolicy); a request that would
+// push the queue past its watermark is refused with CodeOverloaded in
+// microseconds, and a request whose deadline expires while queued —
+// or that emerges from the queue with its budget already burned — is
+// dropped with CodeUnavailable before touching the vault. m
+// (optional, may be nil) receives shed counts by priority and
+// queue-wait observations.
 func WithOverload(lim *par.Limiter, pol OverloadPolicy, m *Metrics) Middleware {
 	budgets := pol.budgets()
 	retryMs := int(pol.retryAfter().Milliseconds())

@@ -60,8 +60,8 @@ func canonRecords(t testing.TB) []*passpoints.Record {
 }
 
 // canonEntries returns one log entry per op, with the fields the store
-// writes for it (zero fields omitted, 20-digit generation ids), plus
-// one entry with every field set.
+// writes for it (zero fields omitted), the generation markers earlier
+// releases wrote (20-digit ids), and one entry with every field set.
 func canonEntries(t testing.TB) []walEntry {
 	rec := canonRecords(t)[0]
 	every := walEntry{Op: walOpPut, User: "u", Rec: rec, Failures: 3, Key: "k", Val: []byte("v"), Ckpt: math.MaxUint64, Full: true}
@@ -79,19 +79,6 @@ func canonEntries(t testing.TB) []walEntry {
 	}
 }
 
-// canonCkpt returns a checkpoint with every field set, as
-// checkpointShard writes one.
-func canonCkpt(t testing.TB) *walCkpt {
-	ck := &walCkpt{
-		Version: 1, ID: math.MaxUint64, BaseLogID: 12345678901234567890, BaseOff: 1 << 40,
-		Records:  canonRecords(t),
-		Lockouts: map[string]int{"alice": 3, "bob": 9, "zoë <admin>": 1},
-		KV:       map[string][]byte{"session/a": {1}, "session/b": {2, 3}, "session/zoë&": {4}},
-	}
-	allFieldsSet(t, *ck)
-	return ck
-}
-
 // allFieldsSet fails unless every field of the struct v is non-zero, so
 // a field added to a stored type without a decoder case reaches the
 // coverage test below as a fallback instead of passing unnoticed.
@@ -106,7 +93,7 @@ func allFieldsSet(t testing.TB, v any) {
 }
 
 // TestCanonicalDecodeCoversStoredTypes: everything the vault writes —
-// snapshots, log entries of every op, checkpoints — must decode on the
+// snapshots and log entries of every op — must decode on the
 // reflection-free path, to the value encoding/json would produce.
 // Without this, a new field would silently send every load to the
 // slow path.
@@ -136,13 +123,6 @@ func TestCanonicalDecodeCoversStoredTypes(t *testing.T) {
 			t.Errorf("%s entry fell back: %s", e.Op, frame[walHeaderSize:])
 		}
 	}
-	data, err := json.MarshalIndent(canonCkpt(t), "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !decodesLikeJSON(t, data, readWalCkpt) {
-		t.Errorf("checkpoint fell back: %s", data)
-	}
 }
 
 // TestParseRecordsRightSizesRecords: decoded records carry their
@@ -168,8 +148,8 @@ func TestParseRecordsRightSizesRecords(t *testing.T) {
 }
 
 // FuzzCanonicalDecode: for arbitrary bytes, every reflection-free
-// decoder of a vault format — record, snapshot, log entry, checkpoint —
-// either declines or returns exactly encoding/json's value, and never
+// decoder of a vault format — record, snapshot, log entry — either
+// declines or returns exactly encoding/json's value, and never
 // accepts what encoding/json rejects.
 func FuzzCanonicalDecode(f *testing.F) {
 	for _, seed := range openSeeds {
@@ -184,8 +164,6 @@ func FuzzCanonicalDecode(f *testing.F) {
 		payload, _ := json.Marshal(e)
 		f.Add(payload)
 	}
-	ckpt, _ := json.MarshalIndent(canonCkpt(f), "", "  ")
-	f.Add(ckpt)
 	for _, variant := range []string{
 		`[{"us\u0065r":"a","kind":"centered"}]`,
 		`[{"kind":"centered","user":"a"}]`,
@@ -198,7 +176,6 @@ func FuzzCanonicalDecode(f *testing.F) {
 		`[{"user":"a","clears":[{"dx":-0,"grid":256}]}]`,
 		`{"op":"put","user":"","rec":null}`,
 		`{"op":"ckpt","ckpt":18446744073709551616}`,
-		`{"version":1,"id":1,"records":null,"lockouts":{"b":1,"a":2},"kv":{"k":null}}`,
 	} {
 		f.Add([]byte(variant))
 	}
@@ -206,6 +183,5 @@ func FuzzCanonicalDecode(f *testing.F) {
 		decodesLikeJSON(t, data, readRecordPtr)
 		decodesLikeJSON(t, data, readSnapshot)
 		decodesLikeJSON(t, data, readWalEntry)
-		decodesLikeJSON(t, data, readWalCkpt)
 	})
 }

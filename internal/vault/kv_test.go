@@ -8,7 +8,7 @@ import (
 )
 
 // TestKVDurability: side-table writes survive a reopen, deletes stay
-// deleted, and checkpoint + compaction both carry the entries.
+// deleted, and compaction carries the entries.
 func TestKVDurability(t *testing.T) {
 	dir := t.TempDir()
 	open := func() *Durable {
@@ -51,9 +51,6 @@ func TestKVDurability(t *testing.T) {
 	if _, ok := d.GetKV("session/key/3"); ok {
 		t.Fatalf("after reopen: deleted key resurrected")
 	}
-	if err := d.Checkpoint(); err != nil {
-		t.Fatalf("Checkpoint: %v", err)
-	}
 	if err := d.Compact(); err != nil {
 		t.Fatalf("Compact: %v", err)
 	}
@@ -65,10 +62,10 @@ func TestKVDurability(t *testing.T) {
 	defer d.Close()
 	got := d.KVRange("")
 	if len(got) != 20 {
-		t.Fatalf("after checkpoint+compact+reopen: %d entries, want 20", len(got))
+		t.Fatalf("after compact+reopen: %d entries, want 20", len(got))
 	}
 	if !bytes.Equal(got["session/key/7"], []byte("secret-7")) {
-		t.Fatalf("after checkpoint+compact+reopen: session/key/7 = %q", got["session/key/7"])
+		t.Fatalf("after compact+reopen: session/key/7 = %q", got["session/key/7"])
 	}
 }
 

@@ -23,10 +23,10 @@
 //
 // Followers bootstrap (and re-bootstrap after falling behind the
 // primary's retention of unacknowledged frames) from per-shard
-// snapshots that reuse the checkpoint machinery: the installed
-// snapshot becomes a freshly rewritten shard log behind a full
-// generation marker, and the frame stream resumes after the
-// snapshot's sequence floor.
+// snapshots that reuse the compaction machinery: the installed
+// snapshot becomes a freshly rewritten shard log, and the frame
+// stream resumes after the snapshot's sequence floor. A follower's
+// logs then compact on the same garbage ratio as the primary's.
 package repl
 
 import (

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"sync"
@@ -199,6 +201,90 @@ func TestReplPairConverges(t *testing.T) {
 	}
 	if err := f.SetLockout("user001", 9); !errors.Is(err, vault.ErrNotPrimary) {
 		t.Fatalf("follower SetLockout = %v, want ErrNotPrimary", err)
+	}
+}
+
+// snapshotBytes returns st's canonical JSON snapshot.
+func snapshotBytes(t *testing.T, st *vault.Durable) string {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "snap.json")
+	if err := st.SaveTo(path); err != nil {
+		t.Fatalf("SaveTo: %v", err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(data)
+}
+
+// TestReplFollowerLogCompacts: a follower's log grows only through
+// ApplyReplFrames, which must kick the compactor by the same garbage
+// ratio as a primary's own writes — or replication alone grows the
+// follower's log, and its restart replay, without bound. Unlike
+// openTestStore, both stores run the background compactor.
+func TestReplFollowerLogCompacts(t *testing.T) {
+	// SyncNever keeps the churn fast; a compaction fsyncs its rewrite
+	// under every policy.
+	opts := vault.DurableOptions{Shards: 1, Sync: vault.SyncNever}
+	open := func(dir string) *vault.Durable {
+		st, err := vault.OpenDurable(dir, opts)
+		if err != nil {
+			t.Fatalf("OpenDurable: %v", err)
+		}
+		t.Cleanup(func() { st.Close() })
+		return st
+	}
+	fdir := t.TempDir()
+	pst, fst := open(t.TempDir()), open(fdir)
+	p := newTestPrimary(t, pst, Options{Ack: AckQuorum, QuorumTimeout: 5 * time.Second})
+	f := newTestFollower(t, fst, p.ReplAddr(), Options{Ack: AckQuorum})
+
+	const users = 20
+	churn := func(version int) {
+		for i := 0; i < users; i++ {
+			rec := testRecord(fmt.Sprintf("user%02d", i))
+			rec.Digest = []byte(fmt.Sprintf("user%02d-v%d", i, version))
+			if err := p.Replace(rec); err != nil {
+				t.Fatalf("Replace: %v", err)
+			}
+		}
+	}
+	// Quorum acks: once this returns, the follower has bootstrapped
+	// and applied the first version.
+	churn(0)
+	logPath := filepath.Join(fdir, "shard-0000.wal")
+	// Holding the log open pins its inode, so the file that replaces
+	// it cannot reuse the number and fool os.SameFile.
+	held, err := os.Open(logPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer held.Close()
+	before, err := held.Stat()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rewritten := func() bool {
+		st, err := os.Stat(logPath)
+		return err == nil && !os.SameFile(before, st)
+	}
+	// 800 replaces of 20 users: three times the 256-entry floor, and
+	// far past the garbage ratio.
+	for v := 1; v <= 40 && !rewritten(); v++ {
+		churn(v)
+	}
+	waitFor(t, 5*time.Second, "the follower's log to be compacted", rewritten)
+
+	want := snapshotBytes(t, pst)
+	if got := snapshotBytes(t, fst); got != want {
+		t.Fatal("follower's state differs from the primary's after compaction")
+	}
+	f.Close()
+	fst.Close()
+	back := open(fdir)
+	if got := snapshotBytes(t, back); got != want {
+		t.Fatal("reopened follower's state differs from the primary's")
 	}
 }
 

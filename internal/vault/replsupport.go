@@ -9,14 +9,15 @@ package vault
 //     and an optional quorum gate (block a mutation's ack until the
 //     follower's fsync covers it).
 //   - ShardSnapshot / InstallShardSnapshot move a whole shard's state
-//     for follower bootstrap, reusing the checkpoint/compaction
-//     machinery: an installed snapshot becomes a freshly rewritten
-//     log behind a "full" generation marker, exactly what compaction
-//     produces.
+//     for follower bootstrap, reusing the compaction machinery: an
+//     installed snapshot becomes a freshly rewritten log, exactly what
+//     compaction produces.
 //   - ApplyReplFrames appends a received frame batch to a follower's
 //     shard log and applies it through the same walEntry switch as
 //     startup replay, so replicated state is byte-equivalent to
-//     crash-recovered state by construction.
+//     crash-recovered state by construction. It kicks the compactor
+//     by the same garbage ratio as a local write, so a follower's
+//     logs stay as bounded as the primary's.
 //   - Epoch / AdvanceEpoch persist the monotonic failover epoch in
 //     meta.json; a deposed primary that observes a higher epoch
 //     fences itself by refusing writes (see ErrNotPrimary).
@@ -167,8 +168,8 @@ func (d *Durable) Health() ShardHealth {
 }
 
 // ReopenShard is the supervised recovery path for a fail-stopped
-// shard: it re-runs the shard's startup recovery (checkpoint + log
-// replay with torn-tail truncation) against the on-disk state and, on
+// shard: it re-runs the shard's startup recovery (log replay with
+// torn-tail truncation) against the on-disk state and, on
 // success, clears the fail-stop so the shard accepts mutations again.
 // The shard rolls back to its durable prefix — any write acked before
 // the failing fsync whose pages the kernel then dropped is gone, which
@@ -200,7 +201,6 @@ func (d *Durable) ReopenShard(i int) error {
 	sh.records = make(map[string]*passpoints.Record, len(oldRecs))
 	sh.lockouts = make(map[string]int, len(oldLocks))
 	sh.kv = make(map[string][]byte, len(oldKV))
-	sh.logID = 0
 	sh.wbuf = nil
 	sh.pending = sh.pending[:0]
 	if err := sh.recover(); err != nil {
@@ -259,15 +259,15 @@ func (d *Durable) ShardSnapshot(i int) ([]*passpoints.Record, map[string]int, ma
 
 // InstallShardSnapshot replaces shard i's entire state with the given
 // snapshot and rewrites its log wholesale — the follower side of
-// bootstrap. The new log opens with a "full" generation marker and is
-// fsynced into place exactly like a compacted log, so a crash during
-// or after the install recovers to either the old or the new state,
-// never a blend. A fail-stopped shard is eligible (the install writes
-// a brand-new fsynced file, making durability provable again) and
-// comes back healthy on success. On success every side-table entry the
-// snapshot carries is delivered to the KV watch (after the shard lock
-// is released), so a watcher's soft state catches up with a bootstrap
-// exactly like it tracks the frame stream.
+// bootstrap. The new log is fsynced into place exactly like a
+// compacted log, so a crash during or after the install recovers to
+// either the old or the new state, never a blend. A fail-stopped shard
+// is eligible (the install writes a brand-new fsynced file, making
+// durability provable again) and comes back healthy on success. On
+// success every side-table entry the snapshot carries is delivered to
+// the KV watch (after the shard lock is released), so a watcher's
+// soft state catches up with a bootstrap exactly like it tracks the
+// frame stream.
 func (d *Durable) InstallShardSnapshot(i int, recs []*passpoints.Record, lockouts map[string]int, kv map[string][]byte) error {
 	if i < 0 || i >= len(d.shards) {
 		return fmt.Errorf("vault: no shard %d", i)
@@ -376,6 +376,8 @@ func SplitFrames(frames []byte) ([][]byte, error) {
 // an error with no effect, so the sender can simply resend from the
 // last acknowledged position. Under SyncAlways the append is fsynced
 // before returning — the durability a quorum ack then vouches for.
+// Once the batch is applied, the compactor is kicked when the shard's
+// garbage crosses the same ratio mutate checks.
 func (d *Durable) ApplyReplFrames(i int, frames []byte) error {
 	if i < 0 || i >= len(d.shards) {
 		return fmt.Errorf("vault: no shard %d", i)
@@ -436,8 +438,6 @@ func (d *Durable) ApplyReplFrames(i int, frames []byte) error {
 		sh.apply(&entries[j])
 	}
 	sh.entries += len(entries)
-	sh.sinceCkpt += len(entries)
-	sh.ckptBytes += int64(len(frames))
 	sh.seq += uint64(len(entries))
 	if d.opts.Sync == SyncAlways {
 		// Fsync under the lock: a follower's shard has no concurrent
@@ -454,5 +454,8 @@ func (d *Durable) ApplyReplFrames(i int, frames []byte) error {
 		sh.dirtyGen++
 	}
 	applied = true
+	if sh.needsCompact() {
+		d.kickCompact(i)
+	}
 	return nil
 }

@@ -187,51 +187,3 @@ func TestReopenShardRecovers(t *testing.T) {
 		t.Fatal("reopen of shard 9 on a 1-shard store succeeded")
 	}
 }
-
-// TestCheckpointMinBytes: the byte-delta gate checkpoints a shard that
-// is below the record-count threshold but has grown enough WAL bytes —
-// and skips one that has neither records nor bytes to justify it.
-func TestCheckpointMinBytes(t *testing.T) {
-	d := openDurableT(t, DurableOptions{Shards: 1, Sync: SyncNever, NoAutoCompact: true})
-	for i := 0; i < 5; i++ {
-		if err := d.Put(versionedRecord(fmt.Sprintf("ck-%d", i), i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	sh := &d.shards[0]
-	sh.mu.Lock()
-	since, bytes := sh.sinceCkpt, sh.ckptBytes
-	sh.mu.Unlock()
-	if since != 5 || bytes <= 0 {
-		t.Fatalf("pre-checkpoint counters: sinceCkpt=%d ckptBytes=%d", since, bytes)
-	}
-
-	// Record gate far away, byte gate far away: skipped.
-	if err := d.checkpointShard(0, 1000, bytes*10); err != nil {
-		t.Fatal(err)
-	}
-	sh.mu.Lock()
-	since = sh.sinceCkpt
-	sh.mu.Unlock()
-	if since != 5 {
-		t.Fatalf("checkpoint ran below both gates (sinceCkpt=%d)", since)
-	}
-
-	// Record gate far away, byte gate met: the byte delta alone
-	// triggers the checkpoint.
-	if err := d.checkpointShard(0, 1000, bytes); err != nil {
-		t.Fatal(err)
-	}
-	sh.mu.Lock()
-	since, bytes = sh.sinceCkpt, sh.ckptBytes
-	sh.mu.Unlock()
-	if since != 0 || bytes != 0 {
-		t.Fatalf("post-checkpoint counters not reset: sinceCkpt=%d ckptBytes=%d", since, bytes)
-	}
-
-	// The checkpoint is real: a reopen replays from it.
-	back := reopen(t, d)
-	if back.Len() != 5 {
-		t.Fatalf("reopen after byte-gated checkpoint: %d records, want 5", back.Len())
-	}
-}

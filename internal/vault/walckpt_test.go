@@ -1,18 +1,17 @@
 package vault
 
 import (
-	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
-	"time"
 )
 
 // ckptOps drives a deterministic mutation history — puts, replaces,
 // deletes, lockout sets and clears — against d. from/to bound the
-// versions so the same history can be split across a checkpoint.
+// versions so the same history can be split across a compaction.
 func ckptOps(t *testing.T, d *Durable, from, to int) {
 	t.Helper()
 	for v := from; v < to; v++ {
@@ -49,10 +48,24 @@ func saveBytes(t *testing.T, d *Durable) []byte {
 	return data
 }
 
-// TestCheckpointEquivalence: recovering from checkpoint + log tail
-// must reproduce byte-identical state to both the live store it
-// snapshotted and a control store that replayed the same history from
-// a never-checkpointed full log.
+// logBytes returns the total size of d's shard logs.
+func logBytes(t *testing.T, d *Durable) int64 {
+	t.Helper()
+	var n int64
+	for i := range d.shards {
+		st, err := os.Stat(filepath.Join(d.Dir(), shardLogName(i)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		n += st.Size()
+	}
+	return n
+}
+
+// TestCheckpointEquivalence: recovering a compacted log plus the tail
+// appended after the compaction must reproduce the state of both the
+// live store it rewrote and a control store that replayed the same
+// history from a never-rewritten log.
 func TestCheckpointEquivalence(t *testing.T) {
 	opts := DurableOptions{Shards: 4, Sync: SyncNever, NoAutoCompact: true}
 	d := openDurableT(t, opts)
@@ -60,153 +73,68 @@ func TestCheckpointEquivalence(t *testing.T) {
 
 	ckptOps(t, d, 0, 120)
 	ckptOps(t, control, 0, 120)
-	if err := d.Checkpoint(); err != nil {
+	if err := d.Compact(); err != nil {
 		t.Fatal(err)
 	}
 	ckptOps(t, d, 120, 160)
 	ckptOps(t, control, 120, 160)
 
-	// The checkpoint actually happened: every shard rotated to a
-	// marker-led log with its snapshot alongside.
-	ckpts, err := filepath.Glob(filepath.Join(d.Dir(), "shard-*.ckpt"))
-	if err != nil || len(ckpts) == 0 {
-		t.Fatalf("no checkpoint files written (err %v)", err)
+	// The compaction actually happened: the rewritten logs hold less
+	// than the control's full history.
+	if got, full := logBytes(t, d), logBytes(t, control); got >= full {
+		t.Fatalf("compacted logs hold %d bytes, the never-rewritten control %d", got, full)
 	}
 
-	live := saveBytes(t, d)
+	live, liveLocks := saveBytes(t, d), d.Lockouts()
 	back := reopen(t, d)
-	recovered := saveBytes(t, back)
-	if string(recovered) != string(live) {
-		t.Error("checkpoint+tail recovery diverged from the live state it snapshotted")
+	if got := saveBytes(t, back); string(got) != string(live) {
+		t.Error("compacted-log recovery diverged from the live state it rewrote")
 	}
 	if got := saveBytes(t, control); string(got) != string(live) {
-		t.Error("checkpointed store diverged from full-log control replaying the same history")
+		t.Error("compacted store diverged from full-log control replaying the same history")
 	}
-	if locks, want := back.Lockouts(), control.Lockouts(); len(locks) != len(want) {
-		t.Errorf("recovered %d lockouts, control has %d", len(locks), len(want))
+	if locks := back.Lockouts(); !reflect.DeepEqual(locks, liveLocks) || !reflect.DeepEqual(locks, control.Lockouts()) {
+		t.Errorf("recovered lockouts %v, live %v, control %v", locks, liveLocks, control.Lockouts())
 	}
 }
 
-// TestCheckpointBoundsReplay: startup replay after a checkpoint is
-// O(records appended since), independent of how much history came
-// before — the point of checkpointing. Two stores with 10x different
-// pre-checkpoint histories must replay the same small tail count.
+// TestCheckpointBoundsReplay: startup replay after a compaction is the
+// live set, independent of how much history came before — the point
+// of rewriting the log. Histories 10x apart must replay exactly their
+// live entries.
 func TestCheckpointBoundsReplay(t *testing.T) {
-	const tail = 7
-	replayed := func(history int) int {
-		opts := DurableOptions{Shards: 1, Sync: SyncNever, NoAutoCompact: true}
-		d := openDurableT(t, opts)
+	for _, history := range []int{60, 600} {
+		d := openDurableT(t, DurableOptions{Shards: 1, Sync: SyncNever, NoAutoCompact: true})
 		ckptOps(t, d, 0, history)
-		if err := d.Checkpoint(); err != nil {
-			t.Fatal(err)
-		}
-		ckptOps(t, d, history, history+tail)
-		back := reopen(t, d)
-		n := 0
-		for i := range back.shards {
-			n += back.shards[i].sinceCkpt // records replayed from the log at open
-		}
-		return n
-	}
-	small := replayed(60)
-	large := replayed(600)
-	if small != large {
-		t.Errorf("replay count depends on pre-checkpoint history: %d (60-op history) vs %d (600-op history)", small, large)
-	}
-	// ckptOps appends at most 2 records per version (mutation +
-	// lockout write); the tail must be bounded by that, nowhere near
-	// the full history.
-	if large > 2*tail {
-		t.Errorf("replayed %d records after a checkpoint, want <= %d (the post-checkpoint tail)", large, 2*tail)
-	}
-}
-
-// TestCheckpointCrashWindows copies the store directory at the two
-// in-protocol crash points — via the test hooks between a checkpoint
-// file's rename and the log rotation, and between a compacted log's
-// rename and the stale-checkpoint removal — and proves each copy
-// reopens to the full pre-crash state.
-func TestCheckpointCrashWindows(t *testing.T) {
-	t.Run("between-ckpt-and-rotation", func(t *testing.T) {
-		opts := DurableOptions{Shards: 1, Sync: SyncNever, NoAutoCompact: true}
-		d := openDurableT(t, opts)
-		ckptOps(t, d, 0, 80)
-		want := saveBytes(t, d)
-		crash := t.TempDir()
-		d.testCrashAfterCkptRename = func(int) { copyDir(t, d.Dir(), crash) }
-		if err := d.Checkpoint(); err != nil {
-			t.Fatal(err)
-		}
-		back, err := OpenDurable(crash, opts)
-		if err != nil {
-			t.Fatalf("reopening the ckpt-but-no-rotation crash copy: %v", err)
-		}
-		defer back.Close()
-		if got := saveBytes(t, back); string(got) != string(want) {
-			t.Error("crash between checkpoint and rotation lost state")
-		}
-	})
-	t.Run("ckpt-survives-log-tail-loss", func(t *testing.T) {
-		// Same window, but the log's unsynced tail dies with the crash
-		// (the fsynced checkpoint outlives SyncNever log bytes): the
-		// checkpoint alone must reproduce its covered state.
-		opts := DurableOptions{Shards: 1, Sync: SyncNever, NoAutoCompact: true}
-		d := openDurableT(t, opts)
-		ckptOps(t, d, 0, 80)
-		want := saveBytes(t, d)
-		crash := t.TempDir()
-		d.testCrashAfterCkptRename = func(int) { copyDir(t, d.Dir(), crash) }
-		if err := d.Checkpoint(); err != nil {
-			t.Fatal(err)
-		}
-		logPath := filepath.Join(crash, shardLogName(0))
-		st, err := os.Stat(logPath)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.Truncate(logPath, st.Size()/3); err != nil {
-			t.Fatal(err)
-		}
-		back, err := OpenDurable(crash, opts)
-		if err != nil {
-			t.Fatalf("reopening with log torn below the checkpoint's coverage: %v", err)
-		}
-		defer back.Close()
-		if got := saveBytes(t, back); string(got) != string(want) {
-			t.Error("checkpoint did not stand in for its torn log coverage")
-		}
-		// And the reset log must keep working: append, reopen, check.
-		if err := back.Replace(versionedRecord("user-00", 9999)); err != nil {
-			t.Fatal(err)
-		}
-		again := reopen(t, back)
-		rec, err := again.Get("user-00")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if recordVersion(t, "post-reset", rec) != 9999 {
-			t.Error("append after log reset lost on reopen")
-		}
-	})
-	t.Run("between-compact-and-ckpt-removal", func(t *testing.T) {
-		opts := DurableOptions{Shards: 1, Sync: SyncNever, NoAutoCompact: true}
-		d := openDurableT(t, opts)
-		ckptOps(t, d, 0, 60)
-		if err := d.Checkpoint(); err != nil {
-			t.Fatal(err)
-		}
-		ckptOps(t, d, 60, 90)
-		want := saveBytes(t, d)
-		crash := t.TempDir()
-		d.testCrashAfterCompactRename = func(int) { copyDir(t, d.Dir(), crash) }
 		if err := d.Compact(); err != nil {
 			t.Fatal(err)
 		}
-		// The crash copy holds a compacted (Full-marker) log plus the
-		// stale checkpoint the crash kept alive; recovery must trust
-		// the log and discard the checkpoint.
-		if _, err := os.Stat(filepath.Join(crash, shardCkptName(0))); err != nil {
-			t.Fatalf("crash copy should hold the stale checkpoint: %v", err)
+		sh := &reopen(t, d).shards[0]
+		if sh.entries != sh.live() {
+			t.Errorf("%d-op history: replayed %d entries after a compaction, want the %d live ones", history, sh.entries, sh.live())
+		}
+	}
+}
+
+// TestCheckpointCrashWindows copies the store directory at the
+// compaction's crash point — via the test hook after the rewritten log
+// is fsynced in its temp file and before the rename commits it — and
+// proves the copy reopens to the full pre-crash state and removes the
+// stranded temp file.
+func TestCheckpointCrashWindows(t *testing.T) {
+	t.Run("before-compact-rename", func(t *testing.T) {
+		opts := DurableOptions{Shards: 1, Sync: SyncNever, NoAutoCompact: true}
+		d := openDurableT(t, opts)
+		ckptOps(t, d, 0, 80)
+		want, wantLocks := saveBytes(t, d), d.Lockouts()
+		crash := t.TempDir()
+		d.testCrashBeforeCompactRename = func(int) { copyDir(t, d.Dir(), crash) }
+		if err := d.Compact(); err != nil {
+			t.Fatal(err)
+		}
+		stranded, err := filepath.Glob(filepath.Join(crash, ".compact-*"))
+		if err != nil || len(stranded) != 1 {
+			t.Fatalf("crash copy holds compaction temp files %v (err %v), want one", stranded, err)
 		}
 		back, err := OpenDurable(crash, opts)
 		if err != nil {
@@ -214,92 +142,133 @@ func TestCheckpointCrashWindows(t *testing.T) {
 		}
 		defer back.Close()
 		if got := saveBytes(t, back); string(got) != string(want) {
-			t.Error("crash between compaction and checkpoint removal lost state")
+			t.Error("crash before the compacted log's rename lost state")
 		}
-		if _, err := os.Stat(filepath.Join(crash, shardCkptName(0))); !os.IsNotExist(err) {
-			t.Errorf("stale checkpoint behind a Full marker not removed at open (err %v)", err)
+		if got := back.Lockouts(); !reflect.DeepEqual(got, wantLocks) {
+			t.Errorf("crash copy lockouts %v, want %v", got, wantLocks)
 		}
-	})
-}
-
-// TestCheckpointRefusesPartialState: recovery must fail loudly rather
-// than open with silently missing records when the checkpoint a
-// rotated log depends on is gone, or names a different lineage.
-func TestCheckpointRefusesPartialState(t *testing.T) {
-	opts := DurableOptions{Shards: 1, Sync: SyncNever, NoAutoCompact: true}
-	t.Run("missing-checkpoint", func(t *testing.T) {
-		d := openDurableT(t, opts)
-		ckptOps(t, d, 0, 40)
-		if err := d.Checkpoint(); err != nil {
-			t.Fatal(err)
-		}
-		dir := d.Dir()
-		if err := d.Close(); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.Remove(filepath.Join(dir, shardCkptName(0))); err != nil {
-			t.Fatal(err)
-		}
-		_, err := OpenDurable(dir, opts)
-		if err == nil || !strings.Contains(err.Error(), "refusing") {
-			t.Fatalf("open with missing checkpoint: got %v, want loud refusal", err)
-		}
-	})
-	t.Run("lineage-mismatch", func(t *testing.T) {
-		d := openDurableT(t, opts)
-		ckptOps(t, d, 0, 40)
-		if err := d.Checkpoint(); err != nil {
-			t.Fatal(err)
-		}
-		dir := d.Dir()
-		if err := d.Close(); err != nil {
-			t.Fatal(err)
-		}
-		// Rewrite the checkpoint as if it belonged to some other log
-		// generation entirely.
-		path := filepath.Join(dir, shardCkptName(0))
-		ck, err := loadCkpt(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ck.ID = ck.ID + 1
-		ck.BaseLogID = ck.ID + 2
-		data, err := json.Marshal(ck)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, data, 0o600); err != nil {
-			t.Fatal(err)
-		}
-		_, err = OpenDurable(dir, opts)
-		if err == nil || !strings.Contains(err.Error(), "refusing") {
-			t.Fatalf("open with mismatched checkpoint lineage: got %v, want loud refusal", err)
+		if _, err := os.Stat(stranded[0]); !os.IsNotExist(err) {
+			t.Errorf("stranded compaction temp file not removed at open (err %v)", err)
 		}
 	})
 }
 
-// TestCheckpointPeriodic: the background checkpointer rotates busy
-// shards on its own once they cross the configured minimum delta.
-func TestCheckpointPeriodic(t *testing.T) {
-	d := openDurableT(t, DurableOptions{
-		Shards: 1, Sync: SyncNever, NoAutoCompact: true,
-		CheckpointEvery: 5 * time.Millisecond,
-		CheckpointMin:   10,
-	})
-	ckptOps(t, d, 0, 60)
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		if _, err := os.Stat(filepath.Join(d.Dir(), shardCkptName(0))); err == nil {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("background checkpointer never snapshotted a busy shard")
-		}
-		time.Sleep(time.Millisecond)
+// writeParentDir lays out a one-shard directory the way an earlier
+// release wrote it: meta.json, a log of the given entries, and, when
+// ckpt is non-empty, a checkpoint file holding it.
+func writeParentDir(t *testing.T, ckpt string, entries ...walEntry) string {
+	t.Helper()
+	dir := t.TempDir()
+	if err := writeMetaFile(dir, walMeta{Version: 1, Shards: 1}); err != nil {
+		t.Fatal(err)
 	}
-	want := saveBytes(t, d)
+	var log []byte
+	for i := range entries {
+		frame, err := encodeEntry(&entries[i], nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		log = append(log, frame...)
+	}
+	if err := os.WriteFile(filepath.Join(dir, shardLogName(0)), log, 0o600); err != nil {
+		t.Fatal(err)
+	}
+	if ckpt != "" {
+		if err := os.WriteFile(filepath.Join(dir, "shard-0000.ckpt"), []byte(ckpt), 0o600); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return dir
+}
+
+// dirContents maps every file in dir to its bytes.
+func dirContents(t *testing.T, dir string) map[string]string {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make(map[string]string, len(entries))
+	for _, e := range entries {
+		data, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[e.Name()] = string(data)
+	}
+	return out
+}
+
+// TestFullMarkerLogReplays: a log an earlier release compacted
+// opens with a "full" generation marker, which replays as a no-op;
+// the records behind it are the shard's state, and the log takes
+// appends.
+func TestFullMarkerLogReplays(t *testing.T) {
+	opts := DurableOptions{Shards: 1, Sync: SyncNever, NoAutoCompact: true}
+	dir := writeParentDir(t, "",
+		walEntry{Op: walOpCkpt, Ckpt: 7, Full: true},
+		walEntry{Op: walOpPut, Rec: versionedRecord("alice", 3)},
+		walEntry{Op: walOpLock, User: "alice", Failures: 2},
+		walEntry{Op: walOpKV, Key: "session/key", Val: []byte("k")},
+	)
+	d, err := OpenDurable(dir, opts)
+	if err != nil {
+		t.Fatalf("opening a parent-compacted log: %v", err)
+	}
+	t.Cleanup(func() { d.Close() })
+	if err := d.Replace(versionedRecord("alice", 4)); err != nil {
+		t.Fatal(err)
+	}
 	back := reopen(t, d)
-	if got := saveBytes(t, back); string(got) != string(want) {
-		t.Error("state diverged across a background checkpoint and reopen")
+	rec, err := back.Get("alice")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v := recordVersion(t, "full-marker", rec); v != 4 {
+		t.Errorf("alice at version %d, want 4", v)
+	}
+	if n := back.Lockouts()["alice"]; n != 2 {
+		t.Errorf("alice's lockout counter = %d, want 2", n)
+	}
+	if v, ok := back.GetKV("session/key"); !ok || string(v) != "k" {
+		t.Errorf("session/key = %q, %v", v, ok)
+	}
+}
+
+// TestCheckpointRefusesPartialState: a directory an earlier release
+// left with shard state in a checkpoint file, or with a rotated log
+// whose checkpoint is gone, must be refused rather than opened with
+// silently missing records — and left exactly as it was.
+func TestCheckpointRefusesPartialState(t *testing.T) {
+	rotated := []walEntry{
+		{Op: walOpCkpt, Ckpt: 7},
+		{Op: walOpPut, Rec: versionedRecord("bob", 1)},
+	}
+	for _, tc := range []struct {
+		name, ckpt, want string
+	}{
+		// The rotation marker names a checkpoint that is not there.
+		{"missing-checkpoint", "", "checkpoint is missing"},
+		// The checkpoint belongs to neither the log nor its lineage.
+		{"lineage-mismatch", `{"version":1,"id":8,"base_log_id":9,"base_off":0,"records":[]}`, "shard-0000.ckpt"},
+		// The checkpoint matches the log: an earlier release would open
+		// it, but its records are unreadable here.
+		{"checkpoint-file", `{"version":1,"id":7,"base_log_id":0,"base_off":0,"records":[{"user":"alice"}]}`, "shard-0000.ckpt"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := writeParentDir(t, tc.ckpt, rotated...)
+			before := dirContents(t, dir)
+			d, err := OpenDurable(dir, DurableOptions{Shards: 1, Sync: SyncNever, NoAutoCompact: true})
+			if err == nil {
+				d.Close()
+				t.Fatal("opened a directory whose state is partly in a checkpoint")
+			}
+			if !strings.Contains(err.Error(), "refusing") || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("got %v, want a refusal naming %q", err, tc.want)
+			}
+			if after := dirContents(t, dir); !reflect.DeepEqual(after, before) {
+				t.Error("refused open changed the directory")
+			}
+		})
 	}
 }

@@ -74,22 +74,17 @@ func ParseSyncPolicy(s string) (SyncPolicy, error) {
 	}
 }
 
-// DefaultCompactRatio is the garbage-to-live threshold at which a
-// shard's log is rewritten: compaction triggers when a log holds more
-// than ratio× as many dead records (overwritten, deleted, stale
-// lockout counters) as live entries.
-const DefaultCompactRatio = 2.0
+// compactRatio is the garbage-to-live threshold at which a shard's log
+// is rewritten: compaction triggers when a log holds more than ratio×
+// as many dead records (overwritten, deleted, stale lockout counters)
+// as live entries. It bounds a log, and with it start-up replay, to
+// about (1+ratio)× the shard's live entries.
+const compactRatio = 2.0
 
 // compactMinEntries is the floor below which a shard log is never
 // compacted — rewriting a hundred-record file buys nothing and the
 // ratio test is noisy at small counts.
 const compactMinEntries = 256
-
-// DefaultCheckpointMin is the minimum number of records appended
-// since a shard's last checkpoint (or compaction) before the periodic
-// checkpointer bothers snapshotting it again; selected when
-// DurableOptions.CheckpointMin <= 0.
-const DefaultCheckpointMin = 256
 
 // ErrShardFailed marks mutations refused by a fail-stopped shard. A
 // shard fail-stops when an fsync of its log fails, or when the
@@ -103,8 +98,7 @@ const DefaultCheckpointMin = 256
 var ErrShardFailed = errors.New("vault: shard fail-stopped after a log write or sync error")
 
 // DurableOptions configures OpenDurable. The zero value selects
-// DefaultShards, SyncAlways, and DefaultCompactRatio with the
-// background compactor enabled and periodic checkpoints disabled.
+// DefaultShards and SyncAlways with the background compactor enabled.
 type DurableOptions struct {
 	// Shards is the log/lock partition count; <= 0 selects
 	// DefaultShards. The count is fixed when the directory is created
@@ -120,33 +114,9 @@ type DurableOptions struct {
 	// SyncEvery is the background fsync period under SyncInterval;
 	// <= 0 selects 100ms. Ignored under other policies.
 	SyncEvery time.Duration
-	// CompactRatio overrides DefaultCompactRatio; <= 0 selects the
-	// default.
-	CompactRatio float64
 	// NoAutoCompact disables the background compactor; Compact and
 	// CompactShard remain available for manual use (tests, tooling).
 	NoAutoCompact bool
-	// CheckpointEvery is the period of the background checkpointer:
-	// every tick it snapshots each shard with at least CheckpointMin
-	// new records into a canonical per-shard checkpoint file and
-	// truncates the log to the post-snapshot tail, so startup replay
-	// is O(delta since checkpoint) instead of O(total history).
-	// <= 0 disables background checkpoints; Checkpoint and
-	// CheckpointShard remain available for manual use.
-	CheckpointEvery time.Duration
-	// CheckpointMin is the minimum number of records appended since a
-	// shard's last checkpoint before the periodic checkpointer
-	// re-snapshots it; <= 0 selects DefaultCheckpointMin. Ignored by
-	// explicit CheckpointShard calls, which snapshot any non-empty
-	// delta.
-	CheckpointMin int
-	// CheckpointMinBytes, when > 0, additionally triggers the periodic
-	// checkpointer once a shard has appended at least this many log
-	// bytes since its last checkpoint, even if the record count is
-	// still below CheckpointMin — so a workload of few, large records
-	// cannot defer rotation (and therefore replay cost) indefinitely.
-	// 0 keeps the record-count schedule alone.
-	CheckpointMinBytes int64
 	// CommitWindow, when > 0 under SyncAlways, makes each group-commit
 	// batch leader wait this long before flushing, so writers arriving
 	// inside the window join the batch instead of forming the next one
@@ -188,14 +158,13 @@ type DurableOptions struct {
 // refused, but never one that silently survives un-acked.
 //
 // Logs only grow, so a background compactor (or an explicit Compact)
-// rewrites a shard's log from its live map once dead records outgrow
-// CompactRatio× the live set, and a background checkpointer (or an
-// explicit Checkpoint) snapshots each shard's state into a canonical
-// checkpoint file and truncates the log to the tail appended since —
-// bounding startup replay by the checkpoint cadence instead of the
-// store's age. SaveTo still exports the canonical JSON snapshot
-// shared by Vault and Sharded, and ImportJSON loads one, so a
-// deployment can migrate between backends in either direction.
+// rewrites a shard's log from its live maps once dead records outgrow
+// twice the live set — on a primary and on a replication follower
+// alike. That one rewrite bounds each log, and with it startup replay,
+// by the shard's live state instead of the store's age. SaveTo still
+// exports the canonical JSON snapshot shared by Vault and Sharded, and
+// ImportJSON loads one, so a deployment can migrate between backends
+// in either direction.
 type Durable struct {
 	dir    string
 	opts   DurableOptions
@@ -205,14 +174,11 @@ type Durable struct {
 	// openFile opens a shard log; tests swap it to inject failing
 	// files (see walFile).
 	openFile func(path string) (walFile, error)
-	// testCrashAfterCkptRename, when non-nil, runs between a
-	// checkpoint file's rename and the log rotation that follows —
-	// the crash window recovery must tolerate. Tests use it to copy
-	// the directory mid-protocol.
-	testCrashAfterCkptRename func(shard int)
-	// testCrashAfterCompactRename runs between a compacted log's
-	// rename and the removal of the now-stale checkpoint file.
-	testCrashAfterCompactRename func(shard int)
+	// testCrashBeforeCompactRename, when non-nil, runs once a
+	// compacted log is fsynced in its temp file, just before the
+	// rename commits it — the crash window recovery must tolerate.
+	// Tests use it to copy the directory mid-rewrite.
+	testCrashBeforeCompactRename func(shard int)
 
 	kick chan int      // compactor nudge, carries a shard index
 	stop chan struct{} // closes to stop background goroutines
@@ -289,13 +255,12 @@ type walShard struct {
 	lockouts map[string]int
 	// kv holds the shard's slice of the small durable key/value side
 	// table (see KVStore): opaque blobs keyed by FNV32a(key) exactly
-	// like records, logged, checkpointed, compacted, and replicated by
-	// the same machinery. Session signing keys and revocation
-	// watermarks live here.
-	kv       map[string][]byte
-	f        walFile
-	path     string
-	ckptPath string
+	// like records, logged, compacted, and replicated by the same
+	// machinery. Session signing keys and revocation watermarks live
+	// here.
+	kv   map[string][]byte
+	f    walFile
+	path string
 	// Three log lengths, always off <= wsize <= lsize:
 	// off is the committed length — every byte below it belongs to an
 	// acked record (and, under SyncAlways, has been fsynced); wsize
@@ -306,28 +271,20 @@ type walShard struct {
 	wsize int64
 	lsize int64
 	wbuf  []byte // staged frames awaiting the next batch flush
-	// entries counts records in the log since its last rewrite;
-	// sinceCkpt counts records appended since the last checkpoint or
-	// compaction (the replay debt a new checkpoint would clear).
-	entries   int
-	sinceCkpt int
-	dirty     bool   // has unsynced appends (SyncInterval bookkeeping)
-	dirtyGen  uint64 // bumped per unsynced append, so a sync landing
+	// entries counts records in the log since its last rewrite.
+	entries  int
+	dirty    bool   // has unsynced appends (SyncInterval bookkeeping)
+	dirtyGen uint64 // bumped per unsynced append, so a sync landing
 	// mid-append cannot clear dirty for bytes it did not cover
-	logID   uint64 // checkpoint marker id of this log generation; 0 = virgin
-	syncing bool   // a group-commit leader's fsync is in flight
+	syncing bool // a group-commit leader's fsync is in flight
 	pending []walPending
 	failed  error // sticky fail-stop cause; non-nil refuses mutations
 	buf     []byte
-	// ckptBytes counts log bytes appended since the last checkpoint or
-	// compaction — the byte-denominated twin of sinceCkpt, feeding the
-	// CheckpointMinBytes schedule.
-	ckptBytes int64
 	// seq numbers this shard's mutations within the current process
-	// lifetime (markers excluded); it is never persisted. Replication
-	// identifies stream positions by (runID, shard, seq) — see
-	// ReplHooks. Gaps are legal (a failed batch consumes seqs that are
-	// never shipped); the invariant is monotonicity.
+	// lifetime; it is never persisted. Replication identifies stream
+	// positions by (runID, shard, seq) — see ReplHooks. Gaps are legal
+	// (a failed batch consumes seqs that are never shipped); the
+	// invariant is monotonicity.
 	seq uint64
 	// ship, when non-nil, receives every committed frame batch in log
 	// order (see ReplHooks.Commit). Called with sh.mu held; it must
@@ -346,14 +303,17 @@ var (
 )
 
 // walEntry is the JSON payload of one log record. Op distinguishes
-// the mutation classes; exactly one of Rec / Failures / Ckpt carries
-// the data.
+// the mutation classes; exactly one of Rec / Failures / Key+Val
+// carries the data.
 type walEntry struct {
 	// Op is "put" (store or overwrite Rec), "del" (remove User),
 	// "lock" (set User's failed-attempt counter to Failures; 0
 	// clears), "kv" (set Key's side-table blob to Val; empty Val
-	// deletes), or "ckpt" (a marker record identifying the log
-	// generation — see walckpt.go; never a mutation).
+	// deletes), or "ckpt" (a generation marker; never a mutation).
+	// This release writes no markers. Earlier releases put one at the
+	// head of every rewritten log: with Full set by compaction, which
+	// replays as a no-op, and without it by checkpoint rotation, whose
+	// log recover refuses (see recover).
 	Op       string             `json:"op"`
 	User     string             `json:"user"`
 	Rec      *passpoints.Record `json:"rec,omitempty"`
@@ -365,7 +325,7 @@ type walEntry struct {
 	// Ckpt is the nonzero generation id of a "ckpt" marker record.
 	Ckpt uint64 `json:"ckpt,omitempty"`
 	// Full marks a "ckpt" marker written by compaction: the log after
-	// the marker is the complete state, no checkpoint file needed.
+	// the marker is the complete state.
 	Full bool `json:"full,omitempty"`
 }
 
@@ -419,15 +379,17 @@ const walMaxRecord = 1 << 26
 func shardLogName(i int) string { return fmt.Sprintf("shard-%04d.wal", i) }
 
 // OpenDurable opens (creating if needed) the append-log store rooted
-// at directory dir and replays every shard into memory — its
-// checkpoint (if one exists) plus the log tail appended since, one
+// at directory dir and replays every shard's log into memory, one
 // goroutine per shard (the shards share nothing, so recovery scales
 // with cores). A log whose tail is torn — a partially written record
 // from a crash — is truncated at the tear, recovering every fully
-// appended record and dropping only the unacked tail. Close flushes
-// and releases the logs; an unclosed store's logs are still
-// consistent (that is the point), but Close is how a clean shutdown
-// syncs SyncNever data.
+// appended record and dropping only the unacked tail. A directory an
+// earlier release left holding a shard checkpoint file (shard-*.ckpt)
+// is refused untouched: this release reads only logs, and opening
+// without the checkpoint's records would lose them. Close flushes and
+// releases the logs; an unclosed store's logs are still consistent
+// (that is the point), but Close is how a clean shutdown syncs
+// SyncNever data.
 func OpenDurable(dir string, opts DurableOptions) (*Durable, error) {
 	return openDurable(dir, opts, defaultOpenFile)
 }
@@ -437,28 +399,27 @@ func openDurable(dir string, opts DurableOptions, openFile func(string) (walFile
 	if opts.Shards <= 0 {
 		opts.Shards = DefaultShards
 	}
-	if opts.CompactRatio <= 0 {
-		opts.CompactRatio = DefaultCompactRatio
-	}
 	if opts.SyncEvery <= 0 {
 		opts.SyncEvery = 100 * time.Millisecond
 	}
-	if opts.CheckpointMin <= 0 {
-		opts.CheckpointMin = DefaultCheckpointMin
-	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("vault: creating %s: %w", dir, err)
+	}
+	// Checked before anything below writes to the directory.
+	if ckpts, _ := filepath.Glob(filepath.Join(dir, "shard-*.ckpt")); len(ckpts) > 0 {
+		return nil, fmt.Errorf("vault: %s holds checkpoint file %s, which this release cannot read; refusing to open without its records (export the store with an earlier release's Durable.SaveTo and import that snapshot into a fresh directory)", dir, ckpts[0])
 	}
 	meta, err := loadOrInitMeta(dir, opts.Shards)
 	if err != nil {
 		return nil, err
 	}
 	opts.Shards = meta.Shards
-	// A crash between CreateTemp and Rename (compaction, checkpoint,
-	// rotation, meta write) strands a temp file; clean them up here or
-	// repeated crashes leak shard-sized dead files forever. Safe:
-	// temps are only live inside a call holding the shard lock, and no
-	// other store instance may share the directory.
+	// A crash between CreateTemp and Rename (compaction, meta write,
+	// or an earlier release's checkpoint and rotation) strands a temp
+	// file; clean them up here or repeated crashes leak shard-sized
+	// dead files forever. Safe: temps are only live inside a call
+	// holding the shard lock, and no other store instance may share
+	// the directory.
 	for _, pat := range []string{".compact-*", ".meta-*", ".ckpt-*", ".rotate-*"} {
 		if stale, _ := filepath.Glob(filepath.Join(dir, pat)); len(stale) > 0 {
 			for _, f := range stale {
@@ -487,7 +448,6 @@ func openDurable(dir string, opts DurableOptions, openFile func(string) (walFile
 		sh.kv = make(map[string][]byte)
 		sh.commitWindow = opts.CommitWindow
 		sh.path = filepath.Join(dir, shardLogName(i))
-		sh.ckptPath = filepath.Join(dir, shardCkptName(i))
 		return sh.open(openFile)
 	}); err != nil {
 		d.closeFiles()
@@ -505,17 +465,11 @@ func openDurable(dir string, opts DurableOptions, openFile func(string) (walFile
 		d.bg.Add(1)
 		go d.syncLoop()
 	}
-	if opts.CheckpointEvery > 0 {
-		d.bg.Add(1)
-		go d.checkpointLoop()
-	}
 	return d, nil
 }
 
-// open loads the shard's checkpoint (when one exists and matches the
-// log generation), replays the log tail (truncating a torn tail), and
-// leaves the file open for appends. See walckpt.go for the
-// checkpoint/marker matching rules.
+// open replays the shard's log (truncating a torn tail) and leaves the
+// file open for appends.
 func (sh *walShard) open(openFile func(string) (walFile, error)) error {
 	f, err := openFile(sh.path)
 	if err != nil {
@@ -527,6 +481,31 @@ func (sh *walShard) open(openFile func(string) (walFile, error)) error {
 		sh.f = nil
 		return err
 	}
+	return nil
+}
+
+// recover rebuilds the shard's maps by replaying its log, leaving the
+// file truncated to the last intact record and positioned for
+// appends. A marker without Full is what an earlier release wrote at
+// the head of a log it rotated at a checkpoint: the records from
+// before the rotation live only in a checkpoint file this release
+// does not read, so recovery refuses the log rather than open with
+// partial state.
+func (sh *walShard) recover() error {
+	n, off, err := replayLog(sh.f, func(e *walEntry) error {
+		if e.Op == walOpCkpt && !e.Full {
+			return fmt.Errorf("vault: %s is a rotated log (generation %d) but its checkpoint is missing; refusing to open with partial state", sh.path, e.Ckpt)
+		}
+		sh.apply(e)
+		return nil
+	})
+	if err != nil {
+		return err
+	}
+	sh.entries = n
+	sh.off = off
+	sh.wsize = off
+	sh.lsize = off
 	return nil
 }
 
@@ -556,7 +535,7 @@ func (sh *walShard) apply(e *walEntry) {
 			}
 		}
 	case walOpCkpt:
-		// generation marker, not a mutation
+		// an earlier release's generation marker, not a mutation
 	}
 }
 
@@ -608,18 +587,19 @@ func (sh *walShard) applyUndo(e *walEntry) func() {
 	return func() {}
 }
 
-// replayLog streams records from offset start in f, calling apply for
+// replayLog streams f's records from the start, calling apply for
 // each intact one. At the first torn or corrupt record it truncates f
 // there — dropping that record and everything after it — and seeks to
 // the new end so the caller can append. It returns the number of
-// intact records and the absolute log length they occupy.
-func replayLog(f walFile, start int64, apply func(*walEntry)) (int, int64, error) {
-	if _, err := f.Seek(start, io.SeekStart); err != nil {
+// intact records and the log length they occupy. An error from apply
+// stops the replay before anything is truncated and is returned.
+func replayLog(f walFile, apply func(*walEntry) error) (int, int64, error) {
+	if _, err := f.Seek(0, io.SeekStart); err != nil {
 		return 0, 0, fmt.Errorf("vault: seeking %s: %w", f.Name(), err)
 	}
 	var (
 		r       = bufio.NewReader(f)
-		off     = start // start offset of the record being decoded
+		off     int64 // start offset of the record being decoded
 		n       int
 		header  [walHeaderSize]byte
 		payload []byte
@@ -648,7 +628,9 @@ func replayLog(f walFile, start int64, apply func(*walEntry)) (int, int64, error
 		if err := canonjson.Unmarshal(payload, &e, readWalEntry); err != nil {
 			break // checksummed garbage: treat like corruption
 		}
-		apply(&e)
+		if err := apply(&e); err != nil {
+			return 0, 0, err
+		}
 		off += walHeaderSize + int64(length)
 		n++
 	}
@@ -711,11 +693,7 @@ func (sh *walShard) write(e *walEntry) error {
 	sh.wsize += int64(len(buf))
 	sh.lsize = sh.wsize
 	sh.entries++
-	sh.sinceCkpt++
-	sh.ckptBytes += int64(len(buf))
-	if e.Op != walOpCkpt {
-		sh.seq++
-	}
+	sh.seq++
 	return nil
 }
 
@@ -733,8 +711,6 @@ func (sh *walShard) stage(e *walEntry) error {
 	sh.wbuf = append(sh.wbuf, buf...)
 	sh.lsize += int64(len(buf))
 	sh.entries++
-	sh.sinceCkpt++
-	sh.ckptBytes += int64(len(buf))
 	sh.seq++
 	return nil
 }
@@ -767,10 +743,6 @@ func (sh *walShard) failStop(cause error) {
 		sh.pending[i].undo()
 	}
 	sh.entries -= len(sh.pending)
-	sh.sinceCkpt -= len(sh.pending)
-	if sh.ckptBytes -= sh.lsize - sh.off; sh.ckptBytes < 0 {
-		sh.ckptBytes = 0
-	}
 	sh.pending = sh.pending[:0]
 	sh.wbuf = sh.wbuf[:0]
 	// Best effort: the shard refuses mutations from here on, but a
@@ -887,9 +859,8 @@ func (sh *walShard) awaitCommit(myEnd int64) error {
 
 // quiesce blocks until no group-commit fsync is in flight and no
 // written record awaits one (off == wsize): the stable state
-// compaction, checkpointing, Save, and Close need before they touch
-// the shard's file. Caller holds sh.mu; quiesce may release and
-// reacquire it.
+// compaction, Save, and Close need before they touch the shard's
+// file. Caller holds sh.mu; quiesce may release and reacquire it.
 func (sh *walShard) quiesce() {
 	for sh.syncing || len(sh.pending) > 0 {
 		sh.commit.Wait()
@@ -899,6 +870,26 @@ func (sh *walShard) quiesce() {
 // live returns the shard's live entry count (records plus tracked
 // lockout counters and side-table keys). Caller holds sh.mu.
 func (sh *walShard) live() int { return len(sh.records) + len(sh.lockouts) + len(sh.kv) }
+
+// needsCompact reports whether the shard's log has outgrown its live
+// state: at least compactMinEntries entries, of which dead ones
+// outnumber compactRatio× the live ones. Caller holds sh.mu.
+func (sh *walShard) needsCompact() bool {
+	live := sh.live()
+	return sh.entries >= compactMinEntries && float64(sh.entries-live) > compactRatio*float64(max(live, 1))
+}
+
+// kickCompact nudges the background compactor to rewrite shard i. It
+// never blocks: a busy compactor is re-kicked by a later write.
+func (d *Durable) kickCompact(i int) {
+	if d.opts.NoAutoCompact {
+		return
+	}
+	select {
+	case d.kick <- i:
+	default:
+	}
+}
 
 // Dir returns the store's log directory.
 func (d *Durable) Dir() string { return d.dir }
@@ -923,7 +914,7 @@ var errSkipAppend = errors.New("vault: skip append")
 // under SyncAlways — joins the shard's group commit, acking only once
 // a shared fsync covers the record (rolling the map update back if
 // the batch fails). It nudges the compactor when the shard's garbage
-// crosses the configured ratio.
+// crosses compactRatio.
 func (d *Durable) mutate(user string, e *walEntry, pre func(*walShard) error) error {
 	if d.closed.Load() {
 		return fmt.Errorf("vault: store is closed")
@@ -977,8 +968,7 @@ func (d *Durable) mutate(user string, e *walEntry, pre func(*walShard) error) er
 			sh.ship(sh.buf, myseq)
 		}
 	}
-	needCompact := err == nil && sh.entries >= compactMinEntries &&
-		float64(sh.entries-sh.live()) > d.opts.CompactRatio*float64(max(sh.live(), 1))
+	needCompact := err == nil && sh.needsCompact()
 	sh.mu.Unlock()
 	if err != nil {
 		return err
@@ -993,11 +983,8 @@ func (d *Durable) mutate(user string, e *walEntry, pre func(*walShard) error) er
 			return werr
 		}
 	}
-	if needCompact && !d.opts.NoAutoCompact {
-		select {
-		case d.kick <- i:
-		default: // compactor busy; it will be re-kicked by a later write
-		}
+	if needCompact {
+		d.kickCompact(i)
 	}
 	return nil
 }
@@ -1067,12 +1054,11 @@ func (d *Durable) SetLockout(user string, failures int) error {
 
 // SetKV durably sets key's side-table blob to val, appending the write
 // to key's shard log (FNV32a(key), the same split as records) before
-// acking — so the blob survives a crash, rides checkpoints and
-// compaction, and replicates to a follower exactly like a record. An
-// empty or nil val deletes the key (a no-op append is skipped when the
-// key is already absent). It implements the KVStore extension; the
-// session tier persists its signing keys and revocation watermarks
-// through here.
+// acking — so the blob survives a crash, rides compaction, and
+// replicates to a follower exactly like a record. An empty or nil val
+// deletes the key (a no-op append is skipped when the key is already
+// absent). It implements the KVStore extension; the session tier
+// persists its signing keys and revocation watermarks through here.
 func (d *Durable) SetKV(key string, val []byte) error {
 	if key == "" {
 		return fmt.Errorf("vault: kv entry must have a key")
@@ -1312,12 +1298,9 @@ func (d *Durable) Compact() error {
 
 // CompactShard rewrites shard i's log from its live map: the new log
 // is written to a temp file, fsynced, and renamed over the old one,
-// so a crash mid-compaction leaves the previous log intact. The new
-// log opens with a "full" generation marker, and any checkpoint file
-// for the shard is removed afterwards — a compacted log is itself a
-// complete snapshot, so recovery never needs (and must not trust) an
-// older checkpoint over it. The shard is write-locked for the
-// duration.
+// so a crash mid-compaction leaves the previous log intact (and the
+// next open removes the stranded temp file). The shard is
+// write-locked for the duration.
 func (d *Durable) CompactShard(i int) error {
 	if i < 0 || i >= len(d.shards) {
 		return fmt.Errorf("vault: no shard %d", i)
@@ -1337,14 +1320,10 @@ func (d *Durable) CompactShard(i int) error {
 	return d.rewriteShardLocked(i, sh)
 }
 
-// rewriteShardLocked rewrites shard i's log from its live maps behind
-// a "full" generation marker — the shared tail of CompactShard and
-// InstallShardSnapshot. Caller holds sh.mu with the shard quiesced.
+// rewriteShardLocked rewrites shard i's log from its live maps — the
+// shared tail of CompactShard and InstallShardSnapshot. Caller holds
+// sh.mu with the shard quiesced.
 func (d *Durable) rewriteShardLocked(i int, sh *walShard) error {
-	id, err := newWalID()
-	if err != nil {
-		return err
-	}
 	tmp, err := os.CreateTemp(d.dir, ".compact-*")
 	if err != nil {
 		return fmt.Errorf("vault: compaction temp file: %w", err)
@@ -1366,9 +1345,6 @@ func (d *Durable) rewriteShardLocked(i int, sh *walShard) error {
 		}
 		_, err = w.Write(buf)
 		return err
-	}
-	if err := writeEntry(&walEntry{Op: walOpCkpt, Ckpt: id, Full: true}); err != nil {
-		return fmt.Errorf("vault: compacting %s: %w", sh.path, err)
 	}
 	for _, rec := range sh.records {
 		if err := writeEntry(&walEntry{Op: walOpPut, Rec: rec}); err != nil {
@@ -1402,13 +1378,13 @@ func (d *Durable) rewriteShardLocked(i int, sh *walShard) error {
 	if err != nil {
 		return fmt.Errorf("vault: sizing compacted %s: %w", sh.path, err)
 	}
+	if hook := d.testCrashBeforeCompactRename; hook != nil {
+		hook(i)
+	}
 	if err := os.Rename(tmpName, sh.path); err != nil {
 		return fmt.Errorf("vault: committing compacted %s: %w", sh.path, err)
 	}
 	ok = true
-	if hook := d.testCrashAfterCompactRename; hook != nil {
-		hook(i)
-	}
 	// Reopen the log by path rather than keeping tmp's descriptor.
 	// The rename doesn't invalidate it, but fsyncs on a descriptor
 	// whose inode was renamed into place have been observed to wedge
@@ -1433,17 +1409,8 @@ func (d *Durable) rewriteShardLocked(i int, sh *walShard) error {
 	sh.wsize = newOff
 	sh.lsize = newOff
 	sh.entries = n
-	sh.sinceCkpt = 0
-	sh.ckptBytes = 0
 	sh.dirty = false
-	sh.logID = id
 	old.Close()
-	// The compacted log supersedes any checkpoint; recovery prefers
-	// the "full" marker, so a crash before this remove only leaves a
-	// stale file the next open deletes.
-	if err := os.Remove(sh.ckptPath); err != nil && !os.IsNotExist(err) {
-		log.Printf("vault: removing stale checkpoint %s: %v", sh.ckptPath, err)
-	}
 	return syncDir(d.dir)
 }
 

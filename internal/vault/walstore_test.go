@@ -170,13 +170,14 @@ func TestDurableCompaction(t *testing.T) {
 	}
 }
 
-// TestDurableAutoCompact: enough churn must trigger the background
-// compactor on its own. The compactor runs concurrently with the
-// writer, so the test watches for the telltale a log rewrite leaves —
-// the file getting *smaller* between two measurements — rather than a
-// final size (the writer keeps regrowing the log after each rewrite).
+// TestDurableAutoCompact: churn past the default garbage ratio must
+// trigger the background compactor on its own. The compactor runs
+// concurrently with the writer, so the test watches for the telltale
+// a log rewrite leaves — the file getting *smaller* between two
+// measurements — rather than a final size (the writer keeps regrowing
+// the log after each rewrite).
 func TestDurableAutoCompact(t *testing.T) {
-	d := openDurableT(t, DurableOptions{Shards: 1, CompactRatio: 1.5})
+	d := openDurableT(t, DurableOptions{Shards: 1})
 	rec := testRecord(t, "churn")
 	if err := d.Put(rec); err != nil {
 		t.Fatal(err)
@@ -300,7 +301,7 @@ func TestParseSyncPolicy(t *testing.T) {
 // writes, reads, snapshots, JSON exports, and manual compactions.
 func TestDurableConcurrentStress(t *testing.T) {
 	dir := t.TempDir()
-	d := openDurableT(t, DurableOptions{Shards: 8, Sync: SyncNever, CompactRatio: 1})
+	d := openDurableT(t, DurableOptions{Shards: 8, Sync: SyncNever})
 	rec := testRecord(t, "seed")
 	if err := d.Put(rec); err != nil {
 		t.Fatal(err)
