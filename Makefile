@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet race bench bench-json bench-store bench-session bench-redteam bench-diff loadsmoke storm-smoke recovery-smoke repl-smoke session-smoke redteam-smoke fuzz-smoke docs-lint cover ci
+.PHONY: all build test vet race bench bench-json bench-store bench-session bench-redteam bench-diff loadsmoke storm-smoke recovery-smoke repl-smoke session-smoke redteam-smoke fuzz-smoke servebench-test docs-lint cover ci
 
 all: build vet test
 
@@ -145,6 +145,13 @@ fuzz-smoke:
 	$(GO) test ./internal/passpoints -run '^$$' -fuzz '^FuzzUnmarshalRecord$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/session -run '^$$' -fuzz '^FuzzValidateToken$$' -fuzztime $(FUZZTIME)
 
+# servebench-test runs the serving benchmark's own tests under the race
+# detector: the only model-checked end-to-end run of all four
+# workloads (login, gateway, writes, attack). servebench is its own Go
+# module, so `go test ./...` at the root does not reach it.
+servebench-test:
+	cd servebench && GOFLAGS= GOPROXY=off GOWORK=off $(GO) test -race ./...
+
 # docs-lint gates godoc coverage: go vet plus the repo's doclint
 # checker (package comment on every internal/ and cmd/ package,
 # doc comment on every exported identifier under internal/). It also
@@ -160,4 +167,4 @@ docs-lint:
 cover:
 	$(GO) test -cover ./...
 
-ci: build docs-lint test race loadsmoke storm-smoke recovery-smoke repl-smoke session-smoke redteam-smoke fuzz-smoke
+ci: build docs-lint test race loadsmoke storm-smoke recovery-smoke repl-smoke session-smoke redteam-smoke fuzz-smoke servebench-test

@@ -33,6 +33,7 @@ import (
 	"crypto/ed25519"
 	"crypto/rand"
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -129,25 +130,101 @@ type keyRecord struct {
 // can change after minting is.
 //
 // Entries are keyed by the SHA-256 digest of the token string, not by
-// the string: a 32-byte array in the map slot instead of a ~130-byte
-// string allocation behind it. A token that never verified can hit
-// only through a SHA-256 collision. The digest's first byte picks the
-// shard.
+// the string. A token that never verified can hit only through a
+// SHA-256 collision. The digest's first byte picks the shard. A shard
+// is a fixed table of cacheShardCap slots, each holding the digest and
+// the entry inline, grouped into cacheWays-slot sets. Two slices of
+// the digest name a token's two candidate sets (two choices keep the
+// sets evenly loaded), and a lookup compares the full digest in both.
+// A set fills front to back and never frees one slot, so its occupied
+// slots are a prefix of it.
 const (
 	cacheShardCount = 16
 	cacheShardCap   = 4096
+	cacheWays       = 8
+	cacheSets       = cacheShardCap / cacheWays
 )
 
 type cacheEntry struct {
-	k      *key // the key that verified the signature
+	k      *key // the key that verified the signature; nil in an empty slot
 	expiry int64
 	minted int64
 	user   string
 }
 
+type cacheSlot struct {
+	digest [sha256.Size]byte
+	cacheEntry
+}
+
 type cacheShard struct {
-	mu sync.Mutex
-	m  map[[sha256.Size]byte]cacheEntry // nil until the first insert
+	mu    sync.Mutex
+	slots []cacheSlot // cacheShardCap slots; nil until the first insert
+	n     int         // occupied slots
+	evict uint32      // round-robin eviction cursor
+}
+
+// candidateSets returns the first slot of each of d's two candidate
+// sets. Neither slice includes d[0], which picked the shard.
+func candidateSets(d *[sha256.Size]byte) [2]int {
+	return [2]int{
+		int(binary.LittleEndian.Uint32(d[1:5])%cacheSets) * cacheWays,
+		int(binary.LittleEndian.Uint32(d[5:9])%cacheSets) * cacheWays,
+	}
+}
+
+// find returns the index of the slot holding d, or -1. Caller holds mu.
+func (s *cacheShard) find(d *[sha256.Size]byte) int {
+	if s.slots == nil {
+		return -1
+	}
+	for _, set := range candidateSets(d) {
+		for i := set; i < set+cacheWays && s.slots[i].k != nil; i++ {
+			if s.slots[i].digest == *d {
+				return i
+			}
+		}
+	}
+	return -1
+}
+
+// insert stores e under d: in the slot already holding d if there is
+// one, so two concurrent misses on one token take one slot; else in
+// the emptier candidate set; else over a round-robin victim from one
+// of the two full sets. Caller holds mu.
+func (s *cacheShard) insert(d *[sha256.Size]byte, e cacheEntry) {
+	if s.slots == nil {
+		s.slots = make([]cacheSlot, cacheShardCap)
+	}
+	i := s.find(d)
+	if i < 0 {
+		sets := candidateSets(d)
+		ua, ub := s.used(sets[0]), s.used(sets[1])
+		switch {
+		case ua < cacheWays && ua <= ub:
+			i = sets[0] + ua
+		case ub < cacheWays:
+			i = sets[1] + ub
+		default:
+			// The cache is a memoization, not an LRU: correctness
+			// never depends on what is in it.
+			s.evict++
+			i = sets[s.evict&1] + int(s.evict>>1)%cacheWays
+			s.n--
+		}
+		s.n++
+	}
+	s.slots[i] = cacheSlot{digest: *d, cacheEntry: e}
+}
+
+// used returns the number of occupied slots, its first ones, in the
+// set starting at set. Caller holds mu.
+func (s *cacheShard) used(set int) int {
+	n := 0
+	for n < cacheWays && s.slots[set+n].k != nil {
+		n++
+	}
+	return n
 }
 
 // Manager mints, validates, rotates, and revokes session tokens.
@@ -453,10 +530,14 @@ func (m *Manager) Validate(token string) (string, error) {
 	var buf [256]byte
 	digest := sha256.Sum256(append(buf[:0], token...))
 	sh := &m.cache[digest[0]%cacheShardCount]
+	var ent cacheEntry
 	sh.mu.Lock()
-	ent, hit := sh.m[digest]
+	i := sh.find(&digest)
+	if i >= 0 {
+		ent = sh.slots[i].cacheEntry
+	}
 	sh.mu.Unlock()
-	if !hit {
+	if i < 0 {
 		c, payload, sig, err := decodeToken(token)
 		if err != nil {
 			m.rejBadToken.Add(1)
@@ -476,19 +557,7 @@ func (m *Manager) Validate(token string) (string, error) {
 		}
 		ent = cacheEntry{k: k, expiry: c.expiry, minted: c.minted, user: c.user}
 		sh.mu.Lock()
-		if sh.m == nil {
-			sh.m = make(map[[sha256.Size]byte]cacheEntry)
-		}
-		if len(sh.m) >= cacheShardCap {
-			// Arbitrary single-entry eviction: the cache is a
-			// memoization, not an LRU, and correctness never depends
-			// on what is in it.
-			for t := range sh.m {
-				delete(sh.m, t)
-				break
-			}
-		}
-		sh.m[digest] = ent
+		sh.insert(&digest, ent)
 		sh.mu.Unlock()
 	} else {
 		m.cacheHits.Add(1)
@@ -603,7 +672,7 @@ func (m *Manager) WritePrometheus(w io.Writer) {
 	for i := range m.cache {
 		sh := &m.cache[i]
 		sh.mu.Lock()
-		cached += len(sh.m)
+		cached += sh.n
 		sh.mu.Unlock()
 	}
 	fmt.Fprintf(w, "# HELP session_mint_total Session tokens minted.\n")

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math/rand/v2"
 	"runtime"
 	"strconv"
 	"strings"
@@ -465,8 +466,8 @@ func TestCacheHitNeedsInstalledKey(t *testing.T) {
 }
 
 // TestVerifyCacheBounded overfills the cache: it must hold at most
-// cacheShardCount*cacheShardCap entries, each costing at most 200
-// bytes of live heap (map slot and user name).
+// cacheShardCount*cacheShardCap entries, each costing at most 100
+// bytes of live heap (table slot and user name).
 func TestVerifyCacheBounded(t *testing.T) {
 	clk := newClock()
 	// HMAC keeps 70k+ mint/validate pairs fast under -race.
@@ -490,8 +491,82 @@ func TestVerifyCacheBounded(t *testing.T) {
 	if held > cacheShardCount*cacheShardCap {
 		t.Fatalf("cache holds %d entries, bound is %d", held, cacheShardCount*cacheShardCap)
 	}
-	if perEntry > 200 {
-		t.Fatalf("cache holds %.1f bytes of live heap per entry, want at most 200", perEntry)
+	if n := promSeries(t, m, "session_verify_cache_entries"); n != held {
+		t.Fatalf("session_verify_cache_entries = %d with %d held after evictions", n, held)
+	}
+	if perEntry > 100 {
+		t.Fatalf("cache holds %.1f bytes of live heap per entry, want at most 100", perEntry)
+	}
+}
+
+// TestVerifyCacheHitRatio validates every token of a pool once, then
+// validates uniform draws from the pool, and checks the second pass's
+// hit ratio: a pool half the cache's capacity stays resident, and from
+// a pool three times the capacity a draw hits about capacity/pool of
+// the time, as it would with any eviction rule.
+func TestVerifyCacheHitRatio(t *testing.T) {
+	const capacity = cacheShardCount * cacheShardCap
+	for _, tc := range []struct {
+		name     string
+		pool     int
+		min, max float64
+	}{
+		{"0.5x", capacity / 2, 0.999, 1},
+		{"3x", 3 * capacity, 1.0/3 - 0.01, 1.0/3 + 0.01},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			m := newTestManager(t, Options{Alg: AlgHMAC, TTL: time.Hour, Now: newClock().now})
+			toks := make([]string, tc.pool)
+			for i := range toks {
+				var err error
+				if toks[i], err = m.Mint(fmt.Sprintf("user-%d", i)); err != nil {
+					t.Fatalf("Mint: %v", err)
+				}
+				if _, err := m.Validate(toks[i]); err != nil {
+					t.Fatalf("first pass: %v", err)
+				}
+			}
+			rng := rand.New(rand.NewPCG(1, uint64(tc.pool)))
+			hits := m.cacheHits.Load()
+			for range tc.pool {
+				if _, err := m.Validate(toks[rng.IntN(tc.pool)]); err != nil {
+					t.Fatalf("second pass: %v", err)
+				}
+			}
+			ratio := float64(m.cacheHits.Load()-hits) / float64(tc.pool)
+			t.Logf("pool %d (%s the capacity): second-pass hit ratio %.4f", tc.pool, tc.name, ratio)
+			if ratio < tc.min || ratio > tc.max {
+				t.Fatalf("second-pass hit ratio %.4f, want within [%.4f, %.4f]", ratio, tc.min, tc.max)
+			}
+		})
+	}
+}
+
+// TestVerifyCacheConcurrentMiss: goroutines that miss on one token at
+// once must leave it in one slot, not one per goroutine. Ed25519's
+// slow verify keeps the misses overlapping.
+func TestVerifyCacheConcurrentMiss(t *testing.T) {
+	m := newTestManager(t, Options{Alg: AlgEd25519, TTL: time.Hour, Now: newClock().now})
+	tok, err := m.Mint("alice")
+	if err != nil {
+		t.Fatalf("Mint: %v", err)
+	}
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for range 8 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			if _, err := m.Validate(tok); err != nil {
+				t.Errorf("Validate: %v", err)
+			}
+		}()
+	}
+	close(start)
+	wg.Wait()
+	if n := promSeries(t, m, "session_verify_cache_entries"); n != 1 {
+		t.Fatalf("session_verify_cache_entries = %d after concurrent validations of one token, want 1", n)
 	}
 }
 
@@ -500,22 +575,7 @@ func TestVerifyCacheBounded(t *testing.T) {
 // one token is a hit.
 func TestWritePrometheusVerifyCache(t *testing.T) {
 	m := newTestManager(t, Options{Alg: AlgHMAC, TTL: time.Hour, Now: newClock().now})
-	series := func(name string) int {
-		t.Helper()
-		var b strings.Builder
-		m.WritePrometheus(&b)
-		for _, line := range strings.Split(b.String(), "\n") {
-			if v, ok := strings.CutPrefix(line, name+" "); ok {
-				n, err := strconv.Atoi(v)
-				if err != nil {
-					t.Fatalf("%s: %v", line, err)
-				}
-				return n
-			}
-		}
-		t.Fatalf("no %s series", name)
-		return 0
-	}
+	series := func(name string) int { return promSeries(t, m, name) }
 	if n := series("session_verify_cache_entries"); n != 0 {
 		t.Fatalf("fresh manager: session_verify_cache_entries = %d, want 0", n)
 	}
@@ -544,13 +604,36 @@ func TestWritePrometheusVerifyCache(t *testing.T) {
 	}
 }
 
-// cacheEntries counts the entries m's verify cache holds.
+// promSeries returns the value of m's unlabelled Prometheus series name.
+func promSeries(t *testing.T, m *Manager, name string) int {
+	t.Helper()
+	var b strings.Builder
+	m.WritePrometheus(&b)
+	for _, line := range strings.Split(b.String(), "\n") {
+		if v, ok := strings.CutPrefix(line, name+" "); ok {
+			n, err := strconv.Atoi(v)
+			if err != nil {
+				t.Fatalf("%s: %v", line, err)
+			}
+			return n
+		}
+	}
+	t.Fatalf("no %s series", name)
+	return 0
+}
+
+// cacheEntries counts the occupied slots of m's verify cache.
 func cacheEntries(m *Manager) int {
 	held := 0
 	for i := range m.cache {
-		m.cache[i].mu.Lock()
-		held += len(m.cache[i].m)
-		m.cache[i].mu.Unlock()
+		sh := &m.cache[i]
+		sh.mu.Lock()
+		for j := range sh.slots {
+			if sh.slots[j].k != nil {
+				held++
+			}
+		}
+		sh.mu.Unlock()
 	}
 	return held
 }
