@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet race bench bench-json bench-store bench-session bench-redteam bench-diff loadsmoke storm-smoke recovery-smoke repl-smoke session-smoke redteam-smoke fuzz-smoke servebench-test docs-lint cover ci
+.PHONY: all build test vet race bench bench-json bench-store bench-session bench-redteam bench-diff loadsmoke storm-smoke recovery-smoke repl-smoke session-smoke redteam-smoke fuzz-smoke servebench-test docs-lint cover prodlines ci
 
 all: build vet test
 
@@ -166,5 +166,14 @@ docs-lint:
 # summary).
 cover:
 	$(GO) test -cover ./...
+
+# prodlines prints the production Go lines the working tree adds,
+# deletes and nets against BASE (default HEAD): non-test .go files
+# outside servebench/, summed from git diff --numstat. Stage new files
+# first; git diff does not see untracked ones.
+BASE ?= HEAD
+prodlines:
+	@git diff --numstat $(BASE) -- '*.go' ':(exclude)*_test.go' ':(exclude)servebench/' | \
+		awk '{a += $$1; d += $$2} END {printf "production Go lines vs %s: +%d -%d, net %+d\n", "$(BASE)", a, d, a - d}'
 
 ci: build docs-lint test race loadsmoke storm-smoke recovery-smoke repl-smoke session-smoke redteam-smoke fuzz-smoke servebench-test

@@ -42,7 +42,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	v, err := vault.Open(*vaultPath)
+	v, err := vault.OpenSharded(*vaultPath, 0)
 	if err != nil {
 		fatal(err)
 	}
@@ -111,7 +111,7 @@ func parseClicks(s string) ([]clickpass.Point, error) {
 	return pts, nil
 }
 
-func runEnroll(auth *clickpass.Authenticator, v *vault.Vault, path string, args []string) {
+func runEnroll(auth *clickpass.Authenticator, v *vault.Sharded, path string, args []string) {
 	user, clicks := parseOp(args)
 	rec, err := auth.Enroll(user, clicks)
 	if err != nil {
@@ -127,7 +127,7 @@ func runEnroll(auth *clickpass.Authenticator, v *vault.Vault, path string, args 
 		user, rec.Kind, auth.GuaranteedTolerancePx(), path)
 }
 
-func runVerify(auth *clickpass.Authenticator, v *vault.Vault, args []string) {
+func runVerify(auth *clickpass.Authenticator, v *vault.Sharded, args []string) {
 	user, clicks := parseOp(args)
 	rec, err := v.Get(user)
 	if err != nil {
@@ -145,7 +145,7 @@ func runVerify(auth *clickpass.Authenticator, v *vault.Vault, args []string) {
 	os.Exit(1)
 }
 
-func runList(v *vault.Vault) {
+func runList(v *vault.Sharded) {
 	for _, rec := range v.All() {
 		fmt.Printf("%-20s %-9s %dx%d grid, %d hash iterations\n",
 			rec.User, rec.Kind, rec.SquareSidePx, rec.SquareSidePx, rec.Iterations)

@@ -87,7 +87,7 @@ func runRedteamBench(outDir string, counts []int, seed uint64) error {
 			Clicks:     5,
 			Scheme:     scheme,
 			Iterations: 2,
-		}, vault.New(), redteamLockout)
+		}, vault.NewSharded(0), redteamLockout)
 		if err != nil {
 			return err
 		}

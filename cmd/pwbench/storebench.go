@@ -57,7 +57,7 @@ func storeBackends(dir string) []storeBackend {
 	durable := func(policy vault.SyncPolicy, shards int) func() (vault.Store, func(), error) {
 		return func() (vault.Store, func(), error) {
 			// A fresh directory per call: each measurement phase must
-			// start from an empty store like the in-memory backends do,
+			// start from an empty store like the in-memory one does,
 			// not replay the previous phase's log.
 			wal, err := os.MkdirTemp(dir, "wal-"+policy.String()+"-*")
 			if err != nil {
@@ -77,7 +77,6 @@ func storeBackends(dir string) []storeBackend {
 		}
 	}
 	return []storeBackend{
-		{"vault", func() (vault.Store, func(), error) { return vault.New(), func() {}, nil }, nil},
 		{"sharded32", func() (vault.Store, func(), error) { return vault.NewSharded(32), func() {}, nil }, nil},
 		{"durable-always", durable(vault.SyncAlways, 0), durable(vault.SyncAlways, 1)},
 		{"durable-interval", durable(vault.SyncInterval, 0), durable(vault.SyncInterval, 1)},

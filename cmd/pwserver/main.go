@@ -12,21 +12,19 @@
 // toward its deadline; -queue 0 queues without bound. -chaos
 // injects deterministic faults (dev only) and -logjson emits one
 // structured log line per request. -metrics starts the admin surface
-// (Prometheus exposition at /metrics, JSON at /metrics.json, plus the
-// lockout reset) on its own address — bind it to loopback or a
-// protected network, never the public one. The lockout bounds online
-// dictionary attacks (§5.1): after N failed logins an account refuses
-// further attempts until an administrative reset.
+// (Prometheus exposition at /metrics, plus the lockout reset) on its
+// own address — bind it to loopback or a protected network, never the
+// public one. The lockout bounds online dictionary attacks (§5.1):
+// after N failed logins an account refuses further attempts until an
+// administrative reset.
 //
 // -backend selects storage (see README.md for the migration recipe):
 //
-//	memory   single-lock vault over a JSON snapshot at -vault
-//	sharded  -shards-way partitioned store, same JSON file
+//	memory   (default) in-memory store partitioned -shards ways
+//	         (0 = 32), loaded from a JSON snapshot at -vault
 //	durable  crash-safe append-log store; -vault names a directory,
 //	         -fsync tunes it, and every enroll, change, delete, and
 //	         lockout write survives a kill -9
-//	auto     (default) memory, or sharded when -shards > 0 — the
-//	         pre-durable flag behavior, kept for compatibility
 //
 // The stateless session tier is on by default: a successful login
 // response carries a signed expiring token, and POST /v1/validate (or
@@ -91,8 +89,8 @@ func main() {
 		iter        = flag.Int("iterations", 1000, "hash iterations")
 		lockout     = flag.Int("lockout", authproto.DefaultLockout, "failed attempts before lockout")
 		useTLS      = flag.Bool("tls", false, "wrap the TCP listener in TLS with an ephemeral self-signed certificate")
-		backendArg  = flag.String("backend", "auto", "storage backend: memory, sharded, durable, or auto (-shards decides)")
-		shards      = flag.Int("shards", 0, "vault shard count (0 = backend default; with -backend auto, >0 selects the sharded store)")
+		backendArg  = flag.String("backend", "memory", "storage backend: memory (a JSON snapshot at -vault) or durable (a log directory at -vault)")
+		shards      = flag.Int("shards", 0, "vault shard count (0 = 32; a durable directory keeps the count it was created with)")
 		fsyncArg    = flag.String("fsync", "always", "durable backend sync policy: always, interval, or never")
 		migrateFrom = flag.String("migrate-from", "", "durable backend: JSON snapshot to import into an empty log directory")
 		commitWin   = flag.Duration("commit-window", 0, "durable backend: hold each shard's group commit open this long so concurrent writers share one fsync (0 = flush immediately)")
@@ -198,7 +196,7 @@ func main() {
 		// The session tier persists through the replication node when
 		// there is one (role guard in front: a follower adopts keys
 		// instead of inventing them), else straight through the durable
-		// store; the in-memory backends leave it soft-state.
+		// store; the in-memory backend leaves it soft-state.
 		var kv session.KV
 		switch {
 		case node != nil:
@@ -347,30 +345,16 @@ func main() {
 
 // openBackend builds the selected vault.Store. It returns the store, a
 // human-readable description for the startup banner, and a close func
-// (a no-op for the snapshot backends, a log flush-and-close for the
+// (a no-op for the in-memory store, a log flush-and-close for the
 // durable one).
 func openBackend(backend, path string, shards int, fsync string, commitWindow time.Duration, migrateFrom string) (vault.Store, string, func() error, error) {
-	noClose := func() error { return nil }
-	if backend == "auto" {
-		if shards > 0 {
-			backend = "sharded"
-		} else {
-			backend = "memory"
-		}
-	}
 	switch backend {
 	case "memory":
-		v, err := vault.Open(path)
-		if err != nil {
-			return nil, "", nil, err
-		}
-		return v, "single-lock", noClose, nil
-	case "sharded":
 		s, err := vault.OpenSharded(path, shards)
 		if err != nil {
 			return nil, "", nil, err
 		}
-		return s, fmt.Sprintf("%d-shard", s.Shards()), noClose, nil
+		return s, fmt.Sprintf("in-memory %d-shard", s.Shards()), func() error { return nil }, nil
 	case "durable":
 		policy, err := vault.ParseSyncPolicy(fsync)
 		if err != nil {
@@ -400,7 +384,7 @@ func openBackend(backend, path string, shards int, fsync string, commitWindow ti
 		}
 		return d, fmt.Sprintf("durable %d-shard (fsync=%s)", d.Shards(), policy), d.Close, nil
 	default:
-		return nil, "", nil, fmt.Errorf("unknown backend %q (want memory, sharded, durable or auto)", backend)
+		return nil, "", nil, fmt.Errorf("unknown backend %q (want memory or durable)", backend)
 	}
 }
 

@@ -43,7 +43,7 @@ func main() {
 		Scheme:     scheme,
 		Iterations: 1000,
 	}
-	srv, err := authproto.NewServer(cfg, vault.New(), 3)
+	srv, err := authproto.NewServer(cfg, vault.NewSharded(0), 3)
 	if err != nil {
 		log.Fatal(err)
 	}

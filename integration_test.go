@@ -50,7 +50,7 @@ func TestStudyReplayThroughServer(t *testing.T) {
 	}
 	// Lockout must exceed the per-password login volume so the replay
 	// is never throttled.
-	srv, err := authproto.NewServer(ppCfg, vault.New(), 1000)
+	srv, err := authproto.NewServer(ppCfg, vault.NewSharded(0), 1000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +123,7 @@ func TestVaultRoundTripAcrossConfigs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		v := vault.New()
+		v := vault.NewSharded(0)
 		if err := v.Put(rec); err != nil {
 			t.Fatal(err)
 		}

@@ -206,7 +206,7 @@ type Server struct {
 
 // NewServer validates the configuration and returns a server. lockout
 // <= 0 selects DefaultLockout. The store may be any vault.Store — the
-// single-lock file vault or the sharded store.
+// in-memory Sharded store or the durable one.
 func NewServer(cfg passpoints.Config, v vault.Store, lockout int) (*Server, error) {
 	svc, err := authsvc.NewService(cfg, v, lockout)
 	if err != nil {
@@ -243,8 +243,8 @@ func (s *Server) rebuild() {
 	s.limiter = par.NewLimiter(s.maxConns)
 	// Ordering, outermost first:
 	//   - Metrics outside everything but Recover, so refused and
-	//     throttled responses show up in by_code and latency is the
-	//     client-observed number.
+	//     throttled responses show up in authsvc_responses_total and
+	//     latency is the client-observed number.
 	//   - Log just inside Metrics: it installs the per-request
 	//     annotation the overload stage fills in (queue wait,
 	//     shed/deadline outcome) and emits one line per request with

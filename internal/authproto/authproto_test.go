@@ -30,7 +30,7 @@ func testServer(t *testing.T, lockout int) *Server {
 		Scheme:     scheme,
 		Iterations: 2,
 	}
-	s, err := NewServer(cfg, vault.New(), lockout)
+	s, err := NewServer(cfg, vault.NewSharded(0), lockout)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -315,10 +315,10 @@ func TestNewServerValidation(t *testing.T) {
 	}
 	bad := cfg
 	bad.Scheme = nil
-	if _, err := NewServer(bad, vault.New(), 0); err == nil {
+	if _, err := NewServer(bad, vault.NewSharded(0), 0); err == nil {
 		t.Error("invalid config accepted")
 	}
-	s, err := NewServer(cfg, vault.New(), 0)
+	s, err := NewServer(cfg, vault.NewSharded(0), 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -49,11 +49,11 @@ func (s *Server) HTTPHandler() http.Handler {
 //
 //	POST /v1/reset  {"user": ...}   clear an account's lockout
 //	GET  /metrics                   Prometheus text exposition
-//	GET  /metrics.json              the same registry as JSON
 //
-// Routes added with RegisterAdmin (pwserver's replication promote and
-// shard reopen) are mounted alongside; RegisterMetrics writers are
-// appended to the /metrics exposition.
+// /metrics is the pipeline's registry (authsvc.Metrics.WritePrometheus)
+// followed by every RegisterMetrics writer; it is the server's only
+// metrics format. Routes added with RegisterAdmin (pwserver's
+// replication promote and shard reopen) are mounted alongside.
 //
 // Reset requests run through the same pipeline as everything else
 // (admitted, counted, deadline-bounded).
@@ -67,7 +67,6 @@ func (s *Server) AdminHandler() http.Handler {
 			f(w)
 		}
 	})
-	mux.Handle("/metrics.json", s.metrics.Handler())
 	for pattern, h := range s.adminRoutes {
 		mux.Handle(pattern, h)
 	}

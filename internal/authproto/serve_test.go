@@ -17,31 +17,10 @@ import (
 	"clickpass/internal/vault"
 )
 
-// shardedServer is testServer backed by the sharded store instead of
-// the single-lock vault.
-func shardedServer(t *testing.T, lockout int) *Server {
-	t.Helper()
-	scheme, err := core.NewCentered(13)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := passpoints.Config{
-		Image:      geom.Size{W: 451, H: 331},
-		Clicks:     5,
-		Scheme:     scheme,
-		Iterations: 2,
-	}
-	s, err := NewServer(cfg, vault.NewSharded(0), lockout)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return s
-}
-
-// TestShardedStoreEndToEnd: the server must behave identically over
-// the sharded store — enroll, login, lockout — through real TCP.
+// TestShardedStoreEndToEnd: enroll, login and lockout over the
+// sharded store, through real TCP.
 func TestShardedStoreEndToEnd(t *testing.T) {
-	s := shardedServer(t, 3)
+	s := testServer(t, 3)
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -272,7 +251,7 @@ func TestServe256ConcurrentBounded(t *testing.T) {
 		store    vault.Store
 	}{
 		{"sharded-pool64", 64, vault.NewSharded(0)},
-		{"vault-pool256", 256, vault.New()},
+		{"sharded1-pool256", 256, vault.NewSharded(1)},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			scheme, err := core.NewCentered(13)

@@ -2,8 +2,11 @@ package authproto
 
 import (
 	"context"
+	"io"
 	"net"
+	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -204,7 +207,7 @@ func TestSessionLockoutRevokes(t *testing.T) {
 // refuses OpValidate with code=invalid rather than panicking or
 // minting.
 func TestValidateWithoutSessionTier(t *testing.T) {
-	s := shardedServer(t, 3)
+	s := testServer(t, 3)
 	resp := s.Handle(Request{Op: OpValidate, Token: "whatever"})
 	if authsvc.Code(resp.Code) != authsvc.CodeInvalid {
 		t.Fatalf("validate without session tier: %+v", resp)
@@ -212,5 +215,104 @@ func TestValidateWithoutSessionTier(t *testing.T) {
 	login := s.Handle(Request{Op: OpLogin, User: "nobody", Clicks: clicks(0)})
 	if login.Token != "" {
 		t.Fatalf("sessionless server minted a token: %+v", login)
+	}
+}
+
+// adminFamilies is every # HELP and # TYPE line of the admin /metrics
+// exposition, in order, with the session tier mounted: the pipeline's
+// registry, the server's lockout counter, then the session tier.
+const adminFamilies = `# HELP authsvc_requests_total Requests handled, by operation.
+# TYPE authsvc_requests_total counter
+# HELP authsvc_responses_total Responses issued, by outcome code.
+# TYPE authsvc_responses_total counter
+# HELP authsvc_in_flight Requests currently being handled.
+# TYPE authsvc_in_flight gauge
+# HELP authsvc_in_flight_peak High-water mark of the in-flight gauge.
+# TYPE authsvc_in_flight_peak gauge
+# HELP authsvc_shed_total Requests refused with code=overloaded, by admission priority.
+# TYPE authsvc_shed_total counter
+# HELP authsvc_credential_failures_total Failed credential checks (code=denied on login/change) — attack-shaped traffic.
+# TYPE authsvc_credential_failures_total counter
+# HELP authsvc_locked_refusals_total Credential requests refused because the account was locked out.
+# TYPE authsvc_locked_refusals_total counter
+# HELP authsvc_queue_wait_seconds_sum Total time admitted requests spent queued for a limiter slot.
+# TYPE authsvc_queue_wait_seconds_sum counter
+# HELP authsvc_queue_wait_seconds_count Admitted requests that reported a queue wait.
+# TYPE authsvc_queue_wait_seconds_count counter
+# HELP authsvc_queue_wait_seconds_max Longest observed queue wait.
+# TYPE authsvc_queue_wait_seconds_max gauge
+# HELP authsvc_request_duration_seconds_max Longest observed request latency, queueing included.
+# TYPE authsvc_request_duration_seconds_max gauge
+# HELP authsvc_queue_wait_priority_seconds_sum Queue wait, by admission priority.
+# TYPE authsvc_queue_wait_priority_seconds_sum counter
+# HELP authsvc_queue_wait_priority_seconds_count Queue-wait observations, by admission priority.
+# TYPE authsvc_queue_wait_priority_seconds_count counter
+# HELP authsvc_queue_wait_priority_seconds_max Longest observed queue wait, by admission priority.
+# TYPE authsvc_queue_wait_priority_seconds_max gauge
+# HELP authsvc_request_duration_seconds Request latency, queueing included.
+# TYPE authsvc_request_duration_seconds histogram
+# HELP authsvc_lockouts_triggered_total Failed attempts that crossed an account's lockout threshold.
+# TYPE authsvc_lockouts_triggered_total counter
+# HELP session_mint_total Session tokens minted.
+# TYPE session_mint_total counter
+# HELP session_mint_failures_total Mint attempts that failed (no key, or signing error).
+# TYPE session_mint_failures_total counter
+# HELP session_validate_total Token validations, by outcome.
+# TYPE session_validate_total counter
+# HELP session_verify_cache_hits_total Validations served from the signature memoization cache.
+# TYPE session_verify_cache_hits_total counter
+# HELP session_verify_cache_entries Verified tokens held in the signature memoization cache.
+# TYPE session_verify_cache_entries gauge
+# HELP session_rotations_total Key rotations performed.
+# TYPE session_rotations_total counter
+# HELP session_revocations_total Revocation watermarks stamped.
+# TYPE session_revocations_total counter
+# HELP session_key_generation Current minting key generation.
+# TYPE session_key_generation gauge
+# HELP session_active_key_generations Key generations held in memory (current plus overlap).
+# TYPE session_active_key_generations gauge
+# HELP session_revoked_users Users with an active revocation watermark.
+# TYPE session_revoked_users gauge`
+
+// TestAdminMetricsFamilies pins the metric families of the admin
+// surface, with the session tier mounted and its writer registered as
+// pwserver does: the # HELP and # TYPE lines of /metrics must equal
+// adminFamilies, so a family that is added, dropped, renamed, retyped
+// or re-described fails here. /metrics is the only metrics route.
+func TestAdminMetricsFamilies(t *testing.T) {
+	s, _, mgr := sessionServer(t)
+	s.RegisterMetrics(mgr.WritePrometheus)
+	admin := httptest.NewServer(s.AdminHandler())
+	defer admin.Close()
+
+	resp, err := admin.Client().Get(admin.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ct := resp.Header.Get("Content-Type"); ct != "text/plain; version=0.0.4; charset=utf-8" {
+		t.Errorf("Content-Type = %q", ct)
+	}
+	var got []string
+	for _, line := range strings.Split(string(body), "\n") {
+		if strings.HasPrefix(line, "# ") {
+			got = append(got, line)
+		}
+	}
+	if g := strings.Join(got, "\n"); g != adminFamilies {
+		t.Errorf("admin /metrics families:\n%s\nwant:\n%s", g, adminFamilies)
+	}
+
+	resp, err = admin.Client().Get(admin.URL + "/metrics.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Errorf("GET /metrics.json = %d, want 404", resp.StatusCode)
 	}
 }

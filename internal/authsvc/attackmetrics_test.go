@@ -2,7 +2,6 @@ package authsvc
 
 import (
 	"context"
-	"strings"
 	"testing"
 )
 
@@ -39,19 +38,12 @@ func TestAttackClassificationCounters(t *testing.T) {
 		t.Errorf("LockoutsTriggered = %d, want 1", got)
 	}
 
-	snap := m.Snapshot()
-	if snap.CredentialFailures != 2 || snap.LockedRefusals != 3 {
-		t.Errorf("snapshot counters = %d/%d, want 2/3",
-			snap.CredentialFailures, snap.LockedRefusals)
-	}
-	var b strings.Builder
-	m.WritePrometheus(&b)
-	for _, want := range []string{
-		"authsvc_credential_failures_total 2",
-		"authsvc_locked_refusals_total 3",
+	for series, want := range map[string]float64{
+		"authsvc_credential_failures_total": 2,
+		"authsvc_locked_refusals_total":     3,
 	} {
-		if !strings.Contains(b.String(), want) {
-			t.Errorf("prometheus exposition missing %q", want)
+		if got := promValue(t, m, series); got != want {
+			t.Errorf("%s = %v, want %v", series, got, want)
 		}
 	}
 }

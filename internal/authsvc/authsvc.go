@@ -211,7 +211,7 @@ const DefaultLockout = 10
 
 // NewService validates the configuration and returns the service
 // core. lockout <= 0 selects DefaultLockout. The store may be any
-// vault.Store — the single-lock file vault or the sharded store.
+// vault.Store — the in-memory Sharded store or the durable one.
 func NewService(cfg passpoints.Config, store vault.Store, lockout int) (*Service, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err

@@ -30,7 +30,7 @@ func testConfig(t *testing.T, iterations int) passpoints.Config {
 
 func testService(t *testing.T, lockout int) *Service {
 	t.Helper()
-	svc, err := NewService(testConfig(t, 2), vault.New(), lockout)
+	svc, err := NewService(testConfig(t, 2), vault.NewSharded(0), lockout)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +129,7 @@ func TestUnknownUserIndistinguishable(t *testing.T) {
 // (which skipped hashing entirely and was ~1000x faster at this
 // setting).
 func TestUnknownUserTimingEquivalent(t *testing.T) {
-	svc, err := NewService(testConfig(t, 20000), vault.New(), 1<<30)
+	svc, err := NewService(testConfig(t, 20000), vault.NewSharded(0), 1<<30)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,10 +165,10 @@ func TestNewServiceValidation(t *testing.T) {
 	}
 	bad := cfg
 	bad.Scheme = nil
-	if _, err := NewService(bad, vault.New(), 0); err == nil {
+	if _, err := NewService(bad, vault.NewSharded(0), 0); err == nil {
 		t.Error("invalid config accepted")
 	}
-	svc, err := NewService(cfg, vault.New(), 0)
+	svc, err := NewService(cfg, vault.NewSharded(0), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +180,7 @@ func TestNewServiceValidation(t *testing.T) {
 // TestDummyRecordNotStored: the timing-equalization record must never
 // leak into the vault as an account.
 func TestDummyRecordNotStored(t *testing.T) {
-	store := vault.New()
+	store := vault.NewSharded(0)
 	if _, err := NewService(testConfig(t, 2), store, 0); err != nil {
 		t.Fatal(err)
 	}

@@ -92,7 +92,7 @@ func TestLockoutSurvivesRestart(t *testing.T) {
 // extension keep the old semantics — counters reset with the process.
 func TestLockoutInMemoryStoreUnchanged(t *testing.T) {
 	ctx := context.Background()
-	store := vault.New()
+	store := vault.NewSharded(0)
 	svc, err := NewService(testConfig(t, 2), store, 2)
 	if err != nil {
 		t.Fatal(err)
@@ -159,17 +159,17 @@ func TestReloadLockoutsAdoptsReplicatedCounters(t *testing.T) {
 	}
 }
 
-// memLockStore wraps the in-memory vault with an in-memory
+// memLockStore wraps the in-memory store with an in-memory
 // LockoutStore extension, so reload tests that trigger a full
 // capacity sweep (64k evictions) don't pay a disk flush per counter.
 type memLockStore struct {
-	*vault.Vault
+	*vault.Sharded
 	mu    sync.Mutex
 	locks map[string]int
 }
 
 func newMemLockStore() *memLockStore {
-	return &memLockStore{Vault: vault.New(), locks: make(map[string]int)}
+	return &memLockStore{Sharded: vault.NewSharded(0), locks: make(map[string]int)}
 }
 
 // SetLockout implements vault.LockoutStore.

@@ -1,10 +1,8 @@
 package authsvc
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
-	"net/http"
 	"sort"
 	"strconv"
 	"sync"
@@ -13,17 +11,18 @@ import (
 )
 
 // Metrics aggregates the serving pipeline's observability signals:
-// request counts by op and by outcome code, latency (total, max, and
-// per-request mean via the snapshot), and the in-flight gauge with its
-// high-water mark. One Metrics instance is shared by every transport
-// of a server, so the numbers describe the service, not one front end.
+// request counts by op and by outcome code, latency (a histogram with
+// its sum, count and max), and the in-flight gauge with its high-water
+// mark. One Metrics instance is shared by every transport of a server,
+// so the numbers describe the service, not one front end.
+// WritePrometheus publishes them.
 //
 // The two concerns attach at different pipeline depths (see
 // WithMetrics and WithInFlight): counts and latency are recorded
 // outermost, so refused and throttled requests — the load an
-// overloaded server sheds — are visible in by_code; the in-flight
-// gauge runs inside admission, so its high-water mark is provably
-// capped by the shared limiter.
+// overloaded server sheds — are visible in authsvc_responses_total;
+// the in-flight gauge runs inside admission, so its high-water mark is
+// provably capped by the shared limiter.
 //
 // Safe for concurrent use; the zero value is ready.
 type Metrics struct {
@@ -93,6 +92,14 @@ func (m *Metrics) leave() { m.inFlight.Add(-1) }
 
 // observe records one finished request's outcome and latency.
 func (m *Metrics) observe(op Op, code Code, d time.Duration) {
+	switch op {
+	case OpPing, OpEnroll, OpLogin, OpChange, OpReset, OpValidate:
+	default:
+		// The op comes off the wire, and a framed-TCP client may send
+		// any string: counting each under its own label would grow the
+		// table and the exposition without bound.
+		op = "unknown"
+	}
 	if op == OpLogin || op == OpChange {
 		switch code {
 		case CodeDenied:
@@ -173,107 +180,11 @@ func (m *Metrics) InFlight() int64 { return m.inFlight.Load() }
 // combined transports.
 func (m *Metrics) Peak() int64 { return m.peak.Load() }
 
-// Snapshot is a point-in-time copy of the counters, JSON-ready for the
-// metrics endpoint.
-type Snapshot struct {
-	Requests  int64          `json:"requests"`
-	InFlight  int64          `json:"in_flight"`
-	Peak      int64          `json:"peak_in_flight"`
-	ByOp      map[Op]int64   `json:"by_op,omitempty"`
-	ByCode    map[Code]int64 `json:"by_code,omitempty"`
-	LatMeanUs float64        `json:"latency_mean_us"`
-	LatMaxUs  float64        `json:"latency_max_us"`
-	// ShedByPriority counts overload refusals per admission priority.
-	ShedByPriority map[string]int64 `json:"shed_by_priority,omitempty"`
-	// CredentialFailures / LockedRefusals classify attack-shaped
-	// traffic: failed credential checks and locked-account refusals on
-	// the credential-bearing ops.
-	CredentialFailures int64 `json:"credential_failures,omitempty"`
-	LockedRefusals     int64 `json:"locked_refusals,omitempty"`
-	// QueueWaitMeanUs / QueueWaitMaxUs describe time admitted requests
-	// spent parked for a limiter slot.
-	QueueWaitMeanUs float64 `json:"queue_wait_mean_us,omitempty"`
-	QueueWaitMaxUs  float64 `json:"queue_wait_max_us,omitempty"`
-	// QueueWaitByPriority breaks the queue-wait numbers down by
-	// admission priority — flat "high" next to growing "normal" is the
-	// overload policy working as designed.
-	QueueWaitByPriority map[string]QueueWaitStat `json:"queue_wait_by_priority,omitempty"`
-}
-
-// QueueWaitStat is one priority tier's queue-wait summary.
-type QueueWaitStat struct {
-	Count  int64   `json:"count"`
-	MeanUs float64 `json:"mean_us"`
-	MaxUs  float64 `json:"max_us"`
-}
-
-// Snapshot copies the current counters.
-func (m *Metrics) Snapshot() Snapshot {
-	s := Snapshot{
-		InFlight:           m.inFlight.Load(),
-		Peak:               m.peak.Load(),
-		CredentialFailures: m.credFailures.Load(),
-		LockedRefusals:     m.lockedRefusals.Load(),
-	}
-	for i := range m.sheds {
-		if n := m.sheds[i].Load(); n > 0 {
-			if s.ShedByPriority == nil {
-				s.ShedByPriority = make(map[string]int64, numPriorities)
-			}
-			s.ShedByPriority[Priority(i).String()] = n
-		}
-	}
-	m.mu.Lock()
-	s.Requests = m.requests
-	if len(m.byOp) > 0 {
-		s.ByOp = make(map[Op]int64, len(m.byOp))
-		for k, v := range m.byOp {
-			s.ByOp[k] = v
-		}
-		s.ByCode = make(map[Code]int64, len(m.byCode))
-		for k, v := range m.byCode {
-			s.ByCode[k] = v
-		}
-	}
-	if m.requests > 0 {
-		s.LatMeanUs = float64(m.latTotal.Microseconds()) / float64(m.requests)
-	}
-	s.LatMaxUs = float64(m.latMax.Microseconds())
-	if m.queueWaitN > 0 {
-		s.QueueWaitMeanUs = float64(m.queueWaitTotal.Microseconds()) / float64(m.queueWaitN)
-		s.QueueWaitMaxUs = float64(m.queueWaitMax.Microseconds())
-	}
-	for i := range m.qwPriN {
-		if n := m.qwPriN[i]; n > 0 {
-			if s.QueueWaitByPriority == nil {
-				s.QueueWaitByPriority = make(map[string]QueueWaitStat, numPriorities)
-			}
-			s.QueueWaitByPriority[Priority(i).String()] = QueueWaitStat{
-				Count:  n,
-				MeanUs: float64(m.qwPriTotal[i].Microseconds()) / float64(n),
-				MaxUs:  float64(m.qwPriMax[i].Microseconds()),
-			}
-		}
-	}
-	m.mu.Unlock()
-	return s
-}
-
-// Handler serves the snapshot as JSON — pwserver's -metrics endpoint.
-func (m *Metrics) Handler() http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		_ = enc.Encode(m.Snapshot())
-	})
-}
-
 // WritePrometheus writes the registry in the Prometheus text
 // exposition format (version 0.0.4): counters by op and code, the
 // in-flight gauge and its peak, per-priority shed counters,
-// queue-wait aggregates, and the request latency histogram with
-// cumulative le buckets.
+// queue-wait aggregates, the longest request latency, and the request
+// latency histogram with cumulative le buckets.
 func (m *Metrics) WritePrometheus(w io.Writer) {
 	type sample struct {
 		op    Op
@@ -284,6 +195,7 @@ func (m *Metrics) WritePrometheus(w io.Writer) {
 		ops, codes []sample
 		requests   int64
 		latTotal   time.Duration
+		latMax     time.Duration
 		buckets    [len(latBounds) + 1]int64
 		qwN        int64
 		qwTotal    time.Duration
@@ -300,7 +212,7 @@ func (m *Metrics) WritePrometheus(w io.Writer) {
 		codes = append(codes, sample{code: code, count: n})
 	}
 	requests = m.requests
-	latTotal = m.latTotal
+	latTotal, latMax = m.latTotal, m.latMax
 	buckets = m.latBuckets
 	qwN, qwTotal, qwMax = m.queueWaitN, m.queueWaitTotal, m.queueWaitMax
 	qpN, qpTotal, qpMax = m.qwPriN, m.qwPriTotal, m.qwPriMax
@@ -344,6 +256,9 @@ func (m *Metrics) WritePrometheus(w io.Writer) {
 	fmt.Fprintf(w, "# HELP authsvc_queue_wait_seconds_max Longest observed queue wait.\n")
 	fmt.Fprintf(w, "# TYPE authsvc_queue_wait_seconds_max gauge\n")
 	fmt.Fprintf(w, "authsvc_queue_wait_seconds_max %s\n", promFloat(qwMax.Seconds()))
+	fmt.Fprintf(w, "# HELP authsvc_request_duration_seconds_max Longest observed request latency, queueing included.\n")
+	fmt.Fprintf(w, "# TYPE authsvc_request_duration_seconds_max gauge\n")
+	fmt.Fprintf(w, "authsvc_request_duration_seconds_max %s\n", promFloat(latMax.Seconds()))
 	fmt.Fprintf(w, "# HELP authsvc_queue_wait_priority_seconds_sum Queue wait, by admission priority.\n")
 	fmt.Fprintf(w, "# TYPE authsvc_queue_wait_priority_seconds_sum counter\n")
 	for i := range qpN {
@@ -378,13 +293,3 @@ func (m *Metrics) WritePrometheus(w io.Writer) {
 // promFloat formats a float the way Prometheus text exposition
 // expects: shortest round-trippable decimal.
 func promFloat(f float64) string { return strconv.FormatFloat(f, 'g', -1, 64) }
-
-// PrometheusHandler serves the registry in Prometheus text exposition
-// format — the scrape target mounted at /metrics on pwserver's admin
-// listener (the JSON snapshot moves to /metrics.json).
-func (m *Metrics) PrometheusHandler() http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		m.WritePrometheus(w)
-	})
-}

@@ -2,8 +2,6 @@ package authsvc
 
 import (
 	"context"
-	"encoding/json"
-	"net/http/httptest"
 	"sync"
 	"testing"
 	"time"
@@ -93,12 +91,13 @@ func TestWithAdmissionCapsConcurrency(t *testing.T) {
 	}
 	// Counts sit outside admission: the 5 admitted requests AND the
 	// refused one are all visible, broken down by outcome code.
-	snap := m.Snapshot()
-	if snap.Requests != 6 {
-		t.Errorf("counted %d requests, want 6 (5 ok + 1 refused)", snap.Requests)
+	if n := promValue(t, &m, "authsvc_request_duration_seconds_count"); n != 6 {
+		t.Errorf("counted %v requests, want 6 (5 ok + 1 refused)", n)
 	}
-	if snap.ByCode[CodeOK] != 5 || snap.ByCode[CodeUnavailable] != 1 {
-		t.Errorf("by-code counts = %v, want 5 ok / 1 unavailable", snap.ByCode)
+	ok := promValue(t, &m, `authsvc_responses_total{code="ok"}`)
+	refused := promValue(t, &m, `authsvc_responses_total{code="unavailable"}`)
+	if ok != 5 || refused != 1 {
+		t.Errorf("by-code counts = %v ok / %v unavailable, want 5 / 1", ok, refused)
 	}
 }
 
@@ -164,7 +163,11 @@ func TestWithUserRateDisabled(t *testing.T) {
 	}
 }
 
-func TestMetricsSnapshotAndHandler(t *testing.T) {
+// TestMetricsCountsInExposition: requests through WithMetrics and
+// WithInFlight show up on the exposition by op and by code, the
+// in-flight gauge returns to zero, and the latency max is within the
+// latency sum.
+func TestMetricsCountsInExposition(t *testing.T) {
 	var m Metrics
 	h := Chain(testService(t, 3), WithMetrics(&m), WithInFlight(&m))
 	ctx := context.Background()
@@ -172,35 +175,24 @@ func TestMetricsSnapshotAndHandler(t *testing.T) {
 	h.Handle(ctx, Request{Op: OpLogin, User: "m", Clicks: clicks(0)})
 	h.Handle(ctx, Request{Op: OpLogin, User: "m", Clicks: clicks(9)})
 
-	snap := m.Snapshot()
-	if snap.Requests != 3 {
-		t.Errorf("requests = %d, want 3", snap.Requests)
+	for series, want := range map[string]float64{
+		"authsvc_request_duration_seconds_count": 3,
+		`authsvc_requests_total{op="login"}`:     2,
+		`authsvc_requests_total{op="enroll"}`:    1,
+		`authsvc_responses_total{code="ok"}`:     2,
+		`authsvc_responses_total{code="denied"}`: 1,
+		"authsvc_in_flight":                      0,
+	} {
+		if got := promValue(t, &m, series); got != want {
+			t.Errorf("%s = %v, want %v", series, got, want)
+		}
 	}
-	if snap.ByOp[OpLogin] != 2 || snap.ByOp[OpEnroll] != 1 {
-		t.Errorf("by-op counts = %v", snap.ByOp)
+	if peak := promValue(t, &m, "authsvc_in_flight_peak"); peak < 1 {
+		t.Errorf("peak = %v, want >= 1", peak)
 	}
-	if snap.ByCode[CodeOK] != 2 || snap.ByCode[CodeDenied] != 1 {
-		t.Errorf("by-code counts = %v", snap.ByCode)
-	}
-	if snap.InFlight != 0 {
-		t.Errorf("in-flight = %d after all requests returned", snap.InFlight)
-	}
-	if snap.Peak < 1 {
-		t.Errorf("peak = %d, want >= 1", snap.Peak)
-	}
-	if snap.LatMaxUs < 0 || snap.LatMeanUs < 0 {
-		t.Errorf("negative latency: %+v", snap)
-	}
-
-	// The HTTP endpoint serves the same numbers as JSON.
-	rec := httptest.NewRecorder()
-	m.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
-	var served Snapshot
-	if err := json.Unmarshal(rec.Body.Bytes(), &served); err != nil {
-		t.Fatalf("metrics endpoint JSON: %v\n%s", err, rec.Body.String())
-	}
-	if served.Requests != snap.Requests || served.ByOp[OpLogin] != snap.ByOp[OpLogin] {
-		t.Errorf("endpoint served %+v, counters say %+v", served, snap)
+	latMax := promValue(t, &m, "authsvc_request_duration_seconds_max")
+	if sum := promValue(t, &m, "authsvc_request_duration_seconds_sum"); latMax <= 0 || latMax > sum {
+		t.Errorf("latency max = %v, want in (0, sum %v]", latMax, sum)
 	}
 }
 
@@ -216,8 +208,10 @@ func TestWithMetricsCountsPanics(t *testing.T) {
 	if resp.Code != CodeInternal {
 		t.Fatalf("recovered response code = %q", resp.Code)
 	}
-	snap := m.Snapshot()
-	if snap.Requests != 1 || snap.ByCode[CodeInternal] != 1 {
-		t.Errorf("panicked request not counted: %+v", snap)
+	if n := promValue(t, &m, `authsvc_responses_total{code="internal"}`); n != 1 {
+		t.Errorf("panicked request counted %v times as internal, want 1", n)
+	}
+	if n := promValue(t, &m, "authsvc_request_duration_seconds_count"); n != 1 {
+		t.Errorf("requests = %v, want 1", n)
 	}
 }

@@ -77,9 +77,8 @@ func TestWithOverloadPrioritySheds(t *testing.T) {
 	if m.Sheds() != 1 {
 		t.Errorf("shed counter = %d, want 1", m.Sheds())
 	}
-	snap := m.Snapshot()
-	if snap.ShedByPriority["low"] != 1 {
-		t.Errorf("shed_by_priority = %v, want low:1", snap.ShedByPriority)
+	if n := promValue(t, &m, `authsvc_shed_total{priority="low"}`); n != 1 {
+		t.Errorf(`authsvc_shed_total{priority="low"} = %v, want 1`, n)
 	}
 }
 

@@ -1,13 +1,33 @@
 package authsvc
 
 import (
-	"io"
-	"net/http/httptest"
+	"context"
+	"fmt"
 	"strconv"
 	"strings"
 	"testing"
 	"time"
 )
+
+// promValue returns the value of the sample in m's exposition whose
+// name and labels are exactly series, e.g.
+// `authsvc_requests_total{op="login"}`.
+func promValue(t *testing.T, m *Metrics, series string) float64 {
+	t.Helper()
+	var b strings.Builder
+	m.WritePrometheus(&b)
+	for _, line := range strings.Split(b.String(), "\n") {
+		if v, ok := strings.CutPrefix(line, series+" "); ok {
+			f, err := strconv.ParseFloat(v, 64)
+			if err != nil {
+				t.Fatalf("%s: %v", line, err)
+			}
+			return f
+		}
+	}
+	t.Fatalf("no %s series in:\n%s", series, b.String())
+	return 0
+}
 
 // TestWritePrometheusExposition checks the scrape surface: metric
 // families present with HELP/TYPE, cumulative (monotone) histogram
@@ -24,21 +44,9 @@ func TestWritePrometheusExposition(t *testing.T) {
 	m.observeShed(PriorityHigh)
 	m.observeQueueWait(3*time.Millisecond, PriorityHigh)
 
-	srv := httptest.NewServer(m.PrometheusHandler())
-	defer srv.Close()
-	resp, err := srv.Client().Get(srv.URL)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if ct := resp.Header.Get("Content-Type"); !strings.HasPrefix(ct, "text/plain; version=0.0.4") {
-		t.Errorf("Content-Type = %q", ct)
-	}
-	raw, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	body := string(raw)
+	var b strings.Builder
+	m.WritePrometheus(&b)
+	body := b.String()
 
 	for _, want := range []string{
 		`authsvc_requests_total{op="enroll"} 1`,
@@ -53,6 +61,8 @@ func TestWritePrometheusExposition(t *testing.T) {
 		`authsvc_queue_wait_priority_seconds_count{priority="normal"} 0`,
 		`authsvc_queue_wait_priority_seconds_sum{priority="high"} 0.003`,
 		`authsvc_request_duration_seconds_count 4`,
+		`authsvc_request_duration_seconds_max 0.04`,
+		`# TYPE authsvc_request_duration_seconds_max gauge`,
 		`# TYPE authsvc_request_duration_seconds histogram`,
 		`# TYPE authsvc_requests_total counter`,
 		`# TYPE authsvc_in_flight gauge`,
@@ -90,5 +100,39 @@ func TestWritePrometheusExposition(t *testing.T) {
 	// 300us lands in the le=0.0005 bucket, 50us in le=0.0001.
 	if !strings.Contains(body, `authsvc_request_duration_seconds_bucket{le="0.0001"} 1`) {
 		t.Errorf("50us shed not in the first bucket:\n%s", body)
+	}
+}
+
+// TestUnknownOpsShareOneSeries: ops that are not one of the Op
+// constants come off the wire as arbitrary strings, so they are
+// counted under op="unknown" rather than each under its own label,
+// which would grow the counter table and the exposition without
+// bound. The response still names the op.
+func TestUnknownOpsShareOneSeries(t *testing.T) {
+	var m Metrics
+	h := Chain(testService(t, 3), WithMetrics(&m))
+	ctx := context.Background()
+	h.Handle(ctx, Request{Op: OpPing})
+	for i := 0; i < 100; i++ {
+		op := Op(fmt.Sprintf("bogus-%d", i))
+		resp := h.Handle(ctx, Request{Op: op})
+		if resp.Code != CodeInvalid || !strings.Contains(resp.Err, string(op)) {
+			t.Fatalf("op %q: %+v, want invalid naming the op", op, resp)
+		}
+	}
+	var b strings.Builder
+	m.WritePrometheus(&b)
+	var series []string
+	for _, line := range strings.Split(b.String(), "\n") {
+		if strings.HasPrefix(line, "authsvc_requests_total{") {
+			series = append(series, line)
+		}
+	}
+	want := []string{
+		`authsvc_requests_total{op="ping"} 1`,
+		`authsvc_requests_total{op="unknown"} 100`,
+	}
+	if got := strings.Join(series, "\n"); got != strings.Join(want, "\n") {
+		t.Errorf("op series:\n%s\nwant:\n%s", got, strings.Join(want, "\n"))
 	}
 }

@@ -11,7 +11,7 @@ import (
 
 // BenchmarkAuthSwarm measures end-to-end auth throughput at the
 // standing load points — 1/8/64/256 concurrent clients — against the
-// in-memory backends and the durable store at every fsync policy, on
+// in-memory store and the durable store at every fsync policy, on
 // a read-heavy mix (1 password change per 10 logins; the writes are
 // what the fsync policy prices). ns/op is per completed request; the
 // ops/s metric is the swarm throughput recorded in PERFORMANCE.md's
@@ -23,7 +23,6 @@ func BenchmarkAuthSwarm(b *testing.B) {
 		name string
 		mk   func(tb testing.TB) vault.Store
 	}{
-		{"vault", func(testing.TB) vault.Store { return vault.New() }},
 		{"sharded32", func(testing.TB) vault.Store { return vault.NewSharded(32) }},
 		{"durable-always", mkDurable(vault.SyncAlways)},
 		{"durable-interval", mkDurable(vault.SyncInterval)},
@@ -119,8 +118,8 @@ func mkDurable(policy vault.SyncPolicy) func(tb testing.TB) vault.Store {
 //	go test ./internal/loadtest -run NONE -bench AuthSwarmHTTP -benchtime 2000x
 func BenchmarkAuthSwarmHTTP(b *testing.B) {
 	for _, clients := range []int{1, 8, 64} {
-		b.Run(fmt.Sprintf("vault/clients=%d", clients), func(b *testing.B) {
-			srv, addr, shutdown := startServer(b, vault.New(), 256)
+		b.Run(fmt.Sprintf("sharded32/clients=%d", clients), func(b *testing.B) {
+			srv, addr, shutdown := startServer(b, vault.NewSharded(32), 256)
 			defer shutdown()
 			baseURL, closeHTTP := startHTTP(b, srv)
 			defer closeHTTP()

@@ -102,7 +102,7 @@ func enrollUsers(tb testing.TB, addr string, n int) []string {
 }
 
 // TestLoadSwarmSmoke is the CI smoke point (go test -run TestLoad
-// -short): a small swarm against all three store backends and both
+// -short): a small swarm against both store backends and both
 // transports must complete with zero errors and sane measurements.
 func TestLoadSwarmSmoke(t *testing.T) {
 	clientCount, ops := 16, 10
@@ -113,7 +113,6 @@ func TestLoadSwarmSmoke(t *testing.T) {
 		name  string
 		store func(tb testing.TB) vault.Store
 	}{
-		{"vault", func(testing.TB) vault.Store { return vault.New() }},
 		{"sharded", func(testing.TB) vault.Store { return vault.NewSharded(0) }},
 		{"durable", func(tb testing.TB) vault.Store {
 			d, err := vault.OpenDurable(tb.TempDir(), vault.DurableOptions{})
@@ -270,7 +269,7 @@ func TestLoadSharedLimiterCapsBothFronts(t *testing.T) {
 	if testing.Short() {
 		httpClients, ops = 8, 4
 	}
-	srv, addr, shutdown := startServer(t, slowStore{vault.New(), 2 * time.Millisecond}, maxConns)
+	srv, addr, shutdown := startServer(t, slowStore{vault.NewSharded(0), 2 * time.Millisecond}, maxConns)
 	defer shutdown()
 	baseURL, closeHTTP := startHTTP(t, srv)
 	defer closeHTTP()
@@ -355,7 +354,7 @@ func TestLoadRunValidation(t *testing.T) {
 // TestLoadCheckCountsFailures: a Check rejection must surface in
 // Result.Errors while the swarm keeps running — over both transports.
 func TestLoadCheckCountsFailures(t *testing.T) {
-	srv, addr, shutdown := startServer(t, vault.New(), 0)
+	srv, addr, shutdown := startServer(t, vault.NewSharded(0), 0)
 	defer shutdown()
 	baseURL, closeHTTP := startHTTP(t, srv)
 	defer closeHTTP()
@@ -392,7 +391,7 @@ func TestLoadCheckCountsFailures(t *testing.T) {
 // the same service outcomes — the interchangeability the unified
 // client interface promises.
 func TestLoadTransportsAgree(t *testing.T) {
-	srv, addr, shutdown := startServer(t, vault.New(), 0)
+	srv, addr, shutdown := startServer(t, vault.NewSharded(0), 0)
 	defer shutdown()
 	baseURL, closeHTTP := startHTTP(t, srv)
 	defer closeHTTP()

@@ -18,7 +18,7 @@ import (
 // observable only through a front that multiplexes connections.
 func stormServer(tb testing.TB, maxConns, queue int) (baseURL, addr string, shutdown func()) {
 	tb.Helper()
-	srv, addr, stopSrv := startServer(tb, slowStore{vault.New(), 2 * time.Millisecond}, maxConns)
+	srv, addr, stopSrv := startServer(tb, slowStore{vault.NewSharded(0), 2 * time.Millisecond}, maxConns)
 	srv.SetOverload(authsvc.OverloadPolicy{Queue: queue})
 	baseURL, closeHTTP := startHTTP(tb, srv)
 	return baseURL, addr, func() {

@@ -49,7 +49,7 @@ func startServer(tb testing.TB, lockout int, tune func(*authproto.Server)) (addr
 		Scheme:     testScheme(tb),
 		Iterations: 2,
 	}
-	srv, err := authproto.NewServer(cfg, vault.New(), lockout)
+	srv, err := authproto.NewServer(cfg, vault.NewSharded(0), lockout)
 	if err != nil {
 		tb.Fatal(err)
 	}

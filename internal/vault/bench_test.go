@@ -23,20 +23,16 @@ func benchRecords(n int) []*passpoints.Record {
 	return recs
 }
 
-// BenchmarkStoreReadHeavy compares the single-RWMutex vault against
-// the sharded store on the authentication front end's op mix — 1
-// Replace (write) per 10 Gets (reads) — at a fixed goroutine count per
-// sub-benchmark. This is the isolated version of the ISSUE's
-// sharded-vs-mutex criterion: no sockets, no hashing, just the store
-// under contention. Single-core runs mostly show parity (goroutines
-// time-slice instead of colliding); the gap opens with GOMAXPROCS.
+// BenchmarkStoreReadHeavy times the store backends on the
+// authentication front end's op mix — 1 Replace (write) per 10 Gets
+// (reads) — at a fixed goroutine count per sub-benchmark: no sockets,
+// no hashing, just the store under contention.
 func BenchmarkStoreReadHeavy(b *testing.B) {
 	const users = 1024
 	for _, backend := range []struct {
 		name string
 		mk   func(tb testing.TB) Store
 	}{
-		{"vault", func(testing.TB) Store { return New() }},
 		{"sharded32", func(testing.TB) Store { return NewSharded(32) }},
 		// The durable backend at the cheap end of the fsync range: the
 		// mix is 90% Gets (log-free), so this isolates the append cost

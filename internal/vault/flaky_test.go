@@ -20,7 +20,7 @@ func flakyRecord(user string) *passpoints.Record {
 // order yields the exact same fault schedule.
 func TestFlakyDeterministicPerSeed(t *testing.T) {
 	run := func(seed uint64) []bool {
-		f := NewFlaky(New(), FlakyOptions{Seed: seed, ErrRate: 0.4})
+		f := NewFlaky(NewSharded(0), FlakyOptions{Seed: seed, ErrRate: 0.4})
 		if err := f.Put(flakyRecord("u")); err != nil && !errors.Is(err, ErrInjected) {
 			t.Fatal(err)
 		}
@@ -50,7 +50,7 @@ func TestFlakyDeterministicPerSeed(t *testing.T) {
 // ErrInjected — a false ErrNotFound would make the auth service burn a
 // lockout attempt on an infrastructure fault.
 func TestFlakyNeverFalseNotFound(t *testing.T) {
-	f := NewFlaky(New(), FlakyOptions{Seed: 3, ErrRate: 0.5})
+	f := NewFlaky(NewSharded(0), FlakyOptions{Seed: 3, ErrRate: 0.5})
 	if err := retryPut(f, flakyRecord("alice")); err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +79,7 @@ func TestFlakyNeverFalseNotFound(t *testing.T) {
 // TestFlakyFaultBeforeMutation: an injected Put error leaves the
 // wrapped store untouched — no half-applied state.
 func TestFlakyFaultBeforeMutation(t *testing.T) {
-	inner := New()
+	inner := NewSharded(0)
 	f := NewFlaky(inner, FlakyOptions{Seed: 1, ErrRate: 1})
 	if err := f.Put(flakyRecord("ghost")); !errors.Is(err, ErrInjected) {
 		t.Fatalf("Put = %v, want ErrInjected at rate 1", err)
@@ -99,7 +99,7 @@ func TestFlakyFaultBeforeMutation(t *testing.T) {
 // TestFlakyStallEvery: every Nth mutation stalls for the configured
 // duration — the fsync-pause shape.
 func TestFlakyStallEvery(t *testing.T) {
-	f := NewFlaky(New(), FlakyOptions{Seed: 1, StallEvery: 3, Stall: 30 * time.Millisecond})
+	f := NewFlaky(NewSharded(0), FlakyOptions{Seed: 1, StallEvery: 3, Stall: 30 * time.Millisecond})
 	var slow int
 	for i := 0; i < 6; i++ {
 		t0 := time.Now()
@@ -147,7 +147,7 @@ func TestFlakyPreservesLockoutStore(t *testing.T) {
 	}
 
 	// A plain in-memory store must NOT grow the extension.
-	if _, ok := NewFlaky(New(), FlakyOptions{Seed: 1}).(LockoutStore); ok {
+	if _, ok := NewFlaky(NewSharded(0), FlakyOptions{Seed: 1}).(LockoutStore); ok {
 		t.Fatal("NewFlaky invented a LockoutStore over a plain store")
 	}
 }

@@ -21,8 +21,8 @@ const DefaultShards = 32
 // guarded by RWMutexes; cross-shard operations (Users, Len, All, Save)
 // take a per-shard-consistent snapshot — each shard is read atomically,
 // but the shards are visited in sequence, so a concurrent writer may
-// land between visits. That is the same guarantee a single-lock vault
-// gives a caller who performs two reads.
+// land between visits. That is the same guarantee a single lock over
+// the whole map gives a caller who performs two reads.
 type Sharded struct {
 	shards []shard
 	path   string // empty for purely in-memory stores
@@ -47,9 +47,9 @@ func NewSharded(n int) *Sharded {
 }
 
 // OpenSharded loads a sharded store from path, creating an empty one
-// if the file does not exist. The on-disk format is identical to the
-// single-lock vault's, so the two backends are interchangeable on the
-// same file. Saves write back to the same path.
+// if the file does not exist. The file is the JSON snapshot format
+// Durable imports and exports, and it does not depend on the shard
+// count. Saves write back to the same path.
 func OpenSharded(path string, n int) (*Sharded, error) {
 	s := NewSharded(n)
 	s.path = path
@@ -182,15 +182,8 @@ func (s *Sharded) Save() error {
 	return s.SaveTo(s.path)
 }
 
-// SaveTo writes the store to the given path atomically, in the same
-// sorted-JSON format as the single-lock vault.
+// SaveTo writes the store to the given path atomically, as the JSON
+// array of records sorted by user.
 func (s *Sharded) SaveTo(path string) error {
 	return writeRecords(path, s.All())
 }
-
-// Compact rewrites the backing file from the current snapshot: the
-// canonical sorted encoding with any bytes a larger previous state
-// left behind discarded by the atomic rename. It is Save under a name
-// that states the intent, for callers running it on a maintenance
-// schedule.
-func (s *Sharded) Compact() error { return s.Save() }

@@ -25,7 +25,6 @@ type storeImpl struct {
 // has to add a row here.
 func storeImpls() []storeImpl {
 	return []storeImpl{
-		{"vault", func(testing.TB) Store { return New() }, false},
 		{"sharded", func(testing.TB) Store { return NewSharded(8) }, false},
 		// Degenerate single-shard stores must still be correct.
 		{"sharded1", func(testing.TB) Store { return NewSharded(1) }, false},
@@ -132,8 +131,9 @@ func TestStoreInMemorySaveFails(t *testing.T) {
 	}
 }
 
-// TestShardedFileInterop: the two backends share one on-disk format —
-// a file saved by either must load into the other byte-identically.
+// TestShardedFileInterop: the snapshot file does not depend on the
+// shard count — a file saved at one count must load at another and
+// save back byte-identically.
 func TestShardedFileInterop(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "vault.json")
@@ -154,15 +154,7 @@ func TestShardedFileInterop(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Sharded -> Vault.
-	v, err := Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v.Len() != 20 {
-		t.Fatalf("vault loaded %d records, want 20", v.Len())
-	}
-	// Vault -> Sharded with a different shard count.
+	// Reload with a different shard count.
 	back, err := OpenSharded(path, 7)
 	if err != nil {
 		t.Fatal(err)
@@ -193,17 +185,17 @@ func TestShardedFileInterop(t *testing.T) {
 	}
 }
 
-// TestOpenShardedRejectsCorruptFiles mirrors the vault corruption
-// table for the sharded loader (same parser, but the wiring could
-// regress independently).
+// TestOpenShardedRejectsCorruptFiles: the loader must refuse every
+// file that breaks the snapshot format's rules.
 func TestOpenShardedRejectsCorruptFiles(t *testing.T) {
 	dir := t.TempDir()
 	cases := map[string]string{
-		"garbage":   "not json at all",
-		"no user":   `[{"kind":"centered","square_side_px":13}]`,
-		"dup user":  `[{"user":"a","square_side_px":13},{"user":"a","square_side_px":13}]`,
-		"null rec":  `[null]`,
-		"truncated": `[{"user":"a","square_side_px":13}`,
+		"garbage":    "not json at all",
+		"no user":    `[{"kind":"centered","square_side_px":13}]`,
+		"dup user":   `[{"user":"a","square_side_px":13},{"user":"a","square_side_px":13}]`,
+		"null rec":   `[null]`,
+		"truncated":  `[{"user":"a","square_side_px":13}`,
+		"wrong type": `{"user":"a"}`,
 	}
 	for name, content := range cases {
 		path := filepath.Join(dir, name+".json")
@@ -241,7 +233,8 @@ func TestShardedDistribution(t *testing.T) {
 }
 
 // TestShardedSnapshotCompact: Snapshot returns every record (order
-// unspecified) and Compact rewrites the backing file canonically.
+// unspecified), and Save rewrites the backing file from the current
+// state, so records deleted since the last save are gone from it.
 func TestShardedSnapshotCompact(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "vault.json")
 	s, err := OpenSharded(path, 4)
@@ -264,19 +257,19 @@ func TestShardedSnapshotCompact(t *testing.T) {
 	if !seen["a"] || !seen["b"] || !seen["c"] {
 		t.Errorf("Snapshot missing users: %v", seen)
 	}
-	if err := s.Compact(); err != nil {
+	if err := s.Save(); err != nil {
 		t.Fatal(err)
 	}
-	back, err := Open(path)
+	s.Delete("b")
+	if err := s.Save(); err != nil {
+		t.Fatal(err)
+	}
+	back, err := OpenSharded(path, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if back.Len() != 3 {
-		t.Errorf("compacted file has %d records, want 3", back.Len())
-	}
-	// Compact on an in-memory store fails like Save.
-	if err := NewSharded(2).Compact(); err == nil {
-		t.Error("Compact on in-memory store should fail")
+	if users := back.Users(); len(users) != 2 || users[0] != "a" || users[1] != "c" {
+		t.Errorf("rewritten file holds %v, want [a c]", users)
 	}
 }
 
@@ -344,7 +337,7 @@ func TestShardedConcurrentStress(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, e := range entries {
-		if _, err := Open(filepath.Join(dir, e.Name())); err != nil {
+		if _, err := OpenSharded(filepath.Join(dir, e.Name()), 0); err != nil {
 			t.Errorf("stress snapshot %s unreadable: %v", e.Name(), err)
 		}
 	}

@@ -4,13 +4,12 @@ import "clickpass/internal/passpoints"
 
 // Store is the narrow interface the authentication server and tools
 // program against: a keyed collection of PassPoints records with an
-// atomic snapshot-to-disk operation. Three implementations ship with
-// the package — the single-lock file-backed Vault, the fnv-keyed
-// Sharded store whose reads scale with cores, and the crash-safe
-// Durable store that logs every mutation to a per-shard append-only
-// file — and the contract is enforced by a shared conformance test
-// (storeImpls in sharded_test.go) rather than by each caller's
-// assumptions.
+// atomic snapshot-to-disk operation. Two implementations ship with the
+// package — the in-memory, fnv-keyed Sharded store whose reads scale
+// with cores, and the crash-safe Durable store that logs every
+// mutation to a per-shard append-only file — and the contract is
+// enforced by a shared conformance test (storeImpls in
+// sharded_test.go) rather than by each caller's assumptions.
 //
 // All implementations must be safe for concurrent use. Get returns
 // ErrNotFound for missing users; Put returns ErrExists for duplicates;
@@ -43,7 +42,7 @@ type Store interface {
 // present, every lockout change is written through (and reloaded at
 // startup), so the §5.1 online-attack defense survives a restart
 // instead of handing every attacker a fresh budget. The in-memory
-// backends deliberately do not implement it.
+// Sharded store deliberately does not implement it.
 type LockoutStore interface {
 	// SetLockout durably records user's failed-attempt count;
 	// failures <= 0 clears the entry.
@@ -58,8 +57,8 @@ type LockoutStore interface {
 // replicate with the vault, but is not a PassPoints record. The
 // session tier type-asserts its store against this interface to
 // persist signing keys and revocation watermarks; backends without it
-// (the in-memory stores) leave the session tier in soft-state-only
-// mode. Keys are partitioned by FNV32a(key) exactly like records.
+// (the in-memory Sharded store) leave the session tier in
+// soft-state-only mode. Keys are partitioned by FNV32a(key) exactly like records.
 type KVStore interface {
 	// SetKV durably sets key's blob; an empty or nil val deletes it.
 	SetKV(key string, val []byte) error
@@ -77,7 +76,6 @@ type KVStore interface {
 
 // All implementations must satisfy the interface.
 var (
-	_ Store   = (*Vault)(nil)
 	_ Store   = (*Sharded)(nil)
 	_ KVStore = (*Durable)(nil)
 )

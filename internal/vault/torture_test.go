@@ -27,9 +27,10 @@ import (
 //   - other shards' logs are untouched and MUST replay fully.
 //
 // The expected state is computed by replaying the op script against a
-// plain in-memory model — the same semantics the in-memory backends
-// implement — so a recovery divergence (false accept, false reject,
-// resurrected delete, lost or inflated lockout counter) fails loudly.
+// plain in-memory model — the same semantics the in-memory Sharded
+// store implements — so a recovery divergence (false accept, false
+// reject, resurrected delete, lost or inflated lockout counter) fails
+// loudly.
 
 // tortureOp is one scripted mutation with enough bookkeeping to know
 // whether it survives a given tear point in its shard's log.
@@ -305,14 +306,15 @@ func TestTortureCorruptTail(t *testing.T) {
 }
 
 // TestTortureRecoveredStoreAgreesWithMemory reruns the full op script
-// (no tear) against both the replayed durable store and the in-memory
-// Vault and demands byte-identical Get results — the "zero false
-// accepts/rejects vs the in-memory backend" acceptance criterion.
+// (no tear) against both the replayed durable store and a one-shard
+// in-memory Sharded store and demands byte-identical Get results — the
+// "zero false accepts/rejects vs the in-memory backend" acceptance
+// criterion.
 func TestTortureRecoveredStoreAgreesWithMemory(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	src := t.TempDir()
 	ops := runTortureScript(t, src, 4, 300, rng)
-	mem := New()
+	mem := NewSharded(1)
 	for _, op := range ops {
 		switch op.kind {
 		case "put":

@@ -86,12 +86,12 @@ func TestDurableJSONInterop(t *testing.T) {
 	if err := d.SaveTo(snap); err != nil {
 		t.Fatal(err)
 	}
-	v, err := Open(snap)
+	v, err := OpenSharded(snap, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if v.Len() != 12 {
-		t.Fatalf("vault read %d records from durable snapshot, want 12", v.Len())
+		t.Fatalf("sharded store read %d records from durable snapshot, want 12", v.Len())
 	}
 
 	// JSON -> durable (the pwserver migration path), and back out:
