@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 
+	"clickpass/internal/core"
 	"clickpass/internal/vault"
 )
 
@@ -85,6 +86,64 @@ func TestLockoutSurvivesRestart(t *testing.T) {
 	resp = svc3.Handle(ctx, Request{Op: OpLogin, User: "mallory", Clicks: clicks(9)})
 	if resp.Code != CodeDenied || resp.Remaining != budget-1 {
 		t.Errorf("reset lockout resurrected: %+v, want denied with remaining %d", resp, budget-1)
+	}
+}
+
+// TestLoginUnderChangedScheme: a server restarted with another
+// -scheme or -side must verify each account under the scheme it
+// enrolled with. Locating the clicks under the new flag instead would
+// deny the correct password and charge the account's durable lockout
+// budget until it locked. A wrong password is still denied and
+// charged.
+func TestLoginUnderChangedScheme(t *testing.T) {
+	ctx := context.Background()
+	const budget = 3
+	c13, err := core.NewCentered(13)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c19, err := core.NewCentered(19)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r36, err := core.NewRobust2D(36, core.MostCentered, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name          string
+		enroll, serve core.Scheme
+	}{
+		{"centered13-at-centered19", c13, c19},
+		{"robust36-at-centered13", r36, c13},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			cfg := testConfig(t, 2)
+			cfg.Scheme = tc.enroll
+			svc, err := NewService(cfg, openDurable(t, dir), budget)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if resp := svc.Handle(ctx, Request{Op: OpEnroll, User: "alice", Clicks: clicks(0)}); !resp.OK() {
+				t.Fatalf("enroll: %+v", resp)
+			}
+
+			cfg.Scheme = tc.serve
+			svc2, err := NewService(cfg, openDurable(t, dir), budget)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range budget {
+				if resp := svc2.Handle(ctx, Request{Op: OpLogin, User: "alice", Clicks: clicks(0)}); !resp.OK() {
+					t.Fatalf("correct login %d after the restart: %+v", i+1, resp)
+				}
+			}
+			resp := svc2.Handle(ctx, Request{Op: OpLogin, User: "alice", Clicks: clicks(40)})
+			if resp.Code != CodeDenied || resp.Remaining != budget-1 {
+				t.Errorf("wrong password = %+v, want denied with remaining %d", resp, budget-1)
+			}
+		})
 	}
 }
 

@@ -377,8 +377,8 @@ func (r *Reader) unsigned(hi uint64) uint64 {
 // Int reads an int.
 func (r *Reader) Int() int { return int(r.signed(math.MinInt, math.MaxInt)) }
 
-// Int64 reads an int64.
-func (r *Reader) Int64() int64 { return r.signed(math.MinInt64, math.MaxInt64) }
+// Int32 reads an int32.
+func (r *Reader) Int32() int32 { return int32(r.signed(math.MinInt32, math.MaxInt32)) }
 
 // Uint64 reads a uint64, all 20 digits of it.
 func (r *Reader) Uint64() uint64 { return r.unsigned(math.MaxUint64) }

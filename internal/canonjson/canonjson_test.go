@@ -12,7 +12,7 @@ import (
 type sample struct {
 	S   string            `json:"s"`
 	I   int               `json:"i,omitempty"`
-	I64 int64             `json:"i64"`
+	I32 int32             `json:"i32"`
 	U8  uint8             `json:"u8"`
 	U64 uint64            `json:"u64,omitempty"`
 	B   []byte            `json:"b"`
@@ -33,7 +33,7 @@ func readSample(r *Reader, s *sample) {
 		case 1:
 			s.I = r.Int()
 		case 2:
-			s.I64 = r.Int64()
+			s.I32 = r.Int32()
 		case 3:
 			s.U8 = r.Uint8()
 		case 4:
@@ -86,10 +86,10 @@ func TestAcceptsMarshalOutput(t *testing.T) {
 		{},
 		{S: "known", B: []byte{}, L: []uint64{}, M: map[string]int{}, MB: map[string][]byte{}},
 		{
-			S: "a b~\x7f", I: math.MinInt64, I64: math.MaxInt64, U8: math.MaxUint8, U64: math.MaxUint64,
+			S: "a b~\x7f", I: math.MinInt64, I32: math.MaxInt32, U8: math.MaxUint8, U64: math.MaxUint64,
 			B: []byte{0, 1, 2, 0xff}, T: true, L: []uint64{0, 1, 18446744073709551615},
 			M: map[string]int{"": 0, "a": -1, "b": 1}, MB: map[string][]byte{"k": {9}, "nil": nil, "z": {}},
-			P: &sample{S: "inner", I64: -1},
+			P: &sample{S: "inner", I32: math.MinInt32},
 		},
 		{
 			// Marshal escapes quotes, backslashes, control bytes, <, >,
@@ -123,9 +123,9 @@ func TestDeclinesNonCanonical(t *testing.T) {
 		unicodeEscapes(`{"s":"%ud800"}`), unicodeEscapes(`{"s":"%udfff"}`), unicodeEscapes(`{"s":"%ud83d%ude00"}`),
 		"{\"s\":\"\xff\"}", "{\"s\":\"\xc3\"}", "{\"s\":\"\xed\xa0\x80\"}",
 		`{"m":{"é":1,"è":2}}`, `{"m":{"é":1,"é":2}}`, unicodeEscapes(`{"m":{"%u00e9":1,"%u00e8":2}}`),
-		`{"x":1}`, `{"S":"x"}`, `{"s":"x","s":"y"}`, `{"i64":1,"i":2}`,
+		`{"x":1}`, `{"S":"x"}`, `{"s":"x","s":"y"}`, `{"i32":1,"i":2}`,
 		`{"i":1.0}`, `{"i":1e2}`, `{"i":01}`, `{"i":-0}`, `{"i":+1}`, `{"i":-}`,
-		`{"u8":256}`, `{"u8":-1}`, `{"u64":18446744073709551616}`, `{"i64":9223372036854775808}`,
+		`{"u8":256}`, `{"u8":-1}`, `{"u64":18446744073709551616}`, `{"i32":2147483648}`, `{"i32":-2147483649}`,
 		`{"i":null}`, `{"s":null}`, `{"t":1}`, `{"t":nul}`,
 		`{"b":"AQ"}`, `{"b":"!!!!"}`, `{"b":"AQ==x"}`,
 		`{"m":{"b":1,"a":2}}`, `{"m":{"a":1,"a":2}}`, `{"m":{"a":null}}`,
@@ -185,7 +185,7 @@ func TestKeys(t *testing.T) {
 
 func TestIntegerRanges(t *testing.T) {
 	for _, in := range []string{
-		`{"i64":-9223372036854775808}`, `{"i64":9223372036854775807}`,
+		`{"i":-9223372036854775808}`, `{"i":9223372036854775807}`, `{"i32":-2147483648}`, `{"i32":2147483647}`,
 		`{"u64":18446744073709551615}`, `{"u64":10000000000000000000}`, `{"u8":0}`, `{"u8":255}`,
 	} {
 		if !agree(t, []byte(in)) {

@@ -9,6 +9,20 @@ import (
 	"clickpass/internal/geom"
 )
 
+// Records holding a clear offset or iteration count at the int32
+// bounds a record stores, which must decode, and just past them, which
+// must be refused.
+var (
+	int32AtBounds = []string{
+		`{"user":"x","square_side_px":13,"clears":[{"dx":2147483647,"dy":0,"grid":0}],"iterations":5,"digest":"aGk="}`,
+		`{"user":"x","square_side_px":13,"clears":[{"dx":-2147483648,"dy":0,"grid":0}],"iterations":5,"digest":"aGk="}`,
+	}
+	int32PastBounds = []string{
+		`{"user":"x","square_side_px":13,"clears":[{"dx":2147483648,"dy":0,"grid":0}],"iterations":5,"digest":"aGk="}`,
+		`{"user":"x","square_side_px":13,"iterations":-2147483649,"digest":"aGk="}`,
+	}
+)
+
 // FuzzUnmarshalRecord: arbitrary bytes must never panic the record
 // decoder, and any record it does accept must be structurally sound
 // and exactly what encoding/json decodes from the same bytes.
@@ -33,6 +47,9 @@ func FuzzUnmarshalRecord(f *testing.F) {
 	f.Add([]byte(`{}`))
 	f.Add([]byte(`{"user":"x","square_side_px":-1,"iterations":5,"digest":"aGk="}`))
 	f.Add([]byte(`not json`))
+	for _, seed := range append(int32AtBounds, int32PastBounds...) {
+		f.Add([]byte(seed))
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r, err := UnmarshalRecord(data)
 		if err != nil {

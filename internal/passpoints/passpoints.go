@@ -14,6 +14,7 @@ package passpoints
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 
 	"clickpass/internal/canonjson"
 	"clickpass/internal/core"
@@ -53,6 +54,17 @@ func (c Config) Validate() error {
 	if c.Iterations < 0 {
 		return fmt.Errorf("passpoints: negative iterations")
 	}
+	// Records store these in 32 bits. The square side also bounds
+	// every clear offset, which lies in [0, side).
+	if c.Image.W > math.MaxInt32 || c.Image.H > math.MaxInt32 {
+		return fmt.Errorf("passpoints: image %v exceeds %d pixels a side", c.Image, math.MaxInt32)
+	}
+	if c.iterations() > math.MaxInt32 {
+		return fmt.Errorf("passpoints: %d iterations exceeds %d", c.iterations(), math.MaxInt32)
+	}
+	if side := c.Scheme.SquareSide(); side > math.MaxInt32 {
+		return fmt.Errorf("passpoints: square side %d sub-pixels exceeds %d", side, math.MaxInt32)
+	}
 	return nil
 }
 
@@ -76,14 +88,14 @@ const (
 // identifier stored by the system in plain text.
 type ClearID struct {
 	// DX, DY are Centered Discretization offsets in sub-pixel units.
-	DX int64 `json:"dx"`
-	DY int64 `json:"dy"`
+	DX int32 `json:"dx"`
+	DY int32 `json:"dy"`
 	// Grid is the Robust Discretization grid index.
 	Grid uint8 `json:"grid"`
 }
 
 func clearFromCore(c core.Clear) ClearID {
-	return ClearID{DX: int64(c.DX), DY: int64(c.DY), Grid: c.Grid}
+	return ClearID{DX: int32(c.DX), DY: int32(c.DY), Grid: c.Grid}
 }
 
 func (c ClearID) toCore() core.Clear {
@@ -93,16 +105,18 @@ func (c ClearID) toCore() core.Clear {
 // Record is everything the system persists for one account. It is what
 // an offline attacker obtains by stealing the password file: the clear
 // grid identifiers, salt, iteration count, and digest — but not the
-// click-points or their square indices.
+// click-points or their square indices. Its numbers are int32, which
+// halves a server's bytes for them; Config.Validate keeps every value
+// Enroll stores in range.
 type Record struct {
 	User         string     `json:"user"`
 	Kind         SchemeKind `json:"kind"`
-	SquareSidePx int        `json:"square_side_px"`
-	ImageW       int        `json:"image_w"`
-	ImageH       int        `json:"image_h"`
+	SquareSidePx int32      `json:"square_side_px"`
+	ImageW       int32      `json:"image_w"`
+	ImageH       int32      `json:"image_h"`
 	Clears       []ClearID  `json:"clears"`
 	Salt         []byte     `json:"salt"`
-	Iterations   int        `json:"iterations"`
+	Iterations   int32      `json:"iterations"`
 	Digest       []byte     `json:"digest"`
 }
 
@@ -129,25 +143,34 @@ func Enroll(cfg Config, user string, clicks []geom.Point) (*Record, error) {
 	if err != nil {
 		return nil, err
 	}
-	kind := KindCentered
-	if cfg.Scheme.Name() == "robust" {
-		kind = KindRobust
-	}
+	kind, side := schemeID(cfg.Scheme)
 	return &Record{
 		User:         user,
 		Kind:         kind,
-		SquareSidePx: int(cfg.Scheme.SquareSide() / fixed.Scale),
-		ImageW:       cfg.Image.W,
-		ImageH:       cfg.Image.H,
+		SquareSidePx: side,
+		ImageW:       int32(cfg.Image.W),
+		ImageH:       int32(cfg.Image.H),
 		Clears:       clears,
 		Salt:         params.Salt,
-		Iterations:   params.Iterations,
+		Iterations:   int32(params.Iterations),
 		Digest:       digest,
 	}, nil
 }
 
+// schemeID returns the kind and square side in pixels that a record
+// enrolled under s stores.
+func schemeID(s core.Scheme) (SchemeKind, int32) {
+	kind := KindCentered
+	if s.Name() == "robust" {
+		kind = KindRobust
+	}
+	return kind, int32(s.SquareSide() / fixed.Scale)
+}
+
 // Verify checks a login attempt against a stored record. It never
-// reveals which click-point failed.
+// reveals which click-point failed. A record enrolled under another
+// kind or square side than cfg.Scheme's verifies under its own
+// scheme, so a deployment that changes its scheme keeps its accounts.
 func Verify(cfg Config, rec *Record, clicks []geom.Point) (bool, error) {
 	if err := cfg.Validate(); err != nil {
 		return false, err
@@ -163,12 +186,20 @@ func Verify(cfg Config, rec *Record, clicks []geom.Point) (bool, error) {
 	if err := checkClicks(cfg, clicks); err != nil {
 		return false, err
 	}
+	scheme := cfg.Scheme
+	if kind, side := schemeID(scheme); rec.Kind != kind || rec.SquareSidePx != side {
+		s, err := SchemeForRecord(rec)
+		if err != nil {
+			return false, err
+		}
+		scheme = s
+	}
 	tokens := make([]core.Token, len(clicks))
 	for i, p := range clicks {
 		clear := rec.Clears[i].toCore()
-		tokens[i] = core.Token{Clear: clear, Secret: cfg.Scheme.Locate(p, clear)}
+		tokens[i] = core.Token{Clear: clear, Secret: scheme.Locate(p, clear)}
 	}
-	params := passhash.Params{Iterations: rec.Iterations, Salt: rec.Salt}
+	params := passhash.Params{Iterations: int(rec.Iterations), Salt: rec.Salt}
 	return passhash.Verify(params, rec.Digest, tokens)
 }
 
@@ -193,9 +224,9 @@ func SchemeForRecord(rec *Record) (core.Scheme, error) {
 	}
 	switch rec.Kind {
 	case KindCentered:
-		return core.NewCentered(rec.SquareSidePx)
+		return core.NewCentered(int(rec.SquareSidePx))
 	case KindRobust:
-		return core.NewRobust2D(rec.SquareSidePx, core.MostCentered, 0)
+		return core.NewRobust2D(int(rec.SquareSidePx), core.MostCentered, 0)
 	default:
 		return nil, fmt.Errorf("passpoints: unknown scheme kind %q", rec.Kind)
 	}
@@ -233,17 +264,17 @@ func readRecord(r *canonjson.Reader, rec *Record) {
 		case 1:
 			rec.Kind = SchemeKind(r.Intern(string(KindCentered), string(KindRobust)))
 		case 2:
-			rec.SquareSidePx = r.Int()
+			rec.SquareSidePx = r.Int32()
 		case 3:
-			rec.ImageW = r.Int()
+			rec.ImageW = r.Int32()
 		case 4:
-			rec.ImageH = r.Int()
+			rec.ImageH = r.Int32()
 		case 5:
 			rec.Clears = readClears(r)
 		case 6:
 			rec.Salt = r.Bytes()
 		case 7:
-			rec.Iterations = r.Int()
+			rec.Iterations = r.Int32()
 		case 8:
 			rec.Digest = r.Bytes()
 		}
@@ -264,9 +295,9 @@ func readClears(r *canonjson.Reader) []ClearID {
 		r.Object(clearKeys, func(i int) {
 			switch i {
 			case 0:
-				c.DX = r.Int64()
+				c.DX = r.Int32()
 			case 1:
-				c.DY = r.Int64()
+				c.DY = r.Int32()
 			case 2:
 				c.Grid = r.Uint8()
 			}

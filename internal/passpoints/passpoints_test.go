@@ -1,10 +1,14 @@
 package passpoints
 
 import (
+	"encoding/json"
+	"math"
 	"strings"
 	"testing"
 
+	"clickpass/internal/canonjson"
 	"clickpass/internal/core"
+	"clickpass/internal/fixed"
 	"clickpass/internal/geom"
 )
 
@@ -128,25 +132,41 @@ func TestEnrollValidation(t *testing.T) {
 	if _, err := Enroll(cfg, "a", out); err == nil {
 		t.Error("out-of-image click should fail enrollment")
 	}
-	bad := cfg
-	bad.Scheme = nil
-	if _, err := Enroll(bad, "a", fiveClicks()); err == nil {
-		t.Error("nil scheme should fail")
+	// Records store the image sides, the iteration count and the clear
+	// offsets, which the square side bounds, in 32 bits.
+	widest, err := core.NewCentered(math.MaxInt32 / fixed.Scale)
+	if err != nil {
+		t.Fatal(err)
 	}
-	bad = cfg
-	bad.Image = geom.Size{}
-	if _, err := Enroll(bad, "a", fiveClicks()); err == nil {
-		t.Error("empty image should fail")
+	tooWide, err := core.NewCentered(math.MaxInt32/fixed.Scale + 1)
+	if err != nil {
+		t.Fatal(err)
 	}
-	bad = cfg
-	bad.Clicks = 0
-	if _, err := Enroll(bad, "a", nil); err == nil {
-		t.Error("zero clicks should fail")
+	edge := cfg
+	edge.Image = geom.Size{W: math.MaxInt32, H: math.MaxInt32}
+	edge.Iterations = math.MaxInt32
+	edge.Scheme = widest
+	if err := edge.Validate(); err != nil {
+		t.Errorf("config at the 32-bit limits refused: %v", err)
 	}
-	bad = cfg
-	bad.Iterations = -1
-	if _, err := Enroll(bad, "a", fiveClicks()); err == nil {
-		t.Error("negative iterations should fail")
+	for _, tc := range []struct {
+		name   string
+		mutate func(*Config)
+	}{
+		{"nil scheme", func(c *Config) { c.Scheme = nil }},
+		{"empty image", func(c *Config) { c.Image = geom.Size{} }},
+		{"zero clicks", func(c *Config) { c.Clicks = 0 }},
+		{"negative iterations", func(c *Config) { c.Iterations = -1 }},
+		{"image width past 32 bits", func(c *Config) { c.Image.W = math.MaxInt32 + 1 }},
+		{"image height past 32 bits", func(c *Config) { c.Image.H = math.MaxInt32 + 1 }},
+		{"iterations past 32 bits", func(c *Config) { c.Iterations = math.MaxInt32 + 1 }},
+		{"square side past 32 bits", func(c *Config) { c.Scheme = tooWide }},
+	} {
+		bad := cfg
+		tc.mutate(&bad)
+		if _, err := Enroll(bad, "a", fiveClicks()); err == nil {
+			t.Errorf("%s should fail", tc.name)
+		}
 	}
 }
 
@@ -201,6 +221,22 @@ func TestUnmarshalRejectsMalformed(t *testing.T) {
 	for name, data := range cases {
 		if _, err := UnmarshalRecord([]byte(data)); err == nil {
 			t.Errorf("%s: expected error", name)
+		}
+	}
+}
+
+// TestRecordInt32Bounds: numbers at the int32 bounds a record stores
+// decode on the reflection-free path, and both it and encoding/json
+// refuse numbers just past them.
+func TestRecordInt32Bounds(t *testing.T) {
+	for want, inputs := range map[bool][]string{true: int32AtBounds, false: int32PastBounds} {
+		for _, in := range inputs {
+			var fast, ref Record
+			accepted := canonjson.Decode([]byte(in), &fast, readRecord)
+			refErr := json.Unmarshal([]byte(in), &ref)
+			if accepted != want || (refErr == nil) != want {
+				t.Errorf("%s: fast path accepted %v, encoding/json error %v; want decoded %v", in, accepted, refErr, want)
+			}
 		}
 	}
 }

@@ -42,7 +42,7 @@ func readRecordPtr(r *canonjson.Reader, rec **passpoints.Record) { *rec = passpo
 func canonRecords(t testing.TB) []*passpoints.Record {
 	full := &passpoints.Record{
 		User: "alice", Kind: passpoints.KindCentered, SquareSidePx: 13, ImageW: 451, ImageH: 331,
-		Clears:     []passpoints.ClearID{{DX: 1, DY: -2, Grid: 0}, {DX: math.MinInt64, DY: math.MaxInt64, Grid: 255}},
+		Clears:     []passpoints.ClearID{{DX: 1, DY: -2, Grid: 0}, {DX: math.MinInt32, DY: math.MaxInt32, Grid: 255}},
 		Salt:       []byte("0123456789abcdef"),
 		Iterations: 1000,
 		Digest:     []byte("0123456789abcdef0123456789abcdef"),
@@ -174,6 +174,9 @@ func FuzzCanonicalDecode(f *testing.F) {
 		`[{"user":"a","clears":null,"salt":null,"digest":null}]`,
 		"[{\"user\":\"\xff\"}]",
 		`[{"user":"a","clears":[{"dx":-0,"grid":256}]}]`,
+		`[{"user":"a","clears":[{"dx":2147483647},{"dx":-2147483648}]}]`,
+		`[{"user":"a","clears":[{"dx":2147483648}]}]`,
+		`[{"user":"a","iterations":-2147483649}]`,
 		`{"op":"put","user":"","rec":null}`,
 		`{"op":"ckpt","ckpt":18446744073709551616}`,
 	} {

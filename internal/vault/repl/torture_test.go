@@ -108,7 +108,7 @@ func flakyDialer(g *sm64, tear, drop, delay uint64) func(string) (net.Conn, erro
 // back out.
 func versionedTortureRecord(user string, version int) *passpoints.Record {
 	return &passpoints.Record{User: user, Kind: "passpoints", SquareSidePx: 19, ImageW: 451, ImageH: 331,
-		Salt: []byte("salt"), Iterations: version,
+		Salt: []byte("salt"), Iterations: int32(version),
 		Digest: []byte(fmt.Sprintf("%s#%06d", user, version))}
 }
 
@@ -124,7 +124,7 @@ func tortureVersion(user string, rec *passpoints.Record) int {
 	if _, err := fmt.Sscanf(s[len(want):], "%06d", &v); err != nil {
 		return -1
 	}
-	if rec.Iterations != v {
+	if int(rec.Iterations) != v {
 		return -1 // blended record: digest and iterations disagree
 	}
 	return v

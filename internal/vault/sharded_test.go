@@ -3,11 +3,15 @@ package vault
 import (
 	"errors"
 	"fmt"
+	"math/rand/v2"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sync"
 	"testing"
 
+	"clickpass/internal/core"
+	"clickpass/internal/geom"
 	"clickpass/internal/passpoints"
 )
 
@@ -341,4 +345,57 @@ func TestShardedConcurrentStress(t *testing.T) {
 			t.Errorf("stress snapshot %s unreadable: %v", e.Name(), err)
 		}
 	}
+}
+
+// TestRecordHeapBounded: a loaded account costs at most 320 B of live
+// heap. The records are enrolled as servebench's are (centered/13, five
+// clicks on a 451x331 image; fewer hash iterations, which do not change
+// a record's size), saved, and reopened; two GCs on either side of the
+// open count only what the store holds.
+func TestRecordHeapBounded(t *testing.T) {
+	const n = 10000
+	scheme, err := core.NewCentered(13)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := passpoints.Config{Image: geom.Size{W: 451, H: 331}, Clicks: passpoints.DefaultClicks, Scheme: scheme, Iterations: 2}
+	src := NewSharded(0)
+	rng := rand.New(rand.NewPCG(1, 2))
+	clicks := make([]geom.Point, cfg.Clicks)
+	for i := range n {
+		for j := range clicks {
+			clicks[j] = geom.Pt(rng.IntN(cfg.Image.W), rng.IntN(cfg.Image.H))
+		}
+		rec, err := passpoints.Enroll(cfg, fmt.Sprintf("u%d", i), clicks)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := src.Put(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	path := filepath.Join(t.TempDir(), "vault.json")
+	if err := src.SaveTo(path); err != nil {
+		t.Fatal(err)
+	}
+	before := liveHeap()
+	s, err := OpenSharded(path, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	perRecord := float64(liveHeap()-before) / n
+	runtime.KeepAlive(s)
+	t.Logf("%.1f bytes of live heap per record", perRecord)
+	if perRecord > 320 {
+		t.Fatalf("store holds %.1f bytes of live heap per record, want at most 320", perRecord)
+	}
+}
+
+// liveHeap returns the bytes of live heap after two collections.
+func liveHeap() int64 {
+	runtime.GC()
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return int64(ms.HeapAlloc)
 }

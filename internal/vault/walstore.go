@@ -591,8 +591,10 @@ func (sh *walShard) applyUndo(e *walEntry) func() {
 // each intact one. At the first torn or corrupt record it truncates f
 // there — dropping that record and everything after it — and seeks to
 // the new end so the caller can append. It returns the number of
-// intact records and the log length they occupy. An error from apply
-// stops the replay before anything is truncated and is returned.
+// intact records and the log length they occupy. A record whose
+// checksum holds but whose payload does not decode is no torn write
+// but a format this release refuses, so, like an error from apply, it
+// stops the replay with an error before anything is truncated.
 func replayLog(f walFile, apply func(*walEntry) error) (int, int64, error) {
 	if _, err := f.Seek(0, io.SeekStart); err != nil {
 		return 0, 0, fmt.Errorf("vault: seeking %s: %w", f.Name(), err)
@@ -626,7 +628,7 @@ func replayLog(f walFile, apply func(*walEntry) error) (int, int64, error) {
 		}
 		var e walEntry
 		if err := canonjson.Unmarshal(payload, &e, readWalEntry); err != nil {
-			break // checksummed garbage: treat like corruption
+			return 0, 0, fmt.Errorf("vault: %s: record %d at offset %d does not decode: %w", f.Name(), n, off, err)
 		}
 		if err := apply(&e); err != nil {
 			return 0, 0, err

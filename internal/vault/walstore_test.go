@@ -1,8 +1,12 @@
 package vault
 
 import (
+	"bytes"
+	"encoding/binary"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"sync"
@@ -122,6 +126,54 @@ func TestDurableJSONInterop(t *testing.T) {
 	d3 := openDurableT(t, DurableOptions{Shards: 2})
 	if err := d3.ImportJSON(filepath.Join(dir, "nope.json")); err != nil {
 		t.Errorf("ImportJSON of missing file: %v", err)
+	}
+}
+
+// TestDurableRefusesUndecodableEntry: an entry whose checksum holds
+// but whose payload does not decode is a format this release refuses,
+// not a torn write. Here an earlier release logged a record with a
+// 33-bit iteration count, then an ordinary one. Opening must return
+// both records or an error, never fewer records, and must leave the
+// log byte-identical.
+func TestDurableRefusesUndecodableEntry(t *testing.T) {
+	opts := DurableOptions{Shards: 1, Sync: SyncAlways}
+	d := openDurableT(t, opts)
+	dir := d.Dir()
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+	payload, err := json.Marshal(walEntry{Op: walOpPut, Rec: versionedRecord("wide", 1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bytes.Count(payload, []byte(`"iterations":2,`)) != 1 {
+		t.Fatalf("no iteration count to widen in %s", payload)
+	}
+	payload = bytes.Replace(payload, []byte(`"iterations":2,`), []byte(`"iterations":4294967296,`), 1)
+	wal := binary.LittleEndian.AppendUint32(nil, uint32(len(payload)))
+	wal = binary.LittleEndian.AppendUint32(wal, crc32.ChecksumIEEE(payload))
+	wal = append(wal, payload...)
+	next, err := encodeEntry(&walEntry{Op: walOpPut, Rec: versionedRecord("narrow", 1)}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wal = append(wal, next...)
+	path := filepath.Join(dir, shardLogName(0))
+	if err := os.WriteFile(path, wal, 0o600); err != nil {
+		t.Fatal(err)
+	}
+
+	back, err := OpenDurable(dir, opts)
+	if err == nil {
+		defer back.Close()
+		if back.Len() != 2 {
+			t.Errorf("opened with %d of the log's 2 records", back.Len())
+		}
+	} else {
+		t.Logf("open refused: %v", err)
+	}
+	if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, wal) {
+		t.Errorf("open rewrote the log: %d bytes, was %d (%v)", len(got), len(wal), err)
 	}
 }
 
