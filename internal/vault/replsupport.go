@@ -96,8 +96,8 @@ type ReplHooks struct {
 // store's replication hooks. Install before the store takes traffic:
 // mutations racing the swap may ack under either regime.
 func (d *Durable) SetReplHooks(h ReplHooks) {
-	for i := range d.shards {
-		sh := &d.shards[i]
+	for i := range d.logs {
+		sh := &d.logs[i]
 		idx := i
 		sh.mu.Lock()
 		if h.Commit != nil {
@@ -155,14 +155,14 @@ type ShardHealth struct {
 
 // Health returns the store's current per-shard fail-stop state.
 func (d *Durable) Health() ShardHealth {
-	h := ShardHealth{Shards: len(d.shards)}
-	for i := range d.shards {
-		sh := &d.shards[i]
-		sh.mu.Lock()
+	h := ShardHealth{Shards: len(d.logs)}
+	for i := range d.logs {
+		sh := &d.logs[i]
+		sh.mu.RLock()
 		if sh.failed != nil {
 			h.Failed = append(h.Failed, i)
 		}
-		sh.mu.Unlock()
+		sh.mu.RUnlock()
 	}
 	return h
 }
@@ -177,14 +177,14 @@ func (d *Durable) Health() ShardHealth {
 // (see ErrShardFailed); the operator invokes this knowingly, typically
 // after the underlying volume recovered. A healthy shard is a no-op.
 func (d *Durable) ReopenShard(i int) error {
-	if i < 0 || i >= len(d.shards) {
+	if i < 0 || i >= len(d.logs) {
 		return fmt.Errorf("vault: no shard %d", i)
 	}
-	sh := &d.shards[i]
+	sh := &d.logs[i]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	if sh.f == nil {
-		return fmt.Errorf("vault: store is closed")
+		return errClosed
 	}
 	if sh.failed == nil {
 		return nil
@@ -229,14 +229,14 @@ func (d *Durable) ReopenShard(i int) error {
 // value is folded in, and the frame stream resuming after it
 // completes the state.
 func (d *Durable) ShardSnapshot(i int) ([]*passpoints.Record, map[string]int, map[string][]byte, uint64, error) {
-	if i < 0 || i >= len(d.shards) {
+	if i < 0 || i >= len(d.logs) {
 		return nil, nil, nil, 0, fmt.Errorf("vault: no shard %d", i)
 	}
-	sh := &d.shards[i]
+	sh := &d.logs[i]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	if sh.f == nil {
-		return nil, nil, nil, 0, fmt.Errorf("vault: store is closed")
+		return nil, nil, nil, 0, errClosed
 	}
 	sh.quiesce()
 	recs := make([]*passpoints.Record, 0, len(sh.records))
@@ -269,7 +269,7 @@ func (d *Durable) ShardSnapshot(i int) ([]*passpoints.Record, map[string]int, ma
 // soft state catches up with a bootstrap exactly like it tracks the
 // frame stream.
 func (d *Durable) InstallShardSnapshot(i int, recs []*passpoints.Record, lockouts map[string]int, kv map[string][]byte) error {
-	if i < 0 || i >= len(d.shards) {
+	if i < 0 || i >= len(d.logs) {
 		return fmt.Errorf("vault: no shard %d", i)
 	}
 	var notify map[string][]byte
@@ -280,11 +280,11 @@ func (d *Durable) InstallShardSnapshot(i int, recs []*passpoints.Record, lockout
 			}
 		}
 	}()
-	sh := &d.shards[i]
+	sh := &d.logs[i]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	if sh.f == nil {
-		return fmt.Errorf("vault: store is closed")
+		return errClosed
 	}
 	sh.quiesce()
 	sh.records = make(map[string]*passpoints.Record, len(recs))
@@ -370,16 +370,19 @@ func SplitFrames(frames []byte) ([][]byte, error) {
 
 // ApplyReplFrames appends a received batch of framed mutation records
 // to shard i's log and applies them to its maps — the follower's
-// write path, sharing the walEntry apply switch with startup replay.
+// write path, through the same appendDirect as a local unsynced
+// mutation and the same walEntry apply switch as startup replay.
 // The batch is validated in full first (framing, CRCs, JSON, no
 // generation markers) and applied all-or-nothing: a corrupt batch is
 // an error with no effect, so the sender can simply resend from the
 // last acknowledged position. Under SyncAlways the append is fsynced
-// before returning — the durability a quorum ack then vouches for.
-// Once the batch is applied, the compactor is kicked when the shard's
-// garbage crosses the same ratio mutate checks.
+// before returning — the durability a quorum ack then vouches for —
+// and a failed fsync rolls the batch back and fail-stops the shard,
+// as a failed group commit does. Once the batch is applied, the
+// compactor is kicked when the shard's garbage crosses the same ratio
+// mutate checks.
 func (d *Durable) ApplyReplFrames(i int, frames []byte) error {
-	if i < 0 || i >= len(d.shards) {
+	if i < 0 || i >= len(d.logs) {
 		return fmt.Errorf("vault: no shard %d", i)
 	}
 	if len(frames) == 0 {
@@ -415,43 +418,14 @@ func (d *Durable) ApplyReplFrames(i int, frames []byte) error {
 			}
 		}
 	}()
-	sh := &d.shards[i]
+	sh := &d.logs[i]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	if sh.f == nil {
-		return fmt.Errorf("vault: store is closed")
-	}
-	if sh.failed != nil {
-		return sh.refuse()
-	}
-	sh.quiesce()
-	if _, err := sh.f.Write(frames); err != nil {
-		werr := fmt.Errorf("vault: appending replicated batch to %s: %w", sh.path, err)
-		if rerr := sh.restore(sh.wsize); rerr != nil {
-			sh.failStop(fmt.Errorf("%v; rollback failed: %v", werr, rerr))
-		}
-		return werr
-	}
-	sh.wsize += int64(len(frames))
-	sh.lsize = sh.wsize
-	for j := range entries {
-		sh.apply(&entries[j])
-	}
-	sh.entries += len(entries)
-	sh.seq += uint64(len(entries))
-	if d.opts.Sync == SyncAlways {
-		// Fsync under the lock: a follower's shard has no concurrent
-		// foreground writers, so this only delays reads, and it keeps
-		// the ack the caller sends upstream honest.
-		if err := sh.f.Sync(); err != nil {
-			sh.failStop(fmt.Errorf("vault: syncing %s: %w", sh.path, err))
-			return sh.refuse()
-		}
-		sh.off = sh.wsize
-	} else {
-		sh.off = sh.wsize
-		sh.dirty = true
-		sh.dirtyGen++
+	// Fsync under the lock: a follower's shard has no concurrent
+	// foreground writers, so this only delays reads, and it keeps the
+	// ack the caller sends upstream honest.
+	if err := sh.appendDirect(entries, frames, d.opts.Sync == SyncAlways); err != nil {
+		return err
 	}
 	applied = true
 	if sh.needsCompact() {

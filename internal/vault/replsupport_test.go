@@ -132,6 +132,60 @@ func TestApplyReplFramesRejectsCorruption(t *testing.T) {
 	}
 }
 
+// TestApplyReplFramesSyncFailureRollsBack: under SyncAlways a follower
+// shard whose fsync of a replicated batch fails must refuse the batch
+// and roll its entries back, exactly as a failed group commit does. A
+// follower that kept serving the batch from memory would read a
+// version that its log, after a restart, no longer holds.
+func TestApplyReplFramesSyncFailureRollsBack(t *testing.T) {
+	src := openDurableT(t, DurableOptions{Shards: 1, Sync: SyncAlways, NoAutoCompact: true})
+	var cap captureShip
+	src.SetReplHooks(cap.hook())
+	if err := src.Put(versionedRecord("alpha", 0)); err != nil {
+		t.Fatal(err)
+	}
+	if err := src.Replace(versionedRecord("alpha", 1)); err != nil {
+		t.Fatal(err)
+	}
+	if err := src.SetLockout("alpha", 2); err != nil {
+		t.Fatal(err)
+	}
+	cap.mu.Lock()
+	batches := cap.batches
+	cap.mu.Unlock()
+	if len(batches) != 3 {
+		t.Fatalf("shipped %d batches, want 3", len(batches))
+	}
+	// The follower's second batch fsync fails; its third batch never
+	// lands, because the shard has fail-stopped.
+	ctl := &faultCtl{syncErr: failAfter(2, errors.New("injected fsync failure"))}
+	dst := openFaulty(t, t.TempDir(), DurableOptions{Shards: 1, Sync: SyncAlways, NoAutoCompact: true}, ctl)
+	if err := dst.ApplyReplFrames(0, batches[0].frames); err != nil {
+		t.Fatal(err)
+	}
+	if err := dst.ApplyReplFrames(0, batches[1].frames); !errors.Is(err, ErrShardFailed) {
+		t.Fatalf("batch over a failed fsync: got %v, want ErrShardFailed", err)
+	}
+	if err := dst.ApplyReplFrames(0, batches[2].frames); !errors.Is(err, ErrShardFailed) {
+		t.Fatalf("batch after a failed fsync: got %v, want ErrShardFailed", err)
+	}
+	check := func(where string, d *Durable) {
+		t.Helper()
+		rec, err := d.Get("alpha")
+		if err != nil {
+			t.Fatalf("%s: %v", where, err)
+		}
+		if got := recordVersion(t, where, rec); got != 0 {
+			t.Errorf("%s: alpha at version %d, want 0 (the failed batch was not rolled back)", where, got)
+		}
+		if locks := d.Lockouts(); len(locks) != 0 {
+			t.Errorf("%s: lockouts %v, want none", where, locks)
+		}
+	}
+	check("in memory", dst)
+	check("after reopen", reopen(t, dst))
+}
+
 // TestReopenShardRecovers: a fail-stopped shard reopened through the
 // supervised admin path serves exactly its acked state again, and a
 // reopen that fails leaves the shard fail-stopped rather than

@@ -13,19 +13,31 @@ import (
 // rare without bloating an empty store.
 const DefaultShards = 32
 
-// Sharded is a Store partitioned into N independently locked shards
-// keyed by FNV-1a of the user name. Reads on different shards never
+// shardSet is the record map both stores keep: N independently locked
+// shards keyed by FNV-1a of the user name, and the read path over
+// them. Sharded embeds it with its own Put/Replace/Delete; Durable
+// embeds it and pairs each shard with a log (walShard) that holds the
+// shard's write lock while it appends. Reads on different shards never
 // contend, and a writer blocks only 1/N of the key space instead of
 // every reader, so throughput scales with cores under the read-heavy
-// mix an authentication front end produces. The per-shard maps are
-// guarded by RWMutexes; cross-shard operations (Users, Len, All, Save)
-// take a per-shard-consistent snapshot — each shard is read atomically,
-// but the shards are visited in sequence, so a concurrent writer may
-// land between visits. That is the same guarantee a single lock over
-// the whole map gives a caller who performs two reads.
-type Sharded struct {
+// mix an authentication front end produces. Cross-shard reads (Users,
+// Len, All, Snapshot, SaveTo) are per-shard-consistent: each shard is
+// read atomically, but the shards are visited in sequence, so a
+// concurrent writer may land between visits. That is the same
+// guarantee a single lock over the whole map gives a caller who
+// performs two reads.
+type shardSet struct {
 	shards []shard
-	path   string // empty for purely in-memory stores
+}
+
+// Sharded is the in-memory Store: N independently locked shards keyed
+// by FNV-1a of the user name, loaded from and saved atomically to a
+// JSON snapshot file. Its reads are the shard set's (see shardSet):
+// they scale with cores, and cross-shard reads are
+// per-shard-consistent.
+type Sharded struct {
+	shardSet
+	path string // empty for purely in-memory stores
 }
 
 type shard struct {
@@ -33,17 +45,22 @@ type shard struct {
 	records map[string]*passpoints.Record
 }
 
-// NewSharded returns an empty in-memory sharded store with n shards
-// (n <= 0 selects DefaultShards).
-func NewSharded(n int) *Sharded {
+// newShardSet returns n empty shards (n <= 0 selects DefaultShards).
+func newShardSet(n int) shardSet {
 	if n <= 0 {
 		n = DefaultShards
 	}
-	s := &Sharded{shards: make([]shard, n)}
+	s := shardSet{shards: make([]shard, n)}
 	for i := range s.shards {
 		s.shards[i].records = make(map[string]*passpoints.Record)
 	}
 	return s
+}
+
+// NewSharded returns an empty in-memory sharded store with n shards
+// (n <= 0 selects DefaultShards).
+func NewSharded(n int) *Sharded {
+	return &Sharded{shardSet: newShardSet(n)}
 }
 
 // OpenSharded loads a sharded store from path, creating an empty one
@@ -58,18 +75,18 @@ func OpenSharded(path string, n int) (*Sharded, error) {
 		return nil, err
 	}
 	for _, r := range recs {
-		sh := s.shardFor(r.User)
+		sh := &s.shards[s.index(r.User)]
 		sh.records[r.User] = r
 	}
 	return s, nil
 }
 
 // Shards returns the shard count.
-func (s *Sharded) Shards() int { return len(s.shards) }
+func (s *shardSet) Shards() int { return len(s.shards) }
 
-// shardFor picks the shard by FNV-1a of the user name (see FNV32a).
-func (s *Sharded) shardFor(user string) *shard {
-	return &s.shards[FNV32a(user)%uint32(len(s.shards))]
+// index picks key's shard by FNV-1a (see FNV32a).
+func (s *shardSet) index(key string) int {
+	return int(FNV32a(key) % uint32(len(s.shards)))
 }
 
 // Put stores a record for a new user.
@@ -77,7 +94,7 @@ func (s *Sharded) Put(rec *passpoints.Record) error {
 	if rec == nil || rec.User == "" {
 		return fmt.Errorf("vault: record must have a user")
 	}
-	sh := s.shardFor(rec.User)
+	sh := &s.shards[s.index(rec.User)]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	if _, ok := sh.records[rec.User]; ok {
@@ -93,7 +110,7 @@ func (s *Sharded) Replace(rec *passpoints.Record) error {
 	if rec == nil || rec.User == "" {
 		return fmt.Errorf("vault: record must have a user")
 	}
-	sh := s.shardFor(rec.User)
+	sh := &s.shards[s.index(rec.User)]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	sh.records[rec.User] = rec
@@ -101,8 +118,8 @@ func (s *Sharded) Replace(rec *passpoints.Record) error {
 }
 
 // Get returns the record for user, or ErrNotFound.
-func (s *Sharded) Get(user string) (*passpoints.Record, error) {
-	sh := s.shardFor(user)
+func (s *shardSet) Get(user string) (*passpoints.Record, error) {
+	sh := &s.shards[s.index(user)]
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
 	rec, ok := sh.records[user]
@@ -115,14 +132,14 @@ func (s *Sharded) Get(user string) (*passpoints.Record, error) {
 // Delete removes a user's record; deleting a missing user is not an
 // error.
 func (s *Sharded) Delete(user string) {
-	sh := s.shardFor(user)
+	sh := &s.shards[s.index(user)]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	delete(sh.records, user)
 }
 
 // Users returns all user names in sorted order.
-func (s *Sharded) Users() []string {
+func (s *shardSet) Users() []string {
 	users := make([]string, 0, s.Len())
 	for i := range s.shards {
 		sh := &s.shards[i]
@@ -137,7 +154,7 @@ func (s *Sharded) Users() []string {
 }
 
 // Len returns the number of records.
-func (s *Sharded) Len() int {
+func (s *shardSet) Len() int {
 	n := 0
 	for i := range s.shards {
 		sh := &s.shards[i]
@@ -150,7 +167,7 @@ func (s *Sharded) Len() int {
 
 // All returns every record sorted by user — the attacker's view after
 // a password-file compromise.
-func (s *Sharded) All() []*passpoints.Record {
+func (s *shardSet) All() []*passpoints.Record {
 	recs := s.Snapshot()
 	sort.Slice(recs, func(i, j int) bool { return recs[i].User < recs[j].User })
 	return recs
@@ -160,7 +177,7 @@ func (s *Sharded) All() []*passpoints.Record {
 // All performs. Each shard is copied under its read lock, so the
 // snapshot is per-shard-consistent; use it when the caller iterates
 // once and does not need a canonical order.
-func (s *Sharded) Snapshot() []*passpoints.Record {
+func (s *shardSet) Snapshot() []*passpoints.Record {
 	recs := make([]*passpoints.Record, 0, s.Len())
 	for i := range s.shards {
 		sh := &s.shards[i]
@@ -183,7 +200,9 @@ func (s *Sharded) Save() error {
 }
 
 // SaveTo writes the store to the given path atomically, as the JSON
-// array of records sorted by user.
-func (s *Sharded) SaveTo(path string) error {
+// array of records sorted by user: the snapshot OpenSharded reads and
+// Durable.ImportJSON loads, so a deployment can migrate between the
+// backends in either direction.
+func (s *shardSet) SaveTo(path string) error {
 	return writeRecords(path, s.All())
 }

@@ -1,12 +1,17 @@
 // Package vault is the server-side "password file": a store of
 // PassPoints records keyed by user name behind the Store interface.
-// Two implementations ship: Sharded, the in-memory fnv-partitioned
-// store with an atomic file-backed save, whose reads scale with cores;
-// and Durable, the crash-safe backend that appends every mutation to a
-// checksummed per-shard log before acking and replays the logs on
-// startup. Both speak the same on-disk JSON snapshot format (Durable
-// via SaveTo/ImportJSON), so a deployment can migrate between backends
-// in place. Stealing this state is the offline-attack scenario of the
+// Two implementations ship, and both keep their records in one shard
+// set: an fnv-partitioned map with an RWMutex per shard and one read
+// path, whose reads scale with cores. Sharded is that set in memory,
+// with an atomic file-backed save. Durable, the crash-safe backend,
+// pairs each shard with a checksummed append-only log, appends every
+// mutation to it before acking, and replays the logs on startup. Under
+// SyncAlways local mutations group-commit; every other append — a
+// local mutation under the other policies, ImportJSON, and a
+// replication follower's ApplyReplFrames — goes through one function.
+// Both speak the same on-disk JSON snapshot format (Durable via
+// SaveTo/ImportJSON), so a deployment can migrate between backends in
+// place. Stealing this state is the offline-attack scenario of the
 // paper's §5.1 — it exposes salts, iteration counts, clear grid
 // identifiers and digests, but no click-points.
 package vault

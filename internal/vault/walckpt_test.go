@@ -109,7 +109,7 @@ func TestCheckpointBoundsReplay(t *testing.T) {
 		if err := d.Compact(); err != nil {
 			t.Fatal(err)
 		}
-		sh := &reopen(t, d).shards[0]
+		sh := &reopen(t, d).logs[0]
 		if sh.entries != sh.live() {
 			t.Errorf("%d-op history: replayed %d entries after a compaction, want the %d live ones", history, sh.entries, sh.live())
 		}

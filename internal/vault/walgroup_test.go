@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strconv"
 	"strings"
 	"sync"
@@ -325,13 +326,17 @@ func TestGroupCommitBatchFailure(t *testing.T) {
 	}
 }
 
-// TestWalRollback covers the failed-append rollback paths on the
-// direct (non-group-commit) write path: a failed write whose rollback
-// succeeds leaves the shard usable, while a rollback that cannot
-// restore the committed offset — Truncate or the follow-up Seek
-// failing — must fail-stop the shard instead of letting later appends
-// write behind a tear. The Seek case is the regression this PR fixes:
-// rollback used to ignore a failed Seek after a successful Truncate.
+// TestWalRollback covers the failed-append rollback paths of
+// appendDirect, the one append outside group commit, from each of its
+// three callers: a mutation under SyncNever, ApplyReplFrames and
+// ImportJSON. Each writes three records, and the third write fails. A
+// failed write whose rollback succeeds errors the call, leaves no
+// trace in memory or in the log, and keeps the shard usable, while a
+// rollback that cannot restore the committed offset — Truncate or the
+// follow-up Seek failing — must fail-stop the shard instead of letting
+// later appends write behind a tear. The Seek case guards a
+// regression: rollback once ignored a failed Seek after a successful
+// Truncate.
 func TestWalRollback(t *testing.T) {
 	injected := errors.New("injected failure")
 	cases := []struct {
@@ -358,49 +363,88 @@ func TestWalRollback(t *testing.T) {
 			}
 		}, true},
 	}
+	// Each caller writes recs into a one-shard store, one log write per
+	// record, and returns the first error.
+	callers := []struct {
+		name  string
+		write func(t *testing.T, d *Durable, recs []*passpoints.Record) error
+	}{
+		{"mutate", func(t *testing.T, d *Durable, recs []*passpoints.Record) error {
+			for _, r := range recs {
+				if err := d.Put(r); err != nil {
+					return err
+				}
+			}
+			return nil
+		}},
+		{"ApplyReplFrames", func(t *testing.T, d *Durable, recs []*passpoints.Record) error {
+			for _, r := range recs {
+				frame, err := encodeEntry(&walEntry{Op: walOpPut, Rec: r}, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := d.ApplyReplFrames(0, frame); err != nil {
+					return err
+				}
+			}
+			return nil
+		}},
+		{"ImportJSON", func(t *testing.T, d *Durable, recs []*passpoints.Record) error {
+			snap := filepath.Join(t.TempDir(), "snap.json")
+			if err := writeRecords(snap, recs); err != nil {
+				t.Fatal(err)
+			}
+			return d.ImportJSON(snap)
+		}},
+	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			dir := t.TempDir()
-			d := openFaulty(t, dir, DurableOptions{Shards: 1, Sync: SyncNever}, tc.ctl())
-			if err := d.Put(versionedRecord("alpha", 0)); err != nil {
-				t.Fatal(err)
-			}
-			if err := d.Replace(versionedRecord("alpha", 1)); err != nil {
-				t.Fatal(err)
-			}
-			// Write 3 fails.
-			if err := d.Replace(versionedRecord("alpha", 2)); err == nil {
-				t.Fatal("injected write failure not surfaced")
-			}
-			err := d.Replace(versionedRecord("alpha", 3))
-			if tc.wantStop {
-				if !errors.Is(err, ErrShardFailed) {
-					t.Fatalf("append after failed rollback: got %v, want ErrShardFailed", err)
-				}
-			} else if err != nil {
-				t.Fatalf("append after clean rollback: %v", err)
-			}
-			// Either way the log must replay to a consistent prefix:
-			// versions 0..1 acked, version 2 failed, version 3 only if
-			// the shard stayed usable.
-			if err := d.Close(); err != nil {
-				t.Fatal(err)
-			}
-			back, err := OpenDurable(dir, DurableOptions{Shards: 1, Sync: SyncNever})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer back.Close()
-			rec, err := back.Get("alpha")
-			if err != nil {
-				t.Fatalf("acked record lost: %v", err)
-			}
-			want := 1
-			if !tc.wantStop {
-				want = 3
-			}
-			if got := recordVersion(t, tc.name, rec); got != want {
-				t.Errorf("recovered version %d, want %d", got, want)
+			for _, c := range callers {
+				t.Run(c.name, func(t *testing.T) {
+					dir := t.TempDir()
+					d := openFaulty(t, dir, DurableOptions{Shards: 1, Sync: SyncNever}, tc.ctl())
+					versions := func(d *Durable) map[string]int {
+						got := map[string]int{}
+						for _, r := range d.All() {
+							got[r.User] = recordVersion(t, tc.name, r)
+						}
+						return got
+					}
+					recs := []*passpoints.Record{versionedRecord("u0", 0), versionedRecord("u1", 0), versionedRecord("u2", 0)}
+					// Write 3 fails.
+					if err := c.write(t, d, recs); err == nil {
+						t.Fatal("injected write failure not surfaced")
+					}
+					if got, want := versions(d), map[string]int{"u0": 0, "u1": 0}; !reflect.DeepEqual(got, want) {
+						t.Errorf("in memory after the failed write: %v, want %v", got, want)
+					}
+					err := d.Replace(versionedRecord("u0", 1))
+					if tc.wantStop {
+						if !errors.Is(err, ErrShardFailed) {
+							t.Fatalf("append after failed rollback: got %v, want ErrShardFailed", err)
+						}
+					} else if err != nil {
+						t.Fatalf("append after clean rollback: %v", err)
+					}
+					// Either way the log must replay to a consistent
+					// prefix: u0 and u1 acked, u2 failed, u0's version 1
+					// only if the shard stayed usable.
+					if err := d.Close(); err != nil {
+						t.Fatal(err)
+					}
+					back, err := OpenDurable(dir, DurableOptions{Shards: 1, Sync: SyncNever})
+					if err != nil {
+						t.Fatal(err)
+					}
+					defer back.Close()
+					want := map[string]int{"u0": 1, "u1": 0}
+					if tc.wantStop {
+						want["u0"] = 0
+					}
+					if got := versions(back); !reflect.DeepEqual(got, want) {
+						t.Errorf("recovered %v, want %v", got, want)
+					}
+				})
 			}
 		})
 	}
@@ -415,13 +459,13 @@ func TestSyncLoopDoesNotBlockAppends(t *testing.T) {
 	gate := make(chan struct{})
 	ctl := &faultCtl{syncGate: gate}
 	d := openFaulty(t, t.TempDir(),
-		DurableOptions{Shards: 1, Sync: SyncInterval, SyncEvery: 5 * time.Millisecond, NoAutoCompact: true}, ctl)
+		DurableOptions{Shards: 1, Sync: SyncInterval, NoAutoCompact: true}, ctl)
 	if err := d.Put(versionedRecord("alpha", 0)); err != nil {
 		t.Fatal(err)
 	}
 	// Wait until the sync loop has actually entered the gated fsync,
 	// so the appends below demonstrably race an in-flight sync.
-	sh := &d.shards[0]
+	sh := &d.logs[0]
 	deadline := time.Now().Add(5 * time.Second)
 	for ctl.entered.Load() == 0 {
 		if time.Now().After(deadline) {

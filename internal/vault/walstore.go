@@ -11,7 +11,6 @@ import (
 	"log"
 	"os"
 	"path/filepath"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -34,10 +33,10 @@ const (
 	// same shard coalesce into shared group-commit fsyncs, so the
 	// per-mutation cost amortizes across writers. The default.
 	SyncAlways SyncPolicy = iota
-	// SyncInterval fsyncs dirty shards on a background timer
-	// (DurableOptions.SyncEvery). An acked mutation survives a process
-	// kill immediately (the write() has happened) but may be lost to an
-	// OS crash inside the sync window.
+	// SyncInterval fsyncs dirty shards on a background timer, every
+	// 100 ms (syncPeriod). An acked mutation survives a process kill
+	// immediately (the write() has happened) but may be lost to an OS
+	// crash inside the sync window.
 	SyncInterval
 	// SyncNever leaves syncing to the OS page cache (and Close). Acked
 	// mutations survive a process kill but not an OS crash.
@@ -86,6 +85,10 @@ const compactRatio = 2.0
 // ratio test is noisy at small counts.
 const compactMinEntries = 256
 
+// syncPeriod is how often the SyncInterval flusher fsyncs dirty
+// shards: the longest an acked write waits to survive an OS crash.
+const syncPeriod = 100 * time.Millisecond
+
 // ErrShardFailed marks mutations refused by a fail-stopped shard. A
 // shard fail-stops when an fsync of its log fails, or when the
 // rollback after a failed append cannot restore the committed offset:
@@ -96,6 +99,9 @@ const compactMinEntries = 256
 // acked state is intact in memory) but refuses every further mutation
 // until the process restarts and replays the log.
 var ErrShardFailed = errors.New("vault: shard fail-stopped after a log write or sync error")
+
+// errClosed refuses every mutation and flush once Close has run.
+var errClosed = errors.New("vault: store is closed")
 
 // DurableOptions configures OpenDurable. The zero value selects
 // DefaultShards and SyncAlways with the background compactor enabled.
@@ -111,9 +117,6 @@ type DurableOptions struct {
 	Shards int
 	// Sync is the fsync policy for appended mutations.
 	Sync SyncPolicy
-	// SyncEvery is the background fsync period under SyncInterval;
-	// <= 0 selects 100ms. Ignored under other policies.
-	SyncEvery time.Duration
 	// NoAutoCompact disables the background compactor; Compact and
 	// CompactShard remain available for manual use (tests, tooling).
 	NoAutoCompact bool
@@ -128,13 +131,13 @@ type DurableOptions struct {
 	CommitWindow time.Duration
 }
 
-// Durable is the crash-safe Store: the fnv-sharded in-memory map of
-// Sharded, with one append-only log file per shard as the source of
-// truth. Every mutation — Put, Replace, Delete, and lockout-counter
-// writes through the LockoutStore extension — appends one
-// length-prefixed, CRC32-checksummed record to its shard's log before
-// the call returns, so an acked write survives a crash (exactly how
-// durably is the SyncPolicy's call). OpenDurable replays the shard
+// Durable is the crash-safe Store: Sharded's shard set and read path
+// (see shardSet), with one append-only log file per shard as the
+// source of truth. Every mutation — Put, Replace, Delete, and
+// lockout-counter writes through the LockoutStore extension — appends
+// one length-prefixed, CRC32-checksummed record to its shard's log
+// before the call returns, so an acked write survives a crash (exactly
+// how durably is the SyncPolicy's call). OpenDurable replays the shard
 // logs in parallel (they share nothing) to rebuild memory, truncating
 // each log at the first torn or corrupt record: everything acked
 // before the tear is recovered, the torn tail is dropped.
@@ -161,14 +164,15 @@ type DurableOptions struct {
 // rewrites a shard's log from its live maps once dead records outgrow
 // twice the live set — on a primary and on a replication follower
 // alike. That one rewrite bounds each log, and with it startup replay,
-// by the shard's live state instead of the store's age. SaveTo still
-// exports the canonical JSON snapshot shared by Vault and Sharded, and
-// ImportJSON loads one, so a deployment can migrate between backends
-// in either direction.
+// by the shard's live state instead of the store's age. SaveTo exports
+// the canonical JSON snapshot Sharded reads and writes, and ImportJSON
+// loads one, so a deployment can migrate between backends in either
+// direction.
 type Durable struct {
+	shardSet
 	dir    string
 	opts   DurableOptions
-	shards []walShard
+	logs   []walShard // logs[i] appends for shards[i]
 	closed atomic.Bool
 
 	// openFile opens a shard log; tests swap it to inject failing
@@ -230,28 +234,31 @@ func defaultOpenFile(path string) (walFile, error) {
 }
 
 // walPending is one record written to a shard's log but not yet
-// covered by a successful fsync: the bookkeeping group commit needs
-// to ack (drop the undo) or fail (run it) a whole batch at once.
+// covered by a successful fsync: the bookkeeping group commit and a
+// synced appendDirect need to ack (drop the undo) or fail (run it) a
+// whole batch at once.
 type walPending struct {
 	end  int64  // log length once this record was written
 	undo func() // reverts the record's eager map application
 }
 
-// walShard is one log-backed partition. The mutex covers the maps,
-// the file, and all offsets; the commit condvar (sharing the mutex)
-// coordinates group commit: under SyncAlways writers stage their
-// encoded records in wbuf under the lock, then wait on the condvar
-// while one of them — the batch leader — writes and fsyncs the whole
-// buffer outside the lock and wakes everyone with the shared result.
+// walShard is the log of one shard of the set: the shard's lockouts
+// and KV, its file and offsets. It takes the shard's lock, whose
+// write side covers the records, the maps here, the file and all
+// offsets, and whose read side every Durable read takes. The commit
+// condvar (sharing the write lock) coordinates group commit: under
+// SyncAlways writers stage their encoded records in wbuf under the
+// lock, then wait on the condvar while one of them — the batch leader
+// — writes and fsyncs the whole buffer outside the lock and wakes
+// everyone with the shared result.
 // Staging in memory rather than writing through matters beyond the
 // saved syscalls: an fsync racing concurrent appends to the same
 // inode degrades badly on journaling filesystems (the flush chases
 // freshly dirtied pages), so exactly one goroutine — the leader —
 // ever touches the file while a sync is possible.
 type walShard struct {
-	mu       sync.Mutex
+	*shard             // the records and their lock
 	commit   sync.Cond // group-commit wakeups; commit.L == &mu
-	records  map[string]*passpoints.Record
 	lockouts map[string]int
 	// kv holds the shard's slice of the small durable key/value side
 	// table (see KVStore): opaque blobs keyed by FNV32a(key) exactly
@@ -399,9 +406,6 @@ func openDurable(dir string, opts DurableOptions, openFile func(string) (walFile
 	if opts.Shards <= 0 {
 		opts.Shards = DefaultShards
 	}
-	if opts.SyncEvery <= 0 {
-		opts.SyncEvery = 100 * time.Millisecond
-	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("vault: creating %s: %w", dir, err)
 	}
@@ -428,9 +432,10 @@ func openDurable(dir string, opts DurableOptions, openFile func(string) (walFile
 		}
 	}
 	d := &Durable{
+		shardSet: newShardSet(opts.Shards),
 		dir:      dir,
 		opts:     opts,
-		shards:   make([]walShard, opts.Shards),
+		logs:     make([]walShard, opts.Shards),
 		openFile: openFile,
 		kick:     make(chan int, opts.Shards),
 		stop:     make(chan struct{}),
@@ -440,10 +445,10 @@ func openDurable(dir string, opts DurableOptions, openFile func(string) (walFile
 	// all shard-private, so recovery time is the slowest shard, not
 	// the sum (par returns the lowest-index failure, and every claimed
 	// shard runs to completion, so closeFiles sees a consistent set).
-	if err := par.ForEach(0, len(d.shards), func(i int) error {
-		sh := &d.shards[i]
+	if err := par.ForEach(0, len(d.logs), func(i int) error {
+		sh := &d.logs[i]
+		sh.shard = &d.shards[i]
 		sh.commit.L = &sh.mu
-		sh.records = make(map[string]*passpoints.Record)
 		sh.lockouts = make(map[string]int)
 		sh.kv = make(map[string][]byte)
 		sh.commitWindow = opts.CommitWindow
@@ -539,52 +544,38 @@ func (sh *walShard) apply(e *walEntry) {
 	}
 }
 
-// applyUndo applies e to the maps like apply and returns a closure
-// that restores the touched key's prior state — the rollback a group
-// commit batch runs when its shared fsync fails.
+// applyUndo applies e like apply and returns a closure that restores
+// the touched key's prior state — the rollback a synced append runs
+// when its fsync fails.
 func (sh *walShard) applyUndo(e *walEntry) func() {
+	undo := func() {}
 	switch e.Op {
 	case walOpPut:
-		user := e.Rec.User
-		prev, had := sh.records[user]
-		sh.records[user] = e.Rec
-		return func() {
-			if had {
-				sh.records[user] = prev
-			} else {
-				delete(sh.records, user)
-			}
+		if e.Rec != nil {
+			undo = undoFor(sh.records, e.Rec.User)
 		}
 	case walOpDel:
-		prev, had := sh.records[e.User]
-		delete(sh.records, e.User)
-		return func() {
-			if had {
-				sh.records[e.User] = prev
-			}
-		}
+		undo = undoFor(sh.records, e.User)
 	case walOpLock:
-		prev, had := sh.lockouts[e.User]
-		sh.apply(e)
-		return func() {
-			if had {
-				sh.lockouts[e.User] = prev
-			} else {
-				delete(sh.lockouts, e.User)
-			}
-		}
+		undo = undoFor(sh.lockouts, e.User)
 	case walOpKV:
-		prev, had := sh.kv[e.Key]
-		sh.apply(e)
-		return func() {
-			if had {
-				sh.kv[e.Key] = prev
-			} else {
-				delete(sh.kv, e.Key)
-			}
+		undo = undoFor(sh.kv, e.Key)
+	}
+	sh.apply(e)
+	return undo
+}
+
+// undoFor captures m[k]'s current state and returns a closure that
+// puts it back.
+func undoFor[V any](m map[string]V, k string) func() {
+	prev, had := m[k]
+	return func() {
+		if had {
+			m[k] = prev
+		} else {
+			delete(m, k)
 		}
 	}
-	return func() {}
 }
 
 // replayLog streams f's records from the start, calling apply for
@@ -672,30 +663,64 @@ func encodeEntry(e *walEntry, buf []byte) ([]byte, error) {
 	return buf, nil
 }
 
-// write encodes e and appends it to the shard's log in one write
-// call, advancing wsize (the written — not yet necessarily durable —
-// length). Caller holds sh.mu. A failed write truncates back to the
-// pre-write offset so torn bytes never sit in front of later records;
-// if even that rollback fails, the shard fail-stops — the file's
-// write offset can no longer be trusted, and appending anyway would
-// strand every later record behind a tear that replay truncates away.
-func (sh *walShard) write(e *walEntry) error {
-	buf, err := encodeEntry(e, sh.buf)
-	if err != nil {
+// appendDirect is the shard's one append outside group commit, behind
+// a mutation under SyncInterval or SyncNever, ImportJSON and
+// ApplyReplFrames. It waits out any group commit, refuses a closed or
+// fail-stopped shard, and writes frames — the encoding of entries, or
+// nil to encode the single entry here — in one write call. A failed
+// write truncates back to the pre-write offset so torn bytes never sit
+// in front of later records; if even that rollback fails, the shard
+// fail-stops — the file's write offset can no longer be trusted, and
+// appending anyway would strand every later record behind a tear that
+// replay truncates away. With synced, the entries are applied with
+// their undos pending and the log is fsynced before the call returns;
+// a failed fsync fail-stops the shard, and failStop rolls the entries
+// back exactly as it does a failed group commit. Without, they are
+// applied outright and the shard is marked dirty for the next flush.
+// Either way the entries are counted and the frames shipped. Caller
+// holds sh.mu.
+func (sh *walShard) appendDirect(entries []walEntry, frames []byte, synced bool) error {
+	sh.quiesce()
+	if err := sh.writable(); err != nil {
 		return err
 	}
-	sh.buf = buf
-	if _, err := sh.f.Write(buf); err != nil {
+	if frames == nil {
+		buf, err := encodeEntry(&entries[0], sh.buf)
+		if err != nil {
+			return err
+		}
+		sh.buf, frames = buf, buf
+	}
+	if _, err := sh.f.Write(frames); err != nil {
 		werr := fmt.Errorf("vault: appending to %s: %w", sh.path, err)
 		if rerr := sh.restore(sh.wsize); rerr != nil {
 			sh.failStop(fmt.Errorf("%v; rollback failed: %v", werr, rerr))
 		}
 		return werr
 	}
-	sh.wsize += int64(len(buf))
+	sh.wsize += int64(len(frames))
 	sh.lsize = sh.wsize
-	sh.entries++
-	sh.seq++
+	sh.entries += len(entries)
+	sh.seq += uint64(len(entries))
+	if synced {
+		for i := range entries {
+			sh.pending = append(sh.pending, walPending{end: sh.wsize, undo: sh.applyUndo(&entries[i])})
+		}
+		if err := sh.f.Sync(); err != nil {
+			sh.failStop(fmt.Errorf("vault: syncing %s: %w", sh.path, err))
+			return sh.writable()
+		}
+	} else {
+		for i := range entries {
+			sh.apply(&entries[i])
+		}
+		sh.dirty = true
+		sh.dirtyGen++
+	}
+	sh.commitTo(sh.wsize)
+	if sh.ship != nil {
+		sh.ship(frames, sh.seq)
+	}
 	return nil
 }
 
@@ -733,9 +758,8 @@ func (sh *walShard) restore(off int64) error {
 }
 
 // failStop marks the shard permanently failed (see ErrShardFailed),
-// rolls back every pending group-commit record — map state and log
-// bytes — and wakes all waiters so they observe the failure. Caller
-// holds sh.mu.
+// rolls back every pending record — map state and log bytes — and
+// wakes all waiters so they observe the failure. Caller holds sh.mu.
 func (sh *walShard) failStop(cause error) {
 	if sh.failed == nil {
 		sh.failed = cause
@@ -756,10 +780,17 @@ func (sh *walShard) failStop(cause error) {
 	sh.commit.Broadcast()
 }
 
-// refuse returns the error a fail-stopped shard hands every mutation.
-// Caller holds sh.mu and has checked sh.failed != nil.
-func (sh *walShard) refuse() error {
-	return fmt.Errorf("%w (%s: %v)", ErrShardFailed, sh.path, sh.failed)
+// writable returns nil when the shard can take a mutation, and
+// otherwise the error it refuses one with: the store is closed, or the
+// shard has fail-stopped (see ErrShardFailed). Caller holds sh.mu.
+func (sh *walShard) writable() error {
+	if sh.f == nil {
+		return errClosed
+	}
+	if sh.failed != nil {
+		return fmt.Errorf("%w (%s: %v)", ErrShardFailed, sh.path, sh.failed)
+	}
+	return nil
 }
 
 // commitTo marks everything below target durable: the committed
@@ -861,8 +892,9 @@ func (sh *walShard) awaitCommit(myEnd int64) error {
 
 // quiesce blocks until no group-commit fsync is in flight and no
 // written record awaits one (off == wsize): the stable state
-// compaction, Save, and Close need before they touch the shard's
-// file. Caller holds sh.mu; quiesce may release and reacquire it.
+// compaction, appendDirect, flush and Close need before they touch
+// the shard's file. Caller holds sh.mu; quiesce may release and
+// reacquire it.
 func (sh *walShard) quiesce() {
 	for sh.syncing || len(sh.pending) > 0 {
 		sh.commit.Wait()
@@ -896,79 +928,57 @@ func (d *Durable) kickCompact(i int) {
 // Dir returns the store's log directory.
 func (d *Durable) Dir() string { return d.dir }
 
-// Shards returns the shard count.
-func (d *Durable) Shards() int { return len(d.shards) }
-
-// shardFor picks the shard by FNV-1a of the user name — the same
-// split as Sharded's (see FNV32a).
-func (d *Durable) shardFor(user string) (*walShard, int) {
-	i := int(FNV32a(user) % uint32(len(d.shards)))
-	return &d.shards[i], i
+// shardFor returns the log of key's shard and its index.
+func (d *Durable) shardFor(key string) (*walShard, int) {
+	i := d.index(key)
+	return &d.logs[i], i
 }
 
 // errSkipAppend is returned by a mutate precondition to turn the call
 // into an acked no-op (nothing appended, nothing applied).
 var errSkipAppend = errors.New("vault: skip append")
 
-// mutate is the single write path: under the shard lock it runs pre
-// (which may refuse the mutation, or skip it via errSkipAppend),
-// writes e to the shard's log, applies it to the shard's maps, and —
-// under SyncAlways — joins the shard's group commit, acking only once
-// a shared fsync covers the record (rolling the map update back if
-// the batch fails). It nudges the compactor when the shard's garbage
-// crosses compactRatio.
-func (d *Durable) mutate(user string, e *walEntry, pre func(*walShard) error) error {
+// mutate is the local write path: under the shard lock it runs pre
+// (which may refuse the mutation, or skip it via errSkipAppend), then
+// logs e and applies it to the shard's maps — under SyncAlways by
+// joining the shard's group commit, acking only once a shared fsync
+// covers the record (rolling the map update back if the batch fails),
+// and otherwise through appendDirect. It nudges the compactor when the
+// shard's garbage crosses compactRatio.
+func (d *Durable) mutate(user string, e walEntry, pre func(*walShard) error) error {
 	if d.closed.Load() {
-		return fmt.Errorf("vault: store is closed")
+		return errClosed
 	}
+	es := []walEntry{e}
 	sh, i := d.shardFor(user)
 	sh.mu.Lock()
-	if sh.f == nil {
-		// Close won the race between our closed-flag check and the
-		// shard lock; without this re-check the append would fail with
-		// an unhelpful ErrInvalid from the nil file.
-		sh.mu.Unlock()
-		return fmt.Errorf("vault: store is closed")
+	// writable also catches Close winning the race between the
+	// closed-flag check and the shard lock.
+	err := sh.writable()
+	if err == nil && pre != nil {
+		err = pre(sh)
 	}
-	if sh.failed != nil {
-		err := sh.refuse()
+	if err != nil {
 		sh.mu.Unlock()
+		if err == errSkipAppend {
+			return nil
+		}
 		return err
 	}
-	if pre != nil {
-		if err := pre(sh); err != nil {
-			sh.mu.Unlock()
-			if err == errSkipAppend {
-				return nil
-			}
-			return err
-		}
-	}
-	var err error
 	var myseq uint64
 	if d.opts.Sync == SyncAlways {
-		if err := sh.stage(e); err != nil {
+		if err := sh.stage(&es[0]); err != nil {
 			sh.mu.Unlock()
 			return err
 		}
 		myseq = sh.seq
-		sh.pending = append(sh.pending, walPending{end: sh.lsize, undo: sh.applyUndo(e)})
+		sh.pending = append(sh.pending, walPending{end: sh.lsize, undo: sh.applyUndo(&es[0])})
 		err = sh.awaitCommit(sh.lsize)
 	} else {
-		if err := sh.write(e); err != nil {
-			sh.mu.Unlock()
-			return err
-		}
+		// The frame ships before the lock is released, so two writers'
+		// frames reach the replication buffer in log order.
+		err = sh.appendDirect(es, nil, false)
 		myseq = sh.seq
-		sh.apply(e)
-		sh.off = sh.wsize
-		sh.dirty = true
-		sh.dirtyGen++
-		// Ship the committed frame before releasing the lock so two
-		// writers' frames reach the replication buffer in log order.
-		if sh.ship != nil {
-			sh.ship(sh.buf, myseq)
-		}
 	}
 	needCompact := err == nil && sh.needsCompact()
 	sh.mu.Unlock()
@@ -997,7 +1007,7 @@ func (d *Durable) Put(rec *passpoints.Record) error {
 	if rec == nil || rec.User == "" {
 		return fmt.Errorf("vault: record must have a user")
 	}
-	return d.mutate(rec.User, &walEntry{Op: walOpPut, Rec: rec},
+	return d.mutate(rec.User, walEntry{Op: walOpPut, Rec: rec},
 		func(sh *walShard) error {
 			if _, ok := sh.records[rec.User]; ok {
 				return ErrExists
@@ -1012,25 +1022,13 @@ func (d *Durable) Replace(rec *passpoints.Record) error {
 	if rec == nil || rec.User == "" {
 		return fmt.Errorf("vault: record must have a user")
 	}
-	return d.mutate(rec.User, &walEntry{Op: walOpPut, Rec: rec}, nil)
-}
-
-// Get returns the record for user, or ErrNotFound.
-func (d *Durable) Get(user string) (*passpoints.Record, error) {
-	sh, _ := d.shardFor(user)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	rec, ok := sh.records[user]
-	if !ok {
-		return nil, ErrNotFound
-	}
-	return rec, nil
+	return d.mutate(rec.User, walEntry{Op: walOpPut, Rec: rec}, nil)
 }
 
 // Delete removes a user's record; deleting a missing user is a no-op
 // and appends nothing.
 func (d *Durable) Delete(user string) {
-	_ = d.mutate(user, &walEntry{Op: walOpDel, User: user},
+	_ = d.mutate(user, walEntry{Op: walOpDel, User: user},
 		func(sh *walShard) error {
 			if _, ok := sh.records[user]; !ok {
 				return errSkipAppend
@@ -1051,7 +1049,7 @@ func (d *Durable) SetLockout(user string, failures int) error {
 	if failures < 0 {
 		failures = 0
 	}
-	return d.mutate(user, &walEntry{Op: walOpLock, User: user, Failures: failures}, nil)
+	return d.mutate(user, walEntry{Op: walOpLock, User: user, Failures: failures}, nil)
 }
 
 // SetKV durably sets key's side-table blob to val, appending the write
@@ -1066,7 +1064,7 @@ func (d *Durable) SetKV(key string, val []byte) error {
 		return fmt.Errorf("vault: kv entry must have a key")
 	}
 	if len(val) == 0 {
-		return d.mutate(key, &walEntry{Op: walOpKV, Key: key},
+		return d.mutate(key, walEntry{Op: walOpKV, Key: key},
 			func(sh *walShard) error {
 				if _, ok := sh.kv[key]; !ok {
 					return errSkipAppend
@@ -1078,14 +1076,14 @@ func (d *Durable) SetKV(key string, val []byte) error {
 	// a staged-but-unflushed log frame's JSON) must not alias it.
 	v := make([]byte, len(val))
 	copy(v, val)
-	return d.mutate(key, &walEntry{Op: walOpKV, Key: key, Val: v}, nil)
+	return d.mutate(key, walEntry{Op: walOpKV, Key: key, Val: v}, nil)
 }
 
 // GetKV returns a copy of key's side-table blob and whether it exists.
 func (d *Durable) GetKV(key string) ([]byte, bool) {
 	sh, _ := d.shardFor(key)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
+	sh.mu.RLock()
+	defer sh.mu.RUnlock()
 	v, ok := sh.kv[key]
 	if !ok {
 		return nil, false
@@ -1099,9 +1097,9 @@ func (d *Durable) GetKV(key string) ([]byte, bool) {
 // with prefix ("" for all). Per-shard-consistent like Snapshot.
 func (d *Durable) KVRange(prefix string) map[string][]byte {
 	out := make(map[string][]byte)
-	for i := range d.shards {
-		sh := &d.shards[i]
-		sh.mu.Lock()
+	for i := range d.logs {
+		sh := &d.logs[i]
+		sh.mu.RLock()
 		for k, v := range sh.kv {
 			if len(k) >= len(prefix) && k[:len(prefix)] == prefix {
 				c := make([]byte, len(v))
@@ -1109,7 +1107,7 @@ func (d *Durable) KVRange(prefix string) map[string][]byte {
 				out[k] = c
 			}
 		}
-		sh.mu.Unlock()
+		sh.mu.RUnlock()
 	}
 	return out
 }
@@ -1132,65 +1130,15 @@ func (d *Durable) SetKVWatch(fn func(key string, val []byte)) {
 // Lockouts returns a copy of every persisted failed-attempt counter.
 func (d *Durable) Lockouts() map[string]int {
 	out := make(map[string]int)
-	for i := range d.shards {
-		sh := &d.shards[i]
-		sh.mu.Lock()
+	for i := range d.logs {
+		sh := &d.logs[i]
+		sh.mu.RLock()
 		for u, n := range sh.lockouts {
 			out[u] = n
 		}
-		sh.mu.Unlock()
+		sh.mu.RUnlock()
 	}
 	return out
-}
-
-// Users returns all user names in sorted order.
-func (d *Durable) Users() []string {
-	users := make([]string, 0, d.Len())
-	for i := range d.shards {
-		sh := &d.shards[i]
-		sh.mu.Lock()
-		for u := range sh.records {
-			users = append(users, u)
-		}
-		sh.mu.Unlock()
-	}
-	sort.Strings(users)
-	return users
-}
-
-// Len returns the number of records.
-func (d *Durable) Len() int {
-	n := 0
-	for i := range d.shards {
-		sh := &d.shards[i]
-		sh.mu.Lock()
-		n += len(sh.records)
-		sh.mu.Unlock()
-	}
-	return n
-}
-
-// All returns every record sorted by user — the attacker's view after
-// a password-file compromise.
-func (d *Durable) All() []*passpoints.Record {
-	recs := d.Snapshot()
-	sort.Slice(recs, func(i, j int) bool { return recs[i].User < recs[j].User })
-	return recs
-}
-
-// Snapshot returns every record in shard order without the global
-// sort, per-shard-consistent exactly like Sharded.Snapshot.
-func (d *Durable) Snapshot() []*passpoints.Record {
-	recs := make([]*passpoints.Record, 0, d.Len())
-	for i := range d.shards {
-		sh := &d.shards[i]
-		sh.mu.Lock()
-		for _, r := range sh.records {
-			recs = append(recs, r)
-		}
-		sh.mu.Unlock()
-	}
-	return recs
 }
 
 // Save fsyncs every shard log. Durability is continuous for this
@@ -1200,50 +1148,56 @@ func (d *Durable) Snapshot() []*passpoints.Record {
 // slow disk stalls Save, not concurrent appends; a failed fsync
 // fail-stops the shard like any other (ErrShardFailed).
 func (d *Durable) Save() error {
-	for i := range d.shards {
-		sh := &d.shards[i]
-		sh.mu.Lock()
-		if sh.f == nil {
-			sh.mu.Unlock()
-			return fmt.Errorf("vault: store is closed")
-		}
-		if sh.failed != nil {
-			err := sh.refuse()
-			sh.mu.Unlock()
+	for i := range d.logs {
+		if err := d.logs[i].flush(true); err != nil {
 			return err
 		}
-		sh.quiesce()
-		f := sh.f
-		gen := sh.dirtyGen
-		sh.mu.Unlock()
-		err := f.Sync()
-		sh.mu.Lock()
-		if err != nil {
-			if sh.f == f && sh.failed == nil {
-				sh.failStop(fmt.Errorf("vault: syncing %s: %w", sh.path, err))
-			}
-			sh.mu.Unlock()
-			return fmt.Errorf("vault: syncing %s: %w", sh.path, err)
-		}
-		if sh.f == f && sh.dirtyGen == gen {
-			sh.dirty = false
-		}
-		sh.mu.Unlock()
 	}
 	return nil
 }
 
-// SaveTo exports the store as the canonical sorted-JSON snapshot the
-// other two backends read and write — the migration/downgrade path
-// out of the log format.
-func (d *Durable) SaveTo(path string) error {
-	return writeRecords(path, d.All())
+// flush fsyncs the shard's log — the one per-shard flush behind Save
+// and the SyncInterval flusher; without force, a shard with no
+// unsynced appends is skipped. The fsync runs outside the shard lock,
+// and dirty is cleared through a generation counter, so an append
+// landing mid-sync keeps the shard dirty for the next flush. A failed
+// fsync fail-stops the shard: retrying would trust a kernel that may
+// already have dropped the dirty pages, silently turning acked data
+// non-durable.
+func (sh *walShard) flush(force bool) error {
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	sh.quiesce()
+	if err := sh.writable(); err != nil {
+		return err
+	}
+	if !force && !sh.dirty {
+		return nil
+	}
+	f, gen := sh.f, sh.dirtyGen
+	sh.mu.Unlock()
+	err := f.Sync()
+	sh.mu.Lock()
+	if err != nil {
+		err = fmt.Errorf("vault: syncing %s: %w", sh.path, err)
+		// Unless compaction already replaced (and fsynced) the file we
+		// failed to sync, the shard's durability can no longer be
+		// proven.
+		if sh.f == f && sh.failed == nil {
+			sh.failStop(err)
+		}
+		return err
+	}
+	if sh.f == f && sh.dirtyGen == gen {
+		sh.dirty = false
+	}
+	return nil
 }
 
-// ImportJSON loads a JSON snapshot (the Vault/Sharded on-disk format)
-// into an empty durable store, appending every record to its shard
-// log — the in-place migration path for a deployment moving off the
-// snapshot backends. It refuses to import over existing records.
+// ImportJSON loads a JSON snapshot (the format Sharded and SaveTo
+// write) into an empty durable store, appending every record to its
+// shard log — the in-place migration path for a deployment moving off
+// the in-memory backend. It refuses to import over existing records.
 // Records are appended unsynced and flushed once per shard at the
 // end: per-record durability buys nothing here (a failed import is
 // retried from the snapshot anyway), and one fsync per shard instead
@@ -1262,35 +1216,20 @@ func (d *Durable) ImportJSON(path string) error {
 		// non-empty users.
 		sh, _ := d.shardFor(r.User)
 		sh.mu.Lock()
-		if sh.f == nil {
-			sh.mu.Unlock()
-			return fmt.Errorf("vault: store is closed")
-		}
-		if sh.failed != nil {
-			err := sh.refuse()
-			sh.mu.Unlock()
-			return err
-		}
-		e := &walEntry{Op: walOpPut, Rec: r}
-		if err := sh.write(e); err != nil {
-			sh.mu.Unlock()
-			return err
-		}
-		sh.apply(e)
-		sh.off = sh.wsize
-		sh.dirty = true
-		sh.dirtyGen++
+		err := sh.appendDirect([]walEntry{{Op: walOpPut, Rec: r}}, nil, false)
 		sh.mu.Unlock()
+		if err != nil {
+			return err
+		}
 	}
 	return d.Save()
 }
 
-// Compact synchronously rewrites every shard's log from its live map,
-// discarding dead records. (For this backend Compact rewrites the
-// logs themselves; use SaveTo for the JSON snapshot Sharded.Compact
-// produces.)
+// Compact synchronously rewrites every shard's log from its live maps,
+// discarding dead records. (It rewrites the logs themselves; SaveTo
+// writes the JSON snapshot.)
 func (d *Durable) Compact() error {
-	for i := range d.shards {
+	for i := range d.logs {
 		if err := d.CompactShard(i); err != nil {
 			return err
 		}
@@ -1304,21 +1243,18 @@ func (d *Durable) Compact() error {
 // next open removes the stranded temp file). The shard is
 // write-locked for the duration.
 func (d *Durable) CompactShard(i int) error {
-	if i < 0 || i >= len(d.shards) {
+	if i < 0 || i >= len(d.logs) {
 		return fmt.Errorf("vault: no shard %d", i)
 	}
-	sh := &d.shards[i]
+	sh := &d.logs[i]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	if sh.f == nil {
-		return fmt.Errorf("vault: store is closed")
-	}
-	if sh.failed != nil {
-		return sh.refuse()
-	}
 	// Wait out any in-flight group commit: the batch's fsync targets
 	// the file we are about to replace.
 	sh.quiesce()
+	if err := sh.writable(); err != nil {
+		return err
+	}
 	return d.rewriteShardLocked(i, sh)
 }
 
@@ -1434,48 +1370,21 @@ func (d *Durable) compactLoop() {
 	}
 }
 
-// syncLoop is the SyncInterval flusher: every SyncEvery it fsyncs
-// shards with unsynced appends. The fsync runs outside the shard
-// lock — one slow disk sync must stall this loop, not every
-// foreground append to the shard — and dirty is cleared through a
-// generation counter, so an append landing mid-sync keeps the shard
-// dirty and the next tick covers it. A failed background fsync
-// fail-stops the shard (ErrShardFailed): retrying would trust a
-// kernel that may already have dropped the dirty pages, silently
-// turning acked data non-durable.
+// syncLoop is the SyncInterval flusher: every syncPeriod it flushes
+// the shards with unsynced appends. A closed or fail-stopped shard is
+// skipped, and a failed fsync has already fail-stopped its shard, so
+// there is no error left to act on.
 func (d *Durable) syncLoop() {
 	defer d.bg.Done()
-	t := time.NewTicker(d.opts.SyncEvery)
+	t := time.NewTicker(syncPeriod)
 	defer t.Stop()
 	for {
 		select {
 		case <-d.stop:
 			return
 		case <-t.C:
-			for i := range d.shards {
-				sh := &d.shards[i]
-				sh.mu.Lock()
-				if !sh.dirty || sh.f == nil || sh.failed != nil {
-					sh.mu.Unlock()
-					continue
-				}
-				f := sh.f
-				gen := sh.dirtyGen
-				sh.mu.Unlock()
-				err := f.Sync()
-				sh.mu.Lock()
-				switch {
-				case err != nil:
-					// Unless compaction already replaced (and fsynced)
-					// the file we failed to sync, the shard's
-					// durability can no longer be proven.
-					if sh.f == f && sh.failed == nil {
-						sh.failStop(fmt.Errorf("vault: background sync of %s: %w", sh.path, err))
-					}
-				case sh.f == f && sh.dirtyGen == gen:
-					sh.dirty = false
-				}
-				sh.mu.Unlock()
+			for i := range d.logs {
+				_ = d.logs[i].flush(false)
 			}
 		}
 	}
@@ -1491,8 +1400,8 @@ func (d *Durable) Close() error {
 	close(d.stop)
 	d.bg.Wait()
 	var firstErr error
-	for i := range d.shards {
-		sh := &d.shards[i]
+	for i := range d.logs {
+		sh := &d.logs[i]
 		sh.mu.Lock()
 		if sh.f != nil {
 			sh.quiesce() // drain any in-flight group commit first
@@ -1514,8 +1423,8 @@ func (d *Durable) Close() error {
 // closeFiles releases shard files after a failed open, before any
 // background goroutine exists.
 func (d *Durable) closeFiles() {
-	for i := range d.shards {
-		if f := d.shards[i].f; f != nil {
+	for i := range d.logs {
+		if f := d.logs[i].f; f != nil {
 			f.Close()
 		}
 	}
