@@ -92,18 +92,21 @@ recovery-smoke:
 
 # repl-smoke is the CI failover drill: build the real pwserver, start
 # a quorum primary and a follower as separate processes, enroll and
-# burn a lockout attempt over the wire, SIGKILL the primary, promote
-# the follower via POST /v1/promote on its admin listener, and assert
-# the survivor serves every acked mutation — records AND the lockout
-# counter — with no false accepts. Also runs the in-process
+# burn a lockout attempt over the wire, check that the follower
+# answers a login and a reset with not_primary, SIGKILL the primary,
+# promote the follower via POST /v1/promote on its admin listener, and
+# assert the survivor serves every acked mutation — records AND the
+# lockout counter — with no false accepts. Also runs the in-process
 # replicated-pair swarm (TestLoadReplicatedPair), and stresses the
 # replication package's tests, the failover and link torture suites
-# included, 20 times over under the race detector (about 40 s on a
-# 2-vCPU VM): a flaky run there is a bug report.
+# included, and the auth service's three replicated-pair tests 20
+# times over under the race detector (about 45 s on a 2-vCPU VM): a
+# flaky run there is a bug report.
 repl-smoke:
 	$(GO) test ./cmd/pwserver -run TestReplSmoke -v
 	$(GO) test ./internal/loadtest -run TestLoadReplicatedPair -v
 	$(GO) test -race -count=20 -run 'TestRepl|TestCollectWork|TestQuorum|TestStaleFence' ./internal/vault/repl
+	$(GO) test -race -count=20 -run 'TestFollowerRefusesCredentialOps|TestFencedPrimaryRefusesReplacedPassword|TestPromotedFollowerLoadsClearedLockout' ./internal/authsvc
 
 # session-smoke is the CI session-tier drill: build the real pwserver,
 # start a quorum primary and a follower, log in for a signed session

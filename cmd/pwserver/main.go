@@ -38,17 +38,16 @@
 // side table, so sessions survive restarts and failovers; password
 // changes, resets, and lockouts revoke a user's outstanding tokens.
 //
-// -commit-window batches durable-backend fsyncs: the shard leader
-// holds its group commit open this long so concurrent writers share
-// one flush (0 = flush immediately, the default).
-//
 // -role turns on vault replication (durable backend only): a primary
 // streams every shard's WAL to followers over -repl-listen, a
 // follower (-role follower -repl-primary host:port) applies the
 // stream and can be promoted at failover time with POST /v1/promote
-// on the admin listener. -repl-ack quorum withholds write acks until
-// a follower's fsync covers them; see README.md for the full flag
-// table and the failover runbook.
+// on the admin listener. Only the primary checks a password: a
+// follower answers validate from its replicated session keys and
+// redirects login, change and reset to the primary with not_primary.
+// -repl-ack quorum withholds write acks until a follower's fsync
+// covers them; see README.md for the full flag table and the failover
+// runbook.
 //
 // SIGINT/SIGTERM drain in-flight connections before exit.
 package main
@@ -93,7 +92,6 @@ func main() {
 		shards      = flag.Int("shards", 0, "vault shard count (0 = 32; a durable directory keeps the count it was created with)")
 		fsyncArg    = flag.String("fsync", "always", "durable backend sync policy: always, interval, or never")
 		migrateFrom = flag.String("migrate-from", "", "durable backend: JSON snapshot to import into an empty log directory")
-		commitWin   = flag.Duration("commit-window", 0, "durable backend: hold each shard's group commit open this long so concurrent writers share one fsync (0 = flush immediately)")
 		sessionTTL  = flag.Duration("session-ttl", time.Hour, "session token lifetime; 0 disables the session tier (no tokens minted, validate refused)")
 		sessionRot  = flag.Duration("session-rotate", 0, "session key rotation interval; tokens stay valid for one generation of overlap (0 = no automatic rotation)")
 		sessionAlg  = flag.String("session-alg", "ed25519", "session token signature algorithm: ed25519 or hmac")
@@ -111,7 +109,6 @@ func main() {
 		replPrimary   = flag.String("repl-primary", "", "follower: the primary's replication address to stream from")
 		replAck       = flag.String("repl-ack", "quorum", "primary ack mode: quorum (ack writes only after a follower fsync covers them) or async")
 		replAdvertise = flag.String("repl-advertise", "", "client-facing address advertised to peers for not_primary redirects")
-		replStaleness = flag.Duration("repl-staleness", 0, "follower: refuse reads after being out of contact with the primary this long (0 = always serve reads)")
 	)
 	flag.Parse()
 
@@ -130,7 +127,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	store, backend, closeStore, err := openBackend(*backendArg, *vaultPath, *shards, *fsyncArg, *commitWin, *migrateFrom)
+	store, backend, closeStore, err := openBackend(*backendArg, *vaultPath, *shards, *fsyncArg, *migrateFrom)
 	if err != nil {
 		fatal(err)
 	}
@@ -153,13 +150,12 @@ func main() {
 			Primary:   *replPrimary,
 			Advertise: *replAdvertise,
 			Ack:       ack,
-			Staleness: *replStaleness,
 		})
 		if err != nil {
 			fatal(err)
 		}
-		// The node fronts the store for every request: role guards,
-		// quorum waits, and staleness bounds all live in that wrapper.
+		// The node fronts the store for every request: role guards and
+		// quorum waits live in that wrapper.
 		store = node
 		inner := closeStore
 		closeStore = func() error {
@@ -237,7 +233,7 @@ func main() {
 	}
 	if node != nil {
 		srv.RegisterMetrics(replMetrics(node))
-		srv.RegisterAdmin("/v1/promote", promoteHandler(node, srv, sessMgr))
+		srv.RegisterAdmin("/v1/promote", promoteHandler(node, sessMgr))
 	}
 	srv.SetMaxConns(*maxConns)
 	if *userRate > 0 {
@@ -347,7 +343,7 @@ func main() {
 // human-readable description for the startup banner, and a close func
 // (a no-op for the in-memory store, a log flush-and-close for the
 // durable one).
-func openBackend(backend, path string, shards int, fsync string, commitWindow time.Duration, migrateFrom string) (vault.Store, string, func() error, error) {
+func openBackend(backend, path string, shards int, fsync string, migrateFrom string) (vault.Store, string, func() error, error) {
 	switch backend {
 	case "memory":
 		s, err := vault.OpenSharded(path, shards)
@@ -360,11 +356,7 @@ func openBackend(backend, path string, shards int, fsync string, commitWindow ti
 		if err != nil {
 			return nil, "", nil, err
 		}
-		d, err := vault.OpenDurable(path, vault.DurableOptions{
-			Shards:       shards,
-			Sync:         policy,
-			CommitWindow: commitWindow,
-		})
+		d, err := vault.OpenDurable(path, vault.DurableOptions{Shards: shards, Sync: policy})
 		if err != nil {
 			return nil, "", nil, err
 		}
@@ -415,8 +407,8 @@ func vaultHealthMetrics(d *vault.Durable) func(io.Writer) {
 }
 
 // replMetrics exposes the replication node's state on /metrics: role,
-// epoch, fencing, staleness, retained stream bytes, and per-follower
-// replication lag.
+// epoch, fencing, time since the last primary contact, retained
+// stream bytes, and per-follower replication lag.
 func replMetrics(n *repl.Node) func(io.Writer) {
 	return func(w io.Writer) {
 		st := n.Stats()
@@ -454,14 +446,15 @@ func replMetrics(n *repl.Node) func(io.Writer) {
 // promoteHandler serves POST /v1/promote on the admin listener: the
 // failover lever that turns this follower into the primary at a
 // durably advanced epoch. The response carries the new epoch; the old
-// primary — if still alive — is fenced best-effort. After the role
-// flip the serving layer re-adopts replicated lockout counters, so a
-// guesser does not get a fresh attempt budget out of a failover — and
-// the session tier reseeds its keys and revocation watermarks from
-// the replicated side table, so tokens minted by the old primary keep
+// primary — if still alive — is fenced best-effort. The serving layer
+// needs no reload: its first login as primary loads the lockout
+// counters the replicated log holds, so a guesser does not get a
+// fresh attempt budget out of a failover. After the role flip the
+// session tier reseeds its keys and revocation watermarks from the
+// replicated side table, so tokens minted by the old primary keep
 // validating (and newly writable storage lets it create a first key
 // if the pair never minted one).
-func promoteHandler(n *repl.Node, srv *authproto.Server, sess *session.Manager) http.Handler {
+func promoteHandler(n *repl.Node, sess *session.Manager) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodPost {
 			http.Error(w, "POST only", http.StatusMethodNotAllowed)
@@ -472,7 +465,6 @@ func promoteHandler(n *repl.Node, srv *authproto.Server, sess *session.Manager) 
 			http.Error(w, err.Error(), http.StatusConflict)
 			return
 		}
-		srv.ReloadLockouts()
 		if sess != nil {
 			if err := sess.Reseed(); err != nil {
 				fmt.Fprintf(os.Stderr, "pwserver: session reseed after promote: %v\n", err)

@@ -11,6 +11,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"clickpass/internal/authsvc"
 )
@@ -33,10 +34,11 @@ func pickPort(t *testing.T) int {
 // replication-smoke job runs: build the real pwserver binary, start a
 // quorum primary and a follower as separate processes with separate
 // vault directories, enroll users and burn a lockout attempt against
-// the primary over the real wire protocol, SIGKILL the primary,
-// promote the follower through its admin endpoint, and assert every
-// acked mutation — records AND the lockout counter — is served by the
-// survivor, with no false accepts.
+// the primary over the real wire protocol, check that the follower
+// redirects a login and a reset instead of serving them, SIGKILL the
+// primary, promote the follower through its admin endpoint, and assert
+// every acked mutation — records AND the lockout counter — is served
+// by the survivor, with no false accepts.
 func TestReplSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and kills real server binaries; skipped in -short")
@@ -83,6 +85,22 @@ func TestReplSmoke(t *testing.T) {
 		t.Fatalf("burned attempt: %+v %v", resp, err)
 	}
 	c.Close()
+
+	// Only the primary checks a password: the follower redirects a
+	// wrong-password login on its TCP front, and a reset on its admin
+	// listener (every node's TCP front refuses resets), instead of
+	// charging or clearing r-alpha's budget. The lockout-2 check after
+	// the failover then shows it charged nothing.
+	fc := dialT(t, fAddr)
+	resp, err = fc.Do(ctx, authsvc.Request{Op: authsvc.OpLogin, User: "r-alpha", Clicks: smokeClicks(40)})
+	if err != nil || resp.Code != authsvc.CodeNotPrimary {
+		t.Fatalf("follower wrong-password login: %+v %v, want not_primary", resp, err)
+	}
+	fc.Close()
+	status, reset := postAdmin(t, "http://"+fAdmin+"/v1/reset", `{"user":"r-alpha"}`)
+	if status != http.StatusMisdirectedRequest || !strings.Contains(reset, `"code":"not_primary"`) {
+		t.Fatalf("follower reset: HTTP %d %s, want 421 not_primary", status, reset)
+	}
 	killPrimary() // SIGKILL: no drain, no fence, no goodbye
 
 	// Failover: promote the follower via its admin surface.
@@ -143,5 +161,24 @@ func TestReplSmoke(t *testing.T) {
 	resp, err = sc.Do(ctx, authsvc.Request{Op: authsvc.OpEnroll, User: "r-post", Clicks: smokeClicks(9)})
 	if err != nil || !resp.OK() {
 		t.Errorf("post-failover enroll: %+v %v", resp, err)
+	}
+}
+
+// postAdmin POSTs body to an admin route, retrying until the listener
+// is up, and returns the status and body.
+func postAdmin(t *testing.T, url, body string) (int, string) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		resp, err := http.Post(url, "application/json", strings.NewReader(body))
+		if err == nil {
+			b, _ := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			return resp.StatusCode, string(b)
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("POST %s: %v", url, err)
+		}
+		time.Sleep(50 * time.Millisecond)
 	}
 }

@@ -86,12 +86,6 @@ func (s *Server) RegisterAdmin(pattern string, h http.Handler) {
 	s.adminRoutes[pattern] = h
 }
 
-// ReloadLockouts re-adopts persisted failed-attempt counters from the
-// store (max-wins; see authsvc.Service.ReloadLockouts). pwserver
-// calls it when a follower is promoted to primary, so counters that
-// arrived over replication start gating logins on the new primary.
-func (s *Server) ReloadLockouts() { s.svc.ReloadLockouts() }
-
 // RegisterMetrics appends f's output to the Prometheus exposition
 // served at /metrics on the admin surface — vault shard health,
 // replication role and lag, anything the serving pipeline itself

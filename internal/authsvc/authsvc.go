@@ -181,8 +181,12 @@ func Chain(h Handler, mw ...Middleware) Handler {
 // the per-account failed-attempt counters. It implements Handler and
 // is safe for concurrent use. When the store also implements
 // vault.LockoutStore (the durable backend does), every counter change
-// is written through to it and the counters are reloaded at startup,
-// so a restart does not hand an online attacker a fresh budget.
+// is written through to it and loaded back at the first record read
+// the store serves, so neither a restart nor a failover hands an
+// online attacker a fresh budget. A replicated store serves record
+// reads only on an unfenced primary: a follower checks no credential
+// (login, change and reset answer CodeNotPrimary), and once promoted
+// it loads exactly the counters its log holds.
 type Service struct {
 	cfg     passpoints.Config
 	store   vault.Store
@@ -196,6 +200,9 @@ type Service struct {
 
 	mu       sync.Mutex
 	failures map[string]int
+	// loaded reports that failures holds the store's counters; see
+	// loadLockouts.
+	loaded bool
 
 	// lockouts counts threshold crossings: the failed attempt that
 	// moved an account from open to locked. Refusals of an
@@ -233,58 +240,23 @@ func NewService(cfg passpoints.Config, store vault.Store, lockout int) (*Service
 		dummy:    dummy,
 		failures: make(map[string]int),
 	}
-	if locks, ok := store.(vault.LockoutStore); ok {
-		s.locks = locks
-		// Counters written by a previous run pick up where they left
-		// off — including full lockouts awaiting an admin reset.
-		for user, n := range locks.Lockouts() {
-			if n > 0 {
-				s.failures[user] = n
-			}
-		}
-	}
+	s.locks, _ = store.(vault.LockoutStore)
 	return s, nil
 }
 
-// ReloadLockouts re-adopts persisted failed-attempt counters from the
-// store, max-wins per account. NewService does this once at
-// construction; a replicated deployment must do it again at failover,
-// because counters that arrived over replication land in the
-// follower's vault, not in the promoted process's in-memory map — a
-// guesser must not get a fresh attempt budget out of a failover.
-// In-memory counters are never lowered: a replica that lags behind
-// this process's own observations cannot lift a lockout.
-func (s *Service) ReloadLockouts() {
+// loadLockouts adopts the store's persisted counters, full lockouts
+// included. login calls it with s.mu held at the first record read the
+// store serves, before anything is counted, so it overwrites no
+// failure.
+func (s *Service) loadLockouts() {
+	s.loaded = true
 	if s.locks == nil {
 		return
 	}
-	persisted := s.locks.Lockouts()
-	s.mu.Lock()
-	var evicted []string
-	for user, n := range persisted {
-		if n <= s.failures[user] {
-			continue
+	for user, n := range s.locks.Lockouts() {
+		if n > 0 {
+			s.failures[user] = n
 		}
-		if _, tracked := s.failures[user]; !tracked && len(s.failures) >= maxFailureEntries {
-			evicted = append(evicted, s.sweepFailures()...)
-		}
-		s.failures[user] = n
-	}
-	// A user swept mid-loop can be re-adopted from the persisted map in
-	// a later iteration (map order is arbitrary); durably zeroing their
-	// counter then would hand a guesser a fresh attempt budget across
-	// the next restart — the exact hole this reload closes. Only zero
-	// users that ended the loop untracked.
-	kept := evicted[:0]
-	for _, u := range evicted {
-		if _, tracked := s.failures[u]; !tracked {
-			kept = append(kept, u)
-		}
-	}
-	evicted = kept
-	s.mu.Unlock()
-	for _, u := range evicted {
-		s.persistLockout(u, 0)
 	}
 }
 
@@ -337,16 +309,7 @@ func (s *Service) Handle(ctx context.Context, req Request) Response {
 	case OpChange:
 		return s.change(ctx, req)
 	case OpReset:
-		s.mu.Lock()
-		_, tracked := s.failures[req.User]
-		if tracked {
-			delete(s.failures, req.User)
-		}
-		s.mu.Unlock()
-		if tracked {
-			s.persistLockout(req.User, 0)
-		}
-		return Response{Version: Version, Code: CodeOK}
+		return s.reset(req)
 	case OpValidate:
 		// WithSession answers this before it ever reaches the Service;
 		// getting here means the server has no session tier.
@@ -358,16 +321,17 @@ func (s *Service) Handle(ctx context.Context, req Request) Response {
 	}
 }
 
-// notPrimary maps a replicated store's role refusal to the typed
-// response, carrying the redirect address when the store knows one.
-// Returns ok=false for any other error.
-func notPrimary(err error) (Response, bool) {
+// storeFailure is the response to a failed store call: a replicated
+// store's role refusal becomes CodeNotPrimary, carrying the redirect
+// address when the store knows one, and any other error CodeInternal
+// with msg.
+func storeFailure(err error, msg string) Response {
 	var npe *vault.NotPrimaryError
-	if !errors.As(err, &npe) {
-		return Response{}, false
+	if errors.As(err, &npe) {
+		return Response{Version: Version, Code: CodeNotPrimary,
+			Err: "not the primary replica", Primary: npe.Primary}
 	}
-	return Response{Version: Version, Code: CodeNotPrimary,
-		Err: "not the primary replica", Primary: npe.Primary}, true
+	return Response{Version: Version, Code: CodeInternal, Err: msg}
 }
 
 func (s *Service) enroll(ctx context.Context, req Request) Response {
@@ -385,10 +349,7 @@ func (s *Service) enroll(ctx context.Context, req Request) Response {
 		if errors.Is(err, vault.ErrExists) {
 			return Response{Version: Version, Code: CodeExists, Err: "user already enrolled"}
 		}
-		if resp, ok := notPrimary(err); ok {
-			return resp
-		}
-		return Response{Version: Version, Code: CodeInternal, Err: err.Error()}
+		return storeFailure(err, err.Error())
 	}
 	return Response{Version: Version, Code: CodeOK}
 }
@@ -405,32 +366,34 @@ func (s *Service) login(ctx context.Context, req Request) Response {
 	if resp, expired := deadlineCheck(ctx); expired {
 		return resp
 	}
+	rec, err := s.store.Get(req.User)
+	missing := errors.Is(err, vault.ErrNotFound)
+	if err != nil && !missing {
+		// A storage fault is not a wrong password: it must neither leak
+		// an attempt from the account's lockout budget nor (under a
+		// flaky store) deny a correct credential as if it were guessed
+		// wrong. Only ErrNotFound rides the indistinguishable fail path
+		// below; infrastructure errors surface as CodeInternal — except
+		// a replica's role refusal (a follower, or a fenced
+		// ex-primary), which redirects the client to the primary
+		// before any counter is consulted.
+		return storeFailure(err, "storage error")
+	}
 	s.mu.Lock()
+	if !s.loaded {
+		s.loadLockouts()
+	}
 	failed := s.failures[req.User]
 	s.mu.Unlock()
 	if failed >= s.lockout {
 		return Response{Version: Version, Code: CodeLocked, Err: "account locked"}
 	}
-	rec, err := s.store.Get(req.User)
-	if errors.Is(err, vault.ErrNotFound) {
+	if missing {
 		// Equivalent work to the known-user path: a real hash compare,
 		// discarded. The response is built by the same fail() as a
 		// wrong password.
 		_, _ = passpoints.Verify(s.cfg, s.dummy, clicksToPoints(req.Clicks))
 		return s.fail(req.User)
-	}
-	if err != nil {
-		// A storage fault is not a wrong password: it must neither leak
-		// an attempt from the account's lockout budget nor (under a
-		// flaky store) deny a correct credential as if it were guessed
-		// wrong. Only ErrNotFound rides the indistinguishable fail path
-		// above; infrastructure errors surface as CodeInternal — except
-		// a replica's role refusal (a stale follower read, or a fenced
-		// ex-primary), which redirects the client to the primary.
-		if resp, ok := notPrimary(err); ok {
-			return resp
-		}
-		return Response{Version: Version, Code: CodeInternal, Err: "storage error"}
 	}
 	ok, err := passpoints.Verify(s.cfg, rec, clicksToPoints(req.Clicks))
 	if err != nil || !ok {
@@ -446,6 +409,25 @@ func (s *Service) login(ctx context.Context, req Request) Response {
 		s.persistLockout(req.User, 0)
 	}
 	return Response{Version: Version, Code: CodeOK, Remaining: s.lockout}
+}
+
+// reset is the administrative lockout clear. The clear is written
+// through the store before the in-memory counter is dropped, and a
+// refused write is answered, not acked: an unpersisted clear would
+// come back at the next counter load.
+func (s *Service) reset(req Request) Response {
+	if req.User == "" {
+		return Response{Version: Version, Code: CodeInvalid, Err: "user required"}
+	}
+	if s.locks != nil {
+		if err := s.locks.SetLockout(req.User, 0); err != nil {
+			return storeFailure(err, "storage error")
+		}
+	}
+	s.mu.Lock()
+	delete(s.failures, req.User)
+	s.mu.Unlock()
+	return Response{Version: Version, Code: CodeOK}
 }
 
 // change replaces an account's password after verifying the old one.
@@ -464,10 +446,7 @@ func (s *Service) change(ctx context.Context, req Request) Response {
 		return Response{Version: Version, Code: CodeInvalid, Err: err.Error()}
 	}
 	if err := s.store.Replace(rec); err != nil {
-		if resp, ok := notPrimary(err); ok {
-			return resp
-		}
-		return Response{Version: Version, Code: CodeInternal, Err: err.Error()}
+		return storeFailure(err, err.Error())
 	}
 	return Response{Version: Version, Code: CodeOK}
 }

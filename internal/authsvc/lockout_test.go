@@ -174,9 +174,10 @@ func TestLockoutInMemoryStoreUnchanged(t *testing.T) {
 }
 
 // TestReloadLockoutsAdoptsReplicatedCounters: counters that land in
-// the store after the service is constructed — the replicated-
-// follower case — are adopted by ReloadLockouts, max-wins. A lagging
-// store must never lower a counter this process observed itself.
+// the store after the service is constructed — the promoted-follower
+// case — are adopted by the first login, which loads the store's
+// counters. A lagging store must never lower a counter this process
+// observed itself.
 func TestReloadLockoutsAdoptsReplicatedCounters(t *testing.T) {
 	dir := t.TempDir()
 	cfg := testConfig(t, 2)
@@ -196,20 +197,18 @@ func TestReloadLockoutsAdoptsReplicatedCounters(t *testing.T) {
 	if err := store.SetLockout("alice", budget); err != nil {
 		t.Fatal(err)
 	}
+
+	// The first login loads the counters: alice's replicated lockout
+	// gates it, correct password or not.
+	if resp := svc.Handle(ctx, Request{Op: OpLogin, User: "alice", Clicks: clicks(0)}); resp.Code != CodeLocked {
+		t.Errorf("replicated lockout not adopted: %+v", resp)
+	}
 	// Burn two local attempts for carol, then have the "replica" offer
 	// a stale 1 — the in-memory 2 must win.
 	svc.Handle(ctx, Request{Op: OpLogin, User: "carol", Clicks: clicks(9)})
 	svc.Handle(ctx, Request{Op: OpLogin, User: "carol", Clicks: clicks(9)})
 	if err := store.SetLockout("carol", 1); err != nil {
 		t.Fatal(err)
-	}
-
-	svc.ReloadLockouts()
-
-	// Alice's replicated lockout now gates logins, correct password or
-	// not.
-	if resp := svc.Handle(ctx, Request{Op: OpLogin, User: "alice", Clicks: clicks(0)}); resp.Code != CodeLocked {
-		t.Errorf("replicated lockout not adopted: %+v", resp)
 	}
 	// Carol's third failure locks: the stale replicated 1 did not roll
 	// the local 2 back.
@@ -254,18 +253,16 @@ func (m *memLockStore) Lockouts() map[string]int {
 	return cp
 }
 
-// TestReloadLockoutsSweepKeepsReadoptedCounters: when the reload's
-// capacity sweep evicts a tracked user that the same reload later
-// re-adopts from the persisted map (map iteration order is random),
-// the post-loop zeroing pass must skip that user — durably zeroing a
+// TestReloadLockoutsSweepKeepsReadoptedCounters: when the first login
+// loads a persisted lockout into a map at capacity and then sweeps it
+// for a new name, the sweep must keep that user — durably zeroing a
 // counter that is live again would hand a guesser a fresh attempt
-// budget on the next restart, the exact hole the reload closes.
+// budget on the next restart, the exact hole the load closes.
 func TestReloadLockoutsSweepKeepsReadoptedCounters(t *testing.T) {
 	cfg := testConfig(t, 2)
 	const budget = 3
-	// The bad interleaving needs a sweep-triggering new name to be
-	// iterated before the target; with 100 new names per round and a
-	// few rounds, the schedule is hit with near certainty.
+	// Each round loads and sweeps a fresh service, so the sweep walks
+	// the map in a different order each time.
 	for round := 0; round < 3; round++ {
 		store := newMemLockStore()
 		svc, err := NewService(cfg, store, budget)
@@ -281,9 +278,9 @@ func TestReloadLockoutsSweepKeepsReadoptedCounters(t *testing.T) {
 		svc.failures["target"] = 1
 		svc.mu.Unlock()
 		// Replication delivered target's lockout plus a crowd of new
-		// names. Adopting any new name first sweeps target out
-		// mid-loop; the reload must still leave target locked in
-		// memory AND leave its persisted counter intact.
+		// names. A failed login for one more new name loads them and
+		// then sweeps the full map; that must still leave target
+		// locked in memory AND leave its persisted counter intact.
 		if err := store.SetLockout("target", budget); err != nil {
 			t.Fatal(err)
 		}
@@ -292,7 +289,9 @@ func TestReloadLockoutsSweepKeepsReadoptedCounters(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		svc.ReloadLockouts()
+		if resp := svc.Handle(context.Background(), Request{Op: OpLogin, User: "probe", Clicks: clicks(9)}); resp.Code != CodeDenied {
+			t.Fatalf("round %d: probe login = %+v, want denied", round, resp)
+		}
 		svc.mu.Lock()
 		got := svc.failures["target"]
 		svc.mu.Unlock()

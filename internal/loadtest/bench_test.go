@@ -3,7 +3,6 @@ package loadtest
 import (
 	"fmt"
 	"testing"
-	"time"
 
 	"clickpass/internal/authsvc"
 	"clickpass/internal/vault"
@@ -47,53 +46,45 @@ func BenchmarkAuthSwarm(b *testing.B) {
 // PR 7 numbers in PERFORMANCE.md's "Group commit" table come from
 // here.
 //
-// The window dimension regression-benches DurableOptions.CommitWindow:
-// window=0 is the pre-window behavior (the baseline that must not
-// regress), and a small bounded wait should deepen batches — fewer
-// fsyncs per op — once enough writers contend (clients=8/64); at
-// clients=1 it can only add latency, which the numbers should show.
-//
 //	go test ./internal/loadtest -run NONE -bench AuthSwarmWrites -benchtime 1000x
 func BenchmarkAuthSwarmWrites(b *testing.B) {
-	mk := func(tb testing.TB, window time.Duration) vault.Store {
+	mk := func(tb testing.TB) vault.Store {
 		// NoAutoCompact: the bench times the commit path; background
 		// compaction mid-run adds rename/unlink churn whose cost (and,
 		// on discard-mounted filesystems, device flush behaviour) is
 		// unrelated to what this benchmark compares across PRs.
 		d, err := vault.OpenDurable(tb.TempDir(), vault.DurableOptions{
-			Sync: vault.SyncAlways, Shards: 1, NoAutoCompact: true, CommitWindow: window})
+			Sync: vault.SyncAlways, Shards: 1, NoAutoCompact: true})
 		if err != nil {
 			tb.Fatal(err)
 		}
 		tb.Cleanup(func() { d.Close() })
 		return d
 	}
-	for _, window := range []time.Duration{0, 200 * time.Microsecond} {
-		for _, clients := range []int{1, 8, 64} {
-			b.Run(fmt.Sprintf("durable-always/window=%s/clients=%d", window, clients), func(b *testing.B) {
-				_, addr, shutdown := startServer(b, mk(b, window), 256)
-				defer shutdown()
-				users := enrollUsers(b, addr, clients)
-				ops := b.N/clients + 1
-				b.ResetTimer()
-				res, err := Run(Config{
-					Dial:         TCPTransport(addr, 0),
-					Clients:      clients,
-					OpsPerClient: ops,
-					Request:      AuthMix(users, userClicks, 1),
-					Check:        RequireOK,
-				})
-				b.StopTimer()
-				if err != nil {
-					b.Fatal(err)
-				}
-				if res.Errors != 0 {
-					b.Fatalf("swarm errors: %d (%s)", res.Errors, res)
-				}
-				b.ReportMetric(res.Throughput(), "ops/s")
-				b.ReportMetric(float64(res.P99.Microseconds()), "p99-µs")
+	for _, clients := range []int{1, 8, 64} {
+		b.Run(fmt.Sprintf("durable-always/clients=%d", clients), func(b *testing.B) {
+			_, addr, shutdown := startServer(b, mk(b), 256)
+			defer shutdown()
+			users := enrollUsers(b, addr, clients)
+			ops := b.N/clients + 1
+			b.ResetTimer()
+			res, err := Run(Config{
+				Dial:         TCPTransport(addr, 0),
+				Clients:      clients,
+				OpsPerClient: ops,
+				Request:      AuthMix(users, userClicks, 1),
+				Check:        RequireOK,
 			})
-		}
+			b.StopTimer()
+			if err != nil {
+				b.Fatal(err)
+			}
+			if res.Errors != 0 {
+				b.Fatalf("swarm errors: %d (%s)", res.Errors, res)
+			}
+			b.ReportMetric(res.Throughput(), "ops/s")
+			b.ReportMetric(float64(res.P99.Microseconds()), "p99-µs")
+		})
 	}
 }
 

@@ -203,5 +203,6 @@ func (f *flakyLockout) SetLockout(user string, failures int) error {
 }
 
 // Lockouts returns a copy of every persisted counter (never faulted:
-// it runs once at startup, before the chaos begins).
+// the auth service reads it once, at its first record read, and only
+// Get and the mutations carry the injected faults).
 func (f *flakyLockout) Lockouts() map[string]int { return f.locks.Lockouts() }

@@ -176,44 +176,3 @@ func TestKVSnapshotInstall(t *testing.T) {
 		t.Fatalf("snapshot install fired no watch event")
 	}
 }
-
-// TestCommitWindowBatches: with a commit window, concurrent writers
-// ack correctly and the state is intact after reopen — the adaptive
-// group-commit satellite's correctness test (the perf claim lives in
-// BenchmarkAuthSwarmWrites).
-func TestCommitWindowBatches(t *testing.T) {
-	dir := t.TempDir()
-	d, err := OpenDurable(dir, DurableOptions{Shards: 1, Sync: SyncAlways, NoAutoCompact: true, CommitWindow: 2 * time.Millisecond})
-	if err != nil {
-		t.Fatalf("OpenDurable: %v", err)
-	}
-	const writers, each = 8, 25
-	errs := make(chan error, writers)
-	for w := 0; w < writers; w++ {
-		go func(w int) {
-			for i := 0; i < each; i++ {
-				if err := d.SetKV(fmt.Sprintf("w%d/%d", w, i), []byte("v")); err != nil {
-					errs <- err
-					return
-				}
-			}
-			errs <- nil
-		}(w)
-	}
-	for w := 0; w < writers; w++ {
-		if err := <-errs; err != nil {
-			t.Fatalf("writer: %v", err)
-		}
-	}
-	if err := d.Close(); err != nil {
-		t.Fatalf("Close: %v", err)
-	}
-	d, err = OpenDurable(dir, DurableOptions{Shards: 1, Sync: SyncAlways, NoAutoCompact: true})
-	if err != nil {
-		t.Fatalf("reopen: %v", err)
-	}
-	defer d.Close()
-	if got := len(d.KVRange("")); got != writers*each {
-		t.Fatalf("after reopen: %d entries, want %d", got, writers*each)
-	}
-}

@@ -395,8 +395,8 @@ func (ps *primaryState) handleConn(c net.Conn) {
 		ps.mu.Unlock()
 	}()
 
-	// Heartbeat: keeps the follower's staleness clock fresh when the
-	// stream is idle.
+	// Heartbeat: keeps the follower's repl_staleness_ms near zero
+	// when the stream is idle.
 	hbStop := make(chan struct{})
 	defer close(hbStop)
 	go func() {

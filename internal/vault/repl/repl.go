@@ -8,9 +8,10 @@
 //
 // A Node wraps a *vault.Durable and implements vault.Store (and
 // vault.LockoutStore) with a role guard in front: a primary accepts
-// mutations and streams them, a follower refuses them with
-// vault.NotPrimaryError (carrying the primary's advertised address as
-// a redirect hint) and may serve reads behind a staleness bound.
+// mutations and record reads and streams the mutations; a follower,
+// like a fenced ex-primary, refuses both with vault.NotPrimaryError
+// (carrying the primary's advertised address as a redirect hint), so
+// only an unfenced primary verifies a credential.
 // Roles are governed by a monotonic epoch persisted in the store's
 // meta.json: promotion bumps the epoch durably before the node acts
 // as primary, and any node that observes a higher epoch than its own
@@ -139,13 +140,9 @@ type Options struct {
 	// follower coverage before failing the writer (the record stays
 	// locally durable); <= 0 selects 5s.
 	QuorumTimeout time.Duration
-	// Staleness bounds follower reads: a follower that has heard
-	// nothing from its primary for longer refuses reads with a
-	// redirect instead of serving unbounded-stale data. <= 0 disables
-	// the bound.
-	Staleness time.Duration
-	// Heartbeat is the primary's idle ping period (what keeps a
-	// follower's staleness clock fresh); <= 0 selects 500ms.
+	// Heartbeat is the primary's idle ping period, which keeps an idle
+	// follower's repl_staleness_ms gauge (Stats.StaleMs) near zero;
+	// <= 0 selects 500ms.
 	Heartbeat time.Duration
 	// RetainBytes caps each shard's retention buffer: the frames
 	// committed but not yet acknowledged by a follower, which a
@@ -193,7 +190,7 @@ type Node struct {
 
 	// lastContact is the unix-nano time of the last message from the
 	// upstream primary (follower), or of the fencing (deposed
-	// primary) — the staleness clock for reads.
+	// primary) — what Stats.StaleMs counts from.
 	lastContact atomic.Int64
 
 	wg sync.WaitGroup
@@ -265,7 +262,7 @@ func New(store *vault.Durable, role Role, opts Options) (*Node, error) {
 	return n, nil
 }
 
-// touch resets the staleness clock.
+// touch restarts Stats.StaleMs at zero.
 func (n *Node) touch() { n.lastContact.Store(time.Now().UnixNano()) }
 
 // Role returns the node's current role.
@@ -293,8 +290,8 @@ func (n *Node) ReplAddr() string {
 	return n.opts.Listen
 }
 
-// writable returns nil when the node may accept a mutation, or the
-// refusal to hand the writer.
+// writable returns nil when the node may accept a mutation or serve
+// a record read, or the refusal to hand the caller.
 func (n *Node) writable() error {
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -307,33 +304,6 @@ func (n *Node) writable() error {
 			addr = "" // never redirect a client to ourselves
 		}
 		return &vault.NotPrimaryError{Primary: addr}
-	}
-	return nil
-}
-
-// readable returns nil when the node may serve a read. An active
-// primary always may; a follower (or a fenced ex-primary, which is a
-// follower that lost its feed) may while inside the staleness bound.
-func (n *Node) readable() error {
-	n.mu.Lock()
-	role, fenced := n.role, n.fenced
-	addr := n.primaryAddr
-	if addr == n.opts.Advertise {
-		addr = ""
-	}
-	closed := n.closed
-	n.mu.Unlock()
-	if closed {
-		return errNodeClosed
-	}
-	if role == RolePrimary && !fenced {
-		return nil
-	}
-	if bound := n.opts.Staleness; bound > 0 {
-		last := time.Unix(0, n.lastContact.Load())
-		if time.Since(last) > bound {
-			return &vault.NotPrimaryError{Primary: addr}
-		}
 	}
 	return nil
 }
@@ -355,11 +325,12 @@ func (n *Node) Replace(rec *passpoints.Record) error {
 	return n.store.Replace(rec)
 }
 
-// Get returns the record for user, or vault.ErrNotFound. A follower
-// outside its staleness bound refuses with vault.NotPrimaryError
-// instead of serving unboundedly stale data.
+// Get returns the record for user, or vault.ErrNotFound (primary
+// only: a replica's record may be one the primary has replaced, and
+// its lockout counters may trail the primary's, so a credential is
+// checked nowhere else).
 func (n *Node) Get(user string) (*passpoints.Record, error) {
-	if err := n.readable(); err != nil {
+	if err := n.writable(); err != nil {
 		return nil, err
 	}
 	return n.store.Get(user)
@@ -496,9 +467,9 @@ func (n *Node) sendFence(addr string, epoch uint64) {
 }
 
 // fence deposes this node: the epoch advances durably to the observed
-// value, mutations are refused from here on, the primary machinery
-// (listener, follower connections, pending quorum waiters) shuts
-// down, and reads fall under the follower staleness regime.
+// value, mutations and record reads are refused from here on, and the
+// primary machinery (listener, follower connections, pending quorum
+// waiters) shuts down.
 //
 // A fence only bites while remoteEpoch is strictly ahead of the
 // node's own epoch, re-checked under n.mu: callers compare epochs
@@ -530,7 +501,7 @@ func (n *Node) fence(remoteEpoch uint64, newPrimary string) {
 	ps := n.pr
 	n.pr = nil
 	n.mu.Unlock()
-	n.touch() // the staleness clock starts at the deposition
+	n.touch() // Stats.StaleMs counts from the deposition
 	if ps != nil {
 		n.stopPrimary(ps, errFenced)
 	}

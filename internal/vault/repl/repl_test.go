@@ -187,8 +187,8 @@ func TestReplPairConverges(t *testing.T) {
 		t.Fatalf("follower lockout for user001 = %d, want 3", got)
 	}
 
-	// Follower role guard: mutations refused with a redirect, reads
-	// served. (Asserted on the one attached follower — the primary
+	// Follower role guard: mutations and record reads refused with a
+	// redirect. (Asserted on the one attached follower — the primary
 	// refuses a second concurrent follower connection outright.)
 	waitFor(t, 5*time.Second, "follower convergence", func() bool { return f.Len() == users-1 })
 	err := f.Put(testRecord("newuser"))
@@ -196,8 +196,8 @@ func TestReplPairConverges(t *testing.T) {
 	if !errors.As(err, &npe) || !errors.Is(err, vault.ErrNotPrimary) {
 		t.Fatalf("follower Put = %v, want NotPrimaryError", err)
 	}
-	if _, err := f.Get("user001"); err != nil {
-		t.Fatalf("follower Get: %v", err)
+	if _, err := f.Get("user001"); !errors.Is(err, vault.ErrNotPrimary) {
+		t.Fatalf("follower Get = %v, want ErrNotPrimary", err)
 	}
 	if err := f.SetLockout("user001", 9); !errors.Is(err, vault.ErrNotPrimary) {
 		t.Fatalf("follower SetLockout = %v, want ErrNotPrimary", err)
@@ -424,29 +424,29 @@ func TestReplRebootstrapAfterRetentionOverflow(t *testing.T) {
 	waitFor(t, 5*time.Second, "post-bootstrap tail", func() bool { return fst.Len() == 101 })
 }
 
-// TestReplFollowerStaleness: a follower cut off from its primary
-// refuses reads once outside the staleness bound, with a redirect.
+// TestReplFollowerStaleness: a follower refuses record reads with a
+// redirect to the advertised primary whether it is fresh or cut off
+// from its primary: only the primary checks a credential.
 func TestReplFollowerStaleness(t *testing.T) {
 	pst, fst := openTestStore(t), openTestStore(t)
 	p := newTestPrimary(t, pst, Options{Ack: AckAsync, Advertise: "primary:9", Heartbeat: 20 * time.Millisecond})
-	f := newTestFollower(t, fst, p.ReplAddr(), Options{Staleness: 150 * time.Millisecond, Redial: 20 * time.Millisecond})
+	f := newTestFollower(t, fst, p.ReplAddr(), Options{Redial: 20 * time.Millisecond})
 	if err := p.Put(testRecord("fresh")); err != nil {
 		t.Fatalf("Put: %v", err)
 	}
 	waitFor(t, 5*time.Second, "convergence", func() bool { return fst.Len() == 1 })
-	if _, err := f.Get("fresh"); err != nil {
-		t.Fatalf("fresh follower Get: %v", err)
-	}
-	p.Close() // heartbeats stop
-	waitFor(t, 5*time.Second, "staleness trip", func() bool {
+	refuses := func(when string) {
+		t.Helper()
+		var npe *vault.NotPrimaryError
 		_, err := f.Get("fresh")
-		return errors.Is(err, vault.ErrNotPrimary)
-	})
-	var npe *vault.NotPrimaryError
-	_, err := f.Get("fresh")
-	if !errors.As(err, &npe) || npe.Primary != "primary:9" {
-		t.Fatalf("stale read error = %v, want redirect to primary:9", err)
+		if !errors.As(err, &npe) || npe.Primary != "primary:9" {
+			t.Fatalf("%s follower Get = %v, want redirect to primary:9", when, err)
+		}
 	}
+	refuses("fresh")
+	p.Close() // heartbeats stop
+	waitFor(t, 5*time.Second, "follower to notice the silence", func() bool { return f.Stats().StaleMs > 150 })
+	refuses("stale")
 }
 
 // TestCollectWorkSnapshotsAcrossTrimGap: a cursor at or below the

@@ -39,10 +39,10 @@ type Store interface {
 // LockoutStore is an optional Store extension for backends that can
 // persist per-account failed-attempt counters alongside the records.
 // The auth service type-asserts its store against this interface: when
-// present, every lockout change is written through (and reloaded at
-// startup), so the §5.1 online-attack defense survives a restart
-// instead of handing every attacker a fresh budget. The in-memory
-// Sharded store deliberately does not implement it.
+// present, every lockout change is written through (and loaded at the
+// service's first record read), so the §5.1 online-attack defense
+// survives a restart instead of handing every attacker a fresh budget.
+// The in-memory Sharded store deliberately does not implement it.
 type LockoutStore interface {
 	// SetLockout durably records user's failed-attempt count;
 	// failures <= 0 clears the entry.

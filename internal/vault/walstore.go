@@ -120,15 +120,6 @@ type DurableOptions struct {
 	// NoAutoCompact disables the background compactor; Compact and
 	// CompactShard remain available for manual use (tests, tooling).
 	NoAutoCompact bool
-	// CommitWindow, when > 0 under SyncAlways, makes each group-commit
-	// batch leader wait this long before flushing, so writers arriving
-	// inside the window join the batch instead of forming the next one
-	// — deeper batches (fewer fsyncs per mutation) at moderate load,
-	// bought with up to CommitWindow of added ack latency per write.
-	// 0 (the default) flushes immediately: the batch is whatever
-	// queued during the previous fsync, exactly the pre-window
-	// behavior.
-	CommitWindow time.Duration
 }
 
 // Durable is the crash-safe Store: Sharded's shard set and read path
@@ -297,10 +288,6 @@ type walShard struct {
 	// order (see ReplHooks.Commit). Called with sh.mu held; it must
 	// only copy the bytes out, never call back into the store.
 	ship func(frames []byte, lastSeq uint64)
-	// commitWindow is DurableOptions.CommitWindow, copied here so
-	// awaitCommit — a shard method — can read it without reaching back
-	// into the store.
-	commitWindow time.Duration
 }
 
 // Durable implements Store and the LockoutStore extension.
@@ -451,7 +438,6 @@ func openDurable(dir string, opts DurableOptions, openFile func(string) (walFile
 		sh.commit.L = &sh.mu
 		sh.lockouts = make(map[string]int)
 		sh.kv = make(map[string][]byte)
-		sh.commitWindow = opts.CommitWindow
 		sh.path = filepath.Join(dir, shardLogName(i))
 		return sh.open(openFile)
 	}); err != nil {
@@ -832,23 +818,6 @@ func (sh *walShard) awaitCommit(myEnd int64) error {
 		}
 		if !sh.syncing {
 			sh.syncing = true
-			if sh.commitWindow > 0 {
-				// Adaptive batching: hold the leader role (syncing is
-				// set, so no rival flush starts) but let go of the lock
-				// so writers arriving inside the window stage into this
-				// very batch instead of the next one.
-				sh.mu.Unlock()
-				time.Sleep(sh.commitWindow)
-				sh.mu.Lock()
-				if sh.failed != nil {
-					// The shard fail-stopped while we slept (its wbuf is
-					// already rolled back); surrender leadership and let
-					// the loop report the failure.
-					sh.syncing = false
-					sh.commit.Broadcast()
-					continue
-				}
-			}
 			f := sh.f
 			batch := sh.wbuf
 			sh.wbuf = nil // writers arriving mid-flush stage a new buffer
