@@ -83,12 +83,12 @@ bench-diff:
 # has replaced it twice, so the SIGKILL lands in or near a compaction.
 # It then stresses the vault's fault and torture suites (torn and
 # corrupt tails, group commit, failed-append rollback, the sync loop,
-# replicated-batch apply, reopen, KV) 20 times over under the race
-# detector (about 35 s on a 2-vCPU VM): a flaky run there is a bug
-# report.
+# replicated-batch apply, snapshot install and its crash window,
+# reopen, KV, lockout clears) 20 times over under the race detector
+# (about 35 s on a 2-vCPU VM): a flaky run there is a bug report.
 recovery-smoke:
 	$(GO) test ./cmd/pwserver -run TestRecovery -v
-	$(GO) test -race -count=20 -run 'Torture|GroupCommit|WalRollback|SyncLoop|ApplyReplFrames|Reopen|KV|Durable' ./internal/vault
+	$(GO) test -race -count=20 -run 'Torture|GroupCommit|WalRollback|SyncLoop|ApplyReplFrames|InstallShardSnapshot|Reopen|KV|Durable|SetLockout' ./internal/vault
 
 # repl-smoke is the CI failover drill: build the real pwserver, start
 # a quorum primary and a follower as separate processes, enroll and
@@ -98,10 +98,11 @@ recovery-smoke:
 # assert the survivor serves every acked mutation — records AND the
 # lockout counter — with no false accepts. Also runs the in-process
 # replicated-pair swarm (TestLoadReplicatedPair), and stresses the
-# replication package's tests, the failover and link torture suites
-# included, and the auth service's three replicated-pair tests 20
-# times over under the race detector (about 45 s on a 2-vCPU VM): a
-# flaky run there is a bug report.
+# replication package's tests, the failover and link torture suites,
+# bootstrap from a shipped log and the protocol handshake included
+# (TestRepl matches them all), and the auth service's three
+# replicated-pair tests 20 times over under the race detector (about
+# 45 s on a 2-vCPU VM): a flaky run there is a bug report.
 repl-smoke:
 	$(GO) test ./cmd/pwserver -run TestReplSmoke -v
 	$(GO) test ./internal/loadtest -run TestLoadReplicatedPair -v

@@ -50,18 +50,15 @@ type Metrics struct {
 	// slot is +Inf), stored as per-bucket counts and summed on export.
 	latBuckets [len(latBounds) + 1]int64
 	// Queue-wait observations from the overload middleware: time
-	// admitted requests spent parked for a limiter slot, in aggregate
-	// and broken down by admission priority. The per-tier split is
-	// what makes priority inversion visible: under a storm the whole
-	// point of the watermarks is that high-priority waits stay flat
-	// while normal/low waits grow (until their tiers shed) — one
-	// blended mean hides exactly that.
-	queueWaitN     int64
-	queueWaitTotal time.Duration
-	queueWaitMax   time.Duration
-	qwPriN         [numPriorities]int64
-	qwPriTotal     [numPriorities]time.Duration
-	qwPriMax       [numPriorities]time.Duration
+	// admitted requests spent parked for a limiter slot, by admission
+	// priority (the aggregate series are summed from these at
+	// exposition). The per-tier split is what makes priority inversion
+	// visible: under a storm the whole point of the watermarks is that
+	// high-priority waits stay flat while normal/low waits grow (until
+	// their tiers shed) — one blended mean hides exactly that.
+	qwPriN     [numPriorities]int64
+	qwPriTotal [numPriorities]time.Duration
+	qwPriMax   [numPriorities]time.Duration
 }
 
 // latBounds are the latency histogram bucket upper bounds. The
@@ -138,17 +135,10 @@ func (m *Metrics) observeShed(p Priority) { m.sheds[p].Add(1) }
 // for a limiter slot, attributed to its admission priority.
 func (m *Metrics) observeQueueWait(d time.Duration, p Priority) {
 	m.mu.Lock()
-	m.queueWaitN++
-	m.queueWaitTotal += d
-	if d > m.queueWaitMax {
-		m.queueWaitMax = d
-	}
-	if p >= 0 && p < numPriorities {
-		m.qwPriN[p]++
-		m.qwPriTotal[p] += d
-		if d > m.qwPriMax[p] {
-			m.qwPriMax[p] = d
-		}
+	m.qwPriN[p]++
+	m.qwPriTotal[p] += d
+	if d > m.qwPriMax[p] {
+		m.qwPriMax[p] = d
 	}
 	m.mu.Unlock()
 }
@@ -214,9 +204,13 @@ func (m *Metrics) WritePrometheus(w io.Writer) {
 	requests = m.requests
 	latTotal, latMax = m.latTotal, m.latMax
 	buckets = m.latBuckets
-	qwN, qwTotal, qwMax = m.queueWaitN, m.queueWaitTotal, m.queueWaitMax
 	qpN, qpTotal, qpMax = m.qwPriN, m.qwPriTotal, m.qwPriMax
 	m.mu.Unlock()
+	for i := range qpN {
+		qwN += qpN[i]
+		qwTotal += qpTotal[i]
+		qwMax = max(qwMax, qpMax[i])
+	}
 	sort.Slice(ops, func(i, j int) bool { return ops[i].op < ops[j].op })
 	sort.Slice(codes, func(i, j int) bool { return codes[i].code < codes[j].code })
 

@@ -60,8 +60,9 @@ func PriorityFor(op Op) Priority {
 }
 
 // OverloadPolicy configures WithOverload: how deep the bounded
-// admission wait queue may grow, and the watermarks (fractions of
-// Queue) above which each lower priority is shed. Depth at or past a
+// admission wait queue may grow. Each lower priority is shed above a
+// fixed watermark, a fraction of Queue (DefaultNormalMark,
+// DefaultLowMark). Depth at or past a
 // priority's budget returns CodeOverloaded immediately — a refusal
 // measured in microseconds, not a slot in a queue that will outlive
 // the caller's patience. Past Queue itself, everything sheds: the
@@ -73,18 +74,12 @@ type OverloadPolicy struct {
 	// is shed; a request still leaves the queue with CodeUnavailable
 	// once its deadline passes.
 	Queue int
-	// NormalMark is the fraction of Queue above which PriorityNormal
-	// requests are shed; 0 selects DefaultNormalMark.
-	NormalMark float64
-	// LowMark is the fraction of Queue above which PriorityLow
-	// requests are shed; 0 selects DefaultLowMark.
-	LowMark float64
 	// RetryAfter is the hint returned with every shed response
 	// (Retry-After on HTTP); 0 selects DefaultRetryAfter.
 	RetryAfter time.Duration
 }
 
-// Default overload-policy knobs.
+// The overload policy's watermarks and default retry hint.
 const (
 	// DefaultNormalMark sheds changes/enrolls once the queue is half
 	// full.
@@ -107,16 +102,9 @@ func (p OverloadPolicy) budgets() [numPriorities]int {
 		}
 		return b
 	}
-	normal, low := p.NormalMark, p.LowMark
-	if normal <= 0 {
-		normal = DefaultNormalMark
-	}
-	if low <= 0 {
-		low = DefaultLowMark
-	}
 	b[PriorityHigh] = p.Queue
-	b[PriorityNormal] = max(1, int(float64(p.Queue)*normal))
-	b[PriorityLow] = max(1, int(float64(p.Queue)*low))
+	b[PriorityNormal] = max(1, int(float64(p.Queue)*DefaultNormalMark))
+	b[PriorityLow] = max(1, int(float64(p.Queue)*DefaultLowMark))
 	return b
 }
 

@@ -45,37 +45,19 @@ func (l *Limiter) Acquire() {
 	l.wg.Add(1)
 }
 
-// AcquireContext blocks until a slot is free or ctx is done, claiming
-// the slot and returning nil in the first case and returning ctx's
-// error (with no slot held) in the second. It is the admission path
-// for request-scoped callers whose deadline must bound queueing, not
-// just handling.
-func (l *Limiter) AcquireContext(ctx context.Context) error {
-	// A pre-expired context must never admit, even when a slot is free:
-	// select would otherwise pick randomly between the two ready cases.
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	select {
-	case l.sem <- struct{}{}:
-		l.wg.Add(1)
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
-	}
-}
-
 // ErrSaturated is returned by AcquireQueued when the bounded wait
 // queue is full: the request would eventually be served far past any
 // useful deadline, so it is refused immediately instead of parking.
 var ErrSaturated = errors.New("par: limiter wait queue full")
 
-// AcquireQueued is AcquireContext with a bounded wait queue: if no
-// slot is free and maxQueue callers (including this one) are already
-// waiting, it returns ErrSaturated immediately — never queue work
-// that will only be served after its deadline. maxQueue <= 0 means
-// "shed unless a slot is free right now". A caller admitted past the
-// queue check still honors ctx while parked. Callers with different
+// AcquireQueued claims a slot for a request-scoped caller whose
+// deadline must bound queueing, not just handling. It returns nil
+// holding a slot, or an error holding none: ctx's error when ctx is
+// done first (a pre-expired ctx never admits, even with a slot free),
+// and ErrSaturated at once when no slot is free and maxQueue callers
+// (including this one) are already waiting — never queue work that
+// will only be served after its deadline. maxQueue <= 0 means "shed
+// unless a slot is free right now". Callers with different
 // maxQueue values may share one limiter: each bounds the depth *it*
 // is willing to join, which is how priority admission is built —
 // low-priority work passes a smaller bound and sheds first as the
@@ -111,18 +93,7 @@ func (l *Limiter) AcquireQueued(ctx context.Context, maxQueue int) error {
 // AcquireQueued. It is the watermark signal overload policies read.
 func (l *Limiter) Waiting() int { return int(l.waiting.Load()) }
 
-// TryAcquire claims a slot if one is free without blocking.
-func (l *Limiter) TryAcquire() bool {
-	select {
-	case l.sem <- struct{}{}:
-		l.wg.Add(1)
-		return true
-	default:
-		return false
-	}
-}
-
-// Release returns a slot claimed by Acquire or TryAcquire.
+// Release returns a slot claimed by Acquire or AcquireQueued.
 func (l *Limiter) Release() {
 	<-l.sem
 	l.wg.Done()

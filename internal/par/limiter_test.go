@@ -68,24 +68,6 @@ func TestLimiterDrainWaits(t *testing.T) {
 	}
 }
 
-// TestLimiterTryAcquire: TryAcquire must fail fast at capacity and
-// succeed after a Release.
-func TestLimiterTryAcquire(t *testing.T) {
-	l := NewLimiter(1)
-	if !l.TryAcquire() {
-		t.Fatal("first TryAcquire failed")
-	}
-	if l.TryAcquire() {
-		t.Fatal("TryAcquire succeeded past capacity")
-	}
-	l.Release()
-	if !l.TryAcquire() {
-		t.Fatal("TryAcquire failed after Release")
-	}
-	l.Release()
-	l.Drain()
-}
-
 // TestLimiterGoContainsPanic: a panicking task must release its slot
 // and not crash the process.
 func TestLimiterGoContainsPanic(t *testing.T) {
@@ -133,35 +115,6 @@ func TestLimiterAcquireBlocksUntilRelease(t *testing.T) {
 	}
 	l.Release()
 	wg.Wait()
-	l.Drain()
-}
-
-// TestLimiterAcquireContext: a free slot admits, a full limiter defers
-// to the context, and a pre-expired context never admits even when a
-// slot is available.
-func TestLimiterAcquireContext(t *testing.T) {
-	l := NewLimiter(1)
-	if err := l.AcquireContext(context.Background()); err != nil {
-		t.Fatalf("AcquireContext with free slot: %v", err)
-	}
-	// Full: a context that dies while queued returns its error, slotless.
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
-	defer cancel()
-	if err := l.AcquireContext(ctx); err == nil {
-		t.Fatal("AcquireContext at capacity with expiring context returned nil")
-	}
-	l.Release()
-	// Pre-expired: must refuse even though the slot is free again.
-	dead, cancelDead := context.WithCancel(context.Background())
-	cancelDead()
-	if err := l.AcquireContext(dead); err == nil {
-		t.Fatal("AcquireContext with pre-expired context admitted")
-	}
-	// The refusals must not have leaked slots.
-	if err := l.AcquireContext(context.Background()); err != nil {
-		t.Fatalf("slot leaked by refused acquires: %v", err)
-	}
-	l.Release()
 	l.Drain()
 }
 
@@ -219,8 +172,8 @@ func TestLimiterAcquireQueued(t *testing.T) {
 	l.Drain()
 }
 
-// TestLimiterAcquireQueuedPreExpired: like AcquireContext, a
-// pre-expired context never admits even with a free slot.
+// TestLimiterAcquireQueuedPreExpired: a pre-expired context never
+// admits even with a free slot.
 func TestLimiterAcquireQueuedPreExpired(t *testing.T) {
 	l := NewLimiter(1)
 	dead, cancel := context.WithCancel(context.Background())
@@ -228,8 +181,8 @@ func TestLimiterAcquireQueuedPreExpired(t *testing.T) {
 	if err := l.AcquireQueued(dead, 8); err == nil {
 		t.Fatal("pre-expired context admitted")
 	}
-	if !l.TryAcquire() {
-		t.Fatal("slot leaked by refused AcquireQueued")
+	if err := l.AcquireQueued(context.Background(), 0); err != nil {
+		t.Fatalf("slot leaked by refused AcquireQueued: %v", err)
 	}
 	l.Release()
 }
@@ -285,12 +238,12 @@ func TestLimiterQueuedStress(t *testing.T) {
 		t.Errorf("Waiting() = %d after stress, want 0", got)
 	}
 	for i := 0; i < capacity; i++ {
-		if !l.TryAcquire() {
-			t.Fatalf("slot %d leaked: capacity not re-acquirable after stress", i)
+		if err := l.AcquireQueued(context.Background(), 0); err != nil {
+			t.Fatalf("slot %d leaked: capacity not re-acquirable after stress: %v", i, err)
 		}
 	}
-	if l.TryAcquire() {
-		t.Fatal("over-capacity acquire succeeded; a release leaked")
+	if err := l.AcquireQueued(context.Background(), 0); err != ErrSaturated {
+		t.Fatalf("over-capacity acquire = %v, want ErrSaturated; a release leaked", err)
 	}
 	for i := 0; i < capacity; i++ {
 		l.Release()

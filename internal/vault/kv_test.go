@@ -133,8 +133,9 @@ func TestKVReplicatedApply(t *testing.T) {
 	}
 }
 
-// TestKVSnapshotInstall: InstallShardSnapshot replaces KV state and
-// re-delivers the snapshot's entries to the watch.
+// TestKVSnapshotInstall: InstallShardSnapshot of a ShardSnapshot's
+// frames replaces KV state and re-delivers the snapshot's entries to
+// the watch.
 func TestKVSnapshotInstall(t *testing.T) {
 	src, err := OpenDurable(t.TempDir(), DurableOptions{Shards: 1, Sync: SyncAlways, NoAutoCompact: true})
 	if err != nil {
@@ -144,7 +145,7 @@ func TestKVSnapshotInstall(t *testing.T) {
 	if err := src.SetKV("session/key/9", []byte("nine")); err != nil {
 		t.Fatalf("SetKV: %v", err)
 	}
-	recs, locks, kv, _, err := src.ShardSnapshot(0)
+	frames, _, err := src.ShardSnapshot(0)
 	if err != nil {
 		t.Fatalf("ShardSnapshot: %v", err)
 	}
@@ -158,7 +159,7 @@ func TestKVSnapshotInstall(t *testing.T) {
 	}
 	seen := make(chan string, 8)
 	dst.SetKVWatch(func(key string, val []byte) { seen <- key })
-	if err := dst.InstallShardSnapshot(0, recs, locks, kv); err != nil {
+	if err := dst.InstallShardSnapshot(0, frames); err != nil {
 		t.Fatalf("InstallShardSnapshot: %v", err)
 	}
 	if _, ok := dst.GetKV("session/key/stale"); ok {

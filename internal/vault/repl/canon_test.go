@@ -7,19 +7,17 @@ import (
 	"testing"
 
 	"clickpass/internal/canonjson"
-	"clickpass/internal/passpoints"
 )
 
 // canonMsgs returns one message of every type with the fields the
 // protocol sends in it (20-digit epochs and run ids), plus one message
 // with every field set.
 func canonMsgs(t testing.TB) []wireMsg {
-	recs := []*passpoints.Record{testRecord("alice"), {User: "nil"}, testRecord("zoë <admin> & 密码")}
+	frames := []byte("\x1c\x00\x00\x00\xde\xad\xbe\xef{\"op\":\"put\",\"user\":\"zoë <admin> & 密码\"}")
 	every := wireMsg{
-		Type: msgSnapshot, Epoch: math.MaxUint64, RunID: 10000000000000000000, Shards: 4,
+		Type: msgSnapshot, Proto: protoVersion, Epoch: math.MaxUint64, RunID: 10000000000000000000, Shards: 4,
 		Seqs: []uint64{0, math.MaxUint64}, Advertise: "10.0.0.1:7000", Shard: 3, Seq: 42,
-		Frames: []byte{1, 2, 3}, Records: recs,
-		Lockouts: map[string]int{"alice": 2}, KV: map[string][]byte{"session/k": {7}},
+		Frames: []byte{1, 2, 3},
 	}
 	rv := reflect.ValueOf(every)
 	for i := 0; i < rv.NumField(); i++ {
@@ -28,11 +26,11 @@ func canonMsgs(t testing.TB) []wireMsg {
 		}
 	}
 	return []wireMsg{
-		{Type: msgHello, Epoch: math.MaxUint64, RunID: 18446744073709551615, Seqs: []uint64{1, 0, 18446744073709551615}, Shards: 3, Advertise: "a:1"},
+		{Type: msgHello, Proto: protoVersion, Epoch: math.MaxUint64, RunID: 18446744073709551615, Seqs: []uint64{1, 0, 18446744073709551615}, Shards: 3, Advertise: "a:1"},
 		{Type: msgHello, Epoch: 7},
-		{Type: msgWelcome, Epoch: 1, RunID: 12345678901234567890, Shards: 32, Advertise: "b:2"},
-		{Type: msgSnapshot, Shard: 1, Seq: 9, Records: recs, Lockouts: map[string]int{"a": 1, "b": 10, "zoë <admin>": 2}, KV: map[string][]byte{"k": {1}, "k&é": {2}}},
-		{Type: msgSnapshot, Shard: 0, Records: []*passpoints.Record{}},
+		{Type: msgWelcome, Proto: protoVersion, Epoch: 1, RunID: 12345678901234567890, Shards: 32, Advertise: "b:2"},
+		{Type: msgSnapshot, Shard: 1, Seq: 9, Frames: frames},
+		{Type: msgSnapshot, Shard: 0},
 		{Type: msgFrames, Shard: 31, Seq: math.MaxUint64, Frames: []byte("framed bytes")},
 		{Type: msgAck, Shard: 2, Seq: 5},
 		{Type: msgPing},
@@ -87,7 +85,8 @@ func FuzzCanonicalDecode(f *testing.F) {
 		`{"Type":"ack","shard":1}`,
 		`{"type":"ack","type":"ping"}`,
 		`{"type":"ack","shard":1.5}`,
-		`{"type":"hello","seqs":null,"records":[null],"lockouts":null,"kv":{"k":null}}`,
+		`{"type":"hello","proto":2,"seqs":null}`,
+		`{"type":"snapshot","shard":1,"seq":9,"records":[{"user":"alice"}],"lockouts":{"a":1},"kv":{"k":"AQ=="}}`,
 		`{"type":"hello","epoch":18446744073709551616}`,
 		`{"type":"frames","frames":"AQI"}`,
 	} {

@@ -15,7 +15,8 @@ import (
 // store: a restarted follower presents run id 0 and is re-bootstrapped
 // from snapshots, which is exactly the crash-only discipline — its
 // durable state is still valid, but its resume position is not worth
-// persisting.
+// persisting. A follower whose bootstrap was cut short presents run id
+// 0 too.
 type followerState struct {
 	stop     chan struct{}
 	done     chan struct{}
@@ -117,6 +118,7 @@ func (n *Node) followOnce(fo *followerState) error {
 	n.mu.Unlock()
 	hello := wireMsg{
 		Type:      msgHello,
+		Proto:     protoVersion,
 		Epoch:     epoch,
 		RunID:     runID,
 		Seqs:      seqs,
@@ -138,6 +140,9 @@ func (n *Node) followOnce(fo *followerState) error {
 	if w.Type != msgWelcome {
 		return fmt.Errorf("expected welcome, got %q", w.Type)
 	}
+	if w.Proto != protoVersion {
+		return fmt.Errorf("primary speaks replication protocol %d, this node %d; both nodes of a pair must run one release", w.Proto, protoVersion)
+	}
 	if w.Shards != n.shards {
 		return fmt.Errorf("primary has %d shards, this store has %d; cannot follow", w.Shards, n.shards)
 	}
@@ -155,14 +160,20 @@ func (n *Node) followOnce(fo *followerState) error {
 	if _, err := n.store.AdvanceEpoch(w.Epoch); err != nil {
 		return fmt.Errorf("persisting primary epoch: %w", err)
 	}
+	// booting lists the shards still owed their first snapshot from a
+	// new stream incarnation, which the primary snapshots in full.
+	var booting map[int]bool
 	fo.mu.Lock()
 	if w.RunID != fo.upstreamRun {
-		// New stream incarnation: our floors are meaningless to it. The
-		// primary will snapshot every shard; zero the floors so a
-		// mid-bootstrap disconnect doesn't present stale ones.
-		fo.upstreamRun = w.RunID
+		// Our floors are meaningless to the new incarnation. Until every
+		// shard is installed, present run id 0, so a mid-bootstrap
+		// disconnect redials into a full bootstrap: a floor of 0 would
+		// resume a shard this node never received.
+		fo.upstreamRun = 0
+		booting = make(map[int]bool, n.shards)
 		for i := range fo.applied {
 			fo.applied[i] = 0
+			booting[i] = true
 		}
 	}
 	fo.mu.Unlock()
@@ -181,10 +192,17 @@ func (n *Node) followOnce(fo *followerState) error {
 			if m.Shard < 0 || m.Shard >= n.shards {
 				return fmt.Errorf("snapshot for unknown shard %d", m.Shard)
 			}
-			if err := n.store.InstallShardSnapshot(m.Shard, m.Records, m.Lockouts, m.KV); err != nil {
+			if err := n.store.InstallShardSnapshot(m.Shard, m.Frames); err != nil {
 				return fmt.Errorf("installing shard %d snapshot: %w", m.Shard, err)
 			}
 			fo.setApplied(m.Shard, m.Seq)
+			delete(booting, m.Shard)
+			if booting != nil && len(booting) == 0 {
+				booting = nil
+				fo.mu.Lock()
+				fo.upstreamRun = w.RunID
+				fo.mu.Unlock()
+			}
 			if err := writeMsg(c, &wireMsg{Type: msgAck, Shard: m.Shard, Seq: m.Seq}); err != nil {
 				return err
 			}
@@ -202,8 +220,10 @@ func (n *Node) followOnce(fo *followerState) error {
 				return err
 			}
 		default:
-			// Unknown message types are ignored for forward
-			// compatibility.
+			// A message this release does not know means a peer on
+			// another protocol: guessing at it could install the wrong
+			// state.
+			return fmt.Errorf("unexpected %q message from the primary", m.Type)
 		}
 	}
 }

@@ -28,7 +28,10 @@ func newRunID() (uint64, error) {
 	return id, nil
 }
 
-// bufEntry is one retained stream record.
+// bufEntry is one retained commit batch: its frames, as the store
+// committed them, and the seq of its last record. Acks, snapshot seqs
+// and resume floors all fall on batch boundaries, so a batch is
+// retained, trimmed and shipped whole.
 type bufEntry struct {
 	seq   uint64
 	frame []byte
@@ -39,7 +42,8 @@ type bufEntry struct {
 // without a re-bootstrap. A follower's ack drops everything at or
 // below it, and Options.RetainBytes caps what a lagging or detached
 // follower leaves behind. Entries are ascending by seq (gaps legal —
-// a failed batch consumes seqs that are never shipped).
+// a failed batch consumes seqs that are never shipped), one per
+// committed batch.
 type shardBuf struct {
 	entries []bufEntry
 	bytes   int
@@ -184,32 +188,20 @@ func (n *Node) stopPrimary(ps *primaryState, cause error) {
 	n.store.SetReplHooks(hooks)
 }
 
-// commit is the vault's ReplHooks.Commit sink: it labels the batch's
-// frames with their sequence numbers and appends them to the shard's
-// retention buffer. Runs under the vault shard lock — copy, enqueue,
-// wake senders, return.
+// commit is the vault's ReplHooks.Commit sink: it appends a copy of
+// the batch, labeled with its last seq, to the shard's retention
+// buffer. Runs under the vault shard lock — copy, enqueue, wake
+// senders, return.
 func (ps *primaryState) commit(shard int, frames []byte, lastSeq uint64) {
-	split, err := vault.SplitFrames(frames)
-	if err != nil || len(split) == 0 {
-		// Cannot happen for frames the store itself encoded; refuse to
-		// guess at labeling if it somehow does.
-		if err != nil {
-			ps.n.opts.Logf("repl: dropping unsplittable commit batch (shard %d): %v", shard, err)
-		}
-		return
-	}
-	first := lastSeq - uint64(len(split)) + 1
+	cp := append([]byte(nil), frames...)
 	ps.mu.Lock()
 	if ps.closed {
 		ps.mu.Unlock()
 		return
 	}
 	b := &ps.bufs[shard]
-	for k, fr := range split {
-		cp := append([]byte(nil), fr...)
-		b.entries = append(b.entries, bufEntry{seq: first + uint64(k), frame: cp})
-		b.bytes += len(cp)
-	}
+	b.entries = append(b.entries, bufEntry{seq: lastSeq, frame: cp})
+	b.bytes += len(cp)
 	ps.head[shard] = lastSeq
 	for b.bytes > ps.n.opts.RetainBytes {
 		b.trimThrough(b.entries[0].seq)
@@ -326,12 +318,16 @@ func (ps *primaryState) handleConn(c net.Conn) {
 	if fenced {
 		return
 	}
-	if hello.Shards != 0 && hello.Shards != n.shards {
+	if hello.Proto != protoVersion {
+		n.opts.Logf("repl: refusing follower %s: it speaks replication protocol %d, this node %d; both nodes of a pair must run one release", c.RemoteAddr(), hello.Proto, protoVersion)
+		return
+	}
+	if hello.Shards != n.shards {
 		n.opts.Logf("repl: refusing follower %s: shard count %d != ours %d", c.RemoteAddr(), hello.Shards, n.shards)
 		return
 	}
 	pc := &pconn{c: c, addr: c.RemoteAddr().String(), acked: make([]uint64, n.shards)}
-	welcome := wireMsg{Type: msgWelcome, Epoch: epoch, RunID: runID, Shards: n.shards, Advertise: n.opts.Advertise}
+	welcome := wireMsg{Type: msgWelcome, Proto: protoVersion, Epoch: epoch, RunID: runID, Shards: n.shards, Advertise: n.opts.Advertise}
 	if err := pc.write(&welcome, n.opts.QuorumTimeout); err != nil {
 		return
 	}
@@ -451,9 +447,10 @@ func (ps *primaryState) collectWork(next []uint64) []senderAction {
 			actions = append(actions, senderAction{shard: s, snapshot: true})
 			continue
 		}
-		// Find the first retained entry at or past the cursor. Any gap
-		// between the cursor and that entry is now provably a failed
-		// batch's never-shipped seqs, not trimmed data.
+		// Find the first retained batch ending at or past the cursor
+		// (cursors fall on batch boundaries, so it starts there). Any
+		// gap between the cursor and that batch is now provably a
+		// failed batch's never-shipped seqs, not trimmed data.
 		idx := -1
 		for k := range b.entries {
 			if b.entries[k].seq >= next[s] {
@@ -499,13 +496,13 @@ func (ps *primaryState) senderLoop(pc *pconn, next []uint64) {
 		ps.mu.Unlock()
 		for _, a := range actions {
 			if a.snapshot {
-				recs, locks, kv, seq, err := n.store.ShardSnapshot(a.shard)
+				frames, seq, err := n.store.ShardSnapshot(a.shard)
 				if err != nil {
 					n.opts.Logf("repl: snapshotting shard %d for %s: %v", a.shard, pc.addr, err)
 					pc.c.Close()
 					return
 				}
-				m := wireMsg{Type: msgSnapshot, Shard: a.shard, Seq: seq, Records: recs, Lockouts: locks, KV: kv}
+				m := wireMsg{Type: msgSnapshot, Shard: a.shard, Seq: seq, Frames: frames}
 				if err := pc.write(&m, n.opts.QuorumTimeout); err != nil {
 					pc.c.Close()
 					return

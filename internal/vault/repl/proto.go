@@ -9,26 +9,37 @@ import (
 	"io"
 
 	"clickpass/internal/canonjson"
-	"clickpass/internal/passpoints"
 )
 
 // The replication wire protocol: length-prefixed, CRC32-checksummed
 // JSON messages over one TCP connection per follower — the same
 // framing discipline as the WAL itself, so a torn or corrupted
 // message is detected (and kills the connection) instead of being
-// half-applied. The conversation:
+// half-applied. A shard's state travels only as WAL frames: a
+// snapshot is the shard's log as compaction would write it, and a
+// frames message is one committed batch. The conversation:
 //
-//	follower → hello   (epoch, known run id, per-shard applied seqs)
-//	primary  → welcome (epoch, run id, shard count, advertise addr)
-//	primary  → snapshot per shard needing bootstrap, then
+//	follower → hello   (protocol, epoch, known run id, per-shard applied seqs)
+//	primary  → welcome (protocol, epoch, run id, shard count, advertise addr)
+//	primary  → snapshot per shard needing bootstrap (its log frames), then
 //	primary  → frames / ping ...       (continuous)
 //	follower → ack per applied batch   (continuous)
 //
-// A hello whose epoch exceeds the receiver's is a fence: the receiver
-// is deposed, refuses the connection, and stops accepting writes. The
-// promoted node sends exactly that hello to its old primary
-// best-effort; partition-tolerant fencing comes from quorum acks, not
-// from this courtesy message.
+// Each side refuses a peer whose hello or welcome names another
+// protocol than protoVersion, and a follower ends the connection on a
+// message type it does not know, so a mixed-version pair never
+// streams. A hello whose epoch exceeds the receiver's is a fence,
+// whatever its protocol: the receiver is deposed, refuses the
+// connection, and stops accepting writes. The promoted node sends
+// exactly that hello to its old primary best-effort; partition-tolerant
+// fencing comes from quorum acks, not from this courtesy message.
+
+// protoVersion is the replication protocol this release speaks, sent in
+// hello and welcome. Version 2 ships a snapshot as log frames. Version
+// 1, whose messages carry no number, shipped it as JSON maps, which
+// this release would read as an empty shard; so both nodes of a pair
+// must run one release.
+const protoVersion = 2
 
 // Message types.
 const (
@@ -67,14 +78,13 @@ type wireMsg struct {
 	// record of a frames batch, the snapshot's fold-in floor, or the
 	// follower's applied-and-synced floor (ack).
 	Seq uint64 `json:"seq,omitempty"`
-	// Frames is a concatenation of WAL frames (frames messages).
+	// Frames is a concatenation of WAL frames: one committed batch
+	// (frames), or the shard's whole live state — records, lockout
+	// counters and side-table entries — as a log (snapshot).
 	Frames []byte `json:"frames,omitempty"`
-	// Records, Lockouts, and KV carry a shard snapshot's state (KV is
-	// the durable side table — session keys and revocation
-	// watermarks).
-	Records  []*passpoints.Record `json:"records,omitempty"`
-	Lockouts map[string]int       `json:"lockouts,omitempty"`
-	KV       map[string][]byte    `json:"kv,omitempty"`
+	// Proto is the sender's replication protocol (hello, welcome); see
+	// protoVersion.
+	Proto int `json:"proto,omitempty"`
 }
 
 // wireMsgKeys are wireMsg's JSON member names in declaration order.
@@ -104,11 +114,7 @@ func readWireMsg(r *canonjson.Reader, m *wireMsg) {
 		case 8:
 			m.Frames = r.Bytes()
 		case 9:
-			m.Records = canonjson.Slice(r, passpoints.ReadRecord)
-		case 10:
-			m.Lockouts = canonjson.Map(r, (*canonjson.Reader).Int)
-		case 11:
-			m.KV = canonjson.Map(r, (*canonjson.Reader).Bytes)
+			m.Proto = r.Int()
 		}
 	})
 }

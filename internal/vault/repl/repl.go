@@ -23,11 +23,16 @@
 // failover that promotes the follower.
 //
 // Followers bootstrap (and re-bootstrap after falling behind the
-// primary's retention of unacknowledged frames) from per-shard
-// snapshots that reuse the compaction machinery: the installed
-// snapshot becomes a freshly rewritten shard log, and the frame
-// stream resumes after the snapshot's sequence floor. A follower's
-// logs then compact on the same garbage ratio as the primary's.
+// primary's retention of unacknowledged batches) from per-shard
+// snapshots that are log frames too: the primary encodes the shard's
+// live state as compaction would write it, the follower validates the
+// frames as it validates a batch, makes them its shard's log through
+// the log replacement compaction uses, and replays them into its maps
+// — so a shard's state moves in one format only. The frame stream
+// resumes after the snapshot's sequence floor, and a follower's logs
+// then compact on the same garbage ratio as the primary's. Both nodes
+// of a pair must run one release: hello and welcome carry a protocol
+// number, and each side refuses a peer on another.
 package repl
 
 import (

@@ -1,6 +1,8 @@
 package repl
 
 import (
+	"bufio"
+	"bytes"
 	"errors"
 	"fmt"
 	"io"
@@ -703,4 +705,235 @@ func TestQuorumRefusesStoreWritesAfterCloseAndFence(t *testing.T) {
 	if err := st.Replace(testRecord("after-fence")); !errors.Is(err, errFenced) {
 		t.Fatalf("store write after fence = %v, want %v", err, errFenced)
 	}
+}
+
+// TestReplBootstrapInstallsSnapshotLog: a follower bootstraps from a
+// primary's shard logs. Once it has caught up with a quiet primary,
+// each of its shard logs is byte for byte the primary's ShardSnapshot
+// frames, and reopening the follower's directory yields the primary's
+// records, lockout counters and side table.
+func TestReplBootstrapInstallsSnapshotLog(t *testing.T) {
+	pst := openTestStore(t)
+	for i := 0; i < 24; i++ {
+		if err := pst.Put(testRecord(fmt.Sprintf("user%03d", i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rec := testRecord("user001")
+	rec.Digest = []byte("changed")
+	if err := pst.Replace(rec); err != nil {
+		t.Fatal(err)
+	}
+	pst.Delete("user002")
+	for user, n := range map[string]int{"user003": 3, "user004": 1, "user005": 2} {
+		if err := pst.SetLockout(user, n); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := pst.SetLockout("user004", 0); err != nil {
+		t.Fatal(err)
+	}
+	for k, v := range map[string]string{"session/key/1": "k1", "session/rev/user006": "7"} {
+		if err := pst.SetKV(k, []byte(v)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	p := newTestPrimary(t, pst, Options{Ack: AckAsync})
+	fdir := t.TempDir()
+	opts := vault.DurableOptions{Shards: pst.Shards(), Sync: vault.SyncAlways, NoAutoCompact: true}
+	fst, err := vault.OpenDurable(fdir, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fst.Close()
+	f := newTestFollower(t, fst, p.ReplAddr(), Options{})
+	want := snapshotBytes(t, pst)
+	waitFor(t, 5*time.Second, "bootstrap", func() bool {
+		return snapshotBytes(t, fst) == want && reflect.DeepEqual(fst.Lockouts(), pst.Lockouts()) &&
+			reflect.DeepEqual(fst.KVRange(""), pst.KVRange(""))
+	})
+	f.Close()
+	for i := 0; i < pst.Shards(); i++ {
+		frames, _, err := pst.ShardSnapshot(i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := os.ReadFile(filepath.Join(fdir, fmt.Sprintf("shard-%04d.wal", i)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, frames) {
+			t.Errorf("follower's shard %d log (%d B) is not the primary's snapshot frames (%d B)", i, len(got), len(frames))
+		}
+	}
+	fst.Close()
+	back, err := vault.OpenDurable(fdir, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer back.Close()
+	if snapshotBytes(t, back) != want {
+		t.Error("reopened follower's records differ from the primary's")
+	}
+	if got := back.Lockouts(); !reflect.DeepEqual(got, pst.Lockouts()) {
+		t.Errorf("reopened follower's lockouts = %v, want %v", got, pst.Lockouts())
+	}
+	if got := back.KVRange(""); !reflect.DeepEqual(got, pst.KVRange("")) {
+		t.Errorf("reopened follower's side table = %v, want %v", got, pst.KVRange(""))
+	}
+}
+
+// TestReplRefusesOldProtocolPeer: a node on the earlier replication
+// protocol, whose hello and welcome carry no protocol number and whose
+// snapshot this release would read as an empty shard, is refused in
+// both directions. A primary answers its hello with no welcome; a
+// follower ends the connection at its welcome, and at any message type
+// it does not know, before installing anything.
+func TestReplRefusesOldProtocolPeer(t *testing.T) {
+	t.Run("old-follower", func(t *testing.T) {
+		logs := &logLines{}
+		p := newTestPrimary(t, openTestStore(t), Options{Ack: AckAsync, Logf: logs.logf})
+		hello := func(proto int) (wireMsg, error) {
+			c, err := net.Dial("tcp", p.ReplAddr())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+			if err := writeMsg(c, &wireMsg{Type: msgHello, Proto: proto, Epoch: p.Epoch(), Shards: 4}); err != nil {
+				t.Fatal(err)
+			}
+			_ = c.SetReadDeadline(time.Now().Add(5 * time.Second))
+			var m wireMsg
+			return m, readMsg(bufio.NewReader(c), &m)
+		}
+		if m, err := hello(0); err == nil {
+			t.Fatalf("primary answered an old-protocol hello with %q", m.Type)
+		} else if isTimeout(err) {
+			t.Fatal("primary kept an old-protocol follower's connection open")
+		}
+		if logs.count("replication protocol 0") != 1 {
+			t.Fatal("the primary did not log one refusal")
+		}
+		if s := p.Stats(); s.Fenced || len(s.Followers) != 0 {
+			t.Fatalf("after the refusal: %+v", s)
+		}
+		if m, err := hello(protoVersion); err != nil || m.Type != msgWelcome || m.Proto != protoVersion {
+			t.Fatalf("current-protocol hello answered %+v, %v; want a welcome", m, err)
+		}
+	})
+	t.Run("old-primary", func(t *testing.T) {
+		fst := openTestStore(t)
+		for i := 0; i < 8; i++ {
+			if err := fst.Put(testRecord(fmt.Sprintf("keep%d", i))); err != nil {
+				t.Fatal(err)
+			}
+		}
+		want := snapshotBytes(t, fst)
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer ln.Close()
+		logs := &logLines{}
+		newTestFollower(t, fst, ln.Addr().String(), Options{Redial: 20 * time.Millisecond, Logf: logs.logf})
+		// serve plays a primary for one connection: it sends welcome and
+		// then every message, and expects the follower to hang up
+		// without acknowledging anything.
+		serve := func(welcome wireMsg, then ...wireMsg) {
+			t.Helper()
+			c, err := ln.Accept()
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+			br := bufio.NewReader(c)
+			var hello wireMsg
+			if err := readMsg(br, &hello); err != nil || hello.Proto != protoVersion {
+				t.Fatalf("follower's hello = %+v, %v; want protocol %d", hello, err, protoVersion)
+			}
+			for _, m := range append([]wireMsg{welcome}, then...) {
+				_ = writeMsg(c, &m) // the follower may already have hung up
+			}
+			_ = c.SetReadDeadline(time.Now().Add(5 * time.Second))
+			var m wireMsg
+			if err := readMsg(br, &m); err == nil {
+				t.Fatalf("follower answered with %+v", m)
+			} else if isTimeout(err) {
+				t.Fatal("follower kept the connection open")
+			}
+		}
+		// What an old primary's snapshot decodes to here: no frames.
+		var empty []wireMsg
+		for s := 0; s < 4; s++ {
+			empty = append(empty, wireMsg{Type: msgSnapshot, Shard: s, Seq: 1})
+		}
+		serve(wireMsg{Type: msgWelcome, RunID: 7, Shards: 4}, empty...)
+		serve(wireMsg{Type: msgWelcome, Proto: protoVersion, RunID: 7, Shards: 4}, append([]wireMsg{{Type: "records"}}, empty...)...)
+		if got := snapshotBytes(t, fst); got != want {
+			t.Fatal("follower installed a snapshot from a refused primary")
+		}
+		if logs.count("replication protocol 0") == 0 || logs.count(`unexpected "records" message`) == 0 {
+			t.Fatal("the follower did not log both refusals")
+		}
+	})
+}
+
+// isTimeout reports whether err is a network timeout.
+func isTimeout(err error) bool {
+	var ne net.Error
+	return errors.As(err, &ne) && ne.Timeout()
+}
+
+// TestReplMidBootstrapDisconnectRebootstraps: a follower whose first
+// connection drops after one shard's snapshot has never received the
+// other shards. Its redial must bootstrap them, not resume them from
+// the start of the primary's stream: the state the primary held before
+// its stream began is only in a snapshot.
+func TestReplMidBootstrapDisconnectRebootstraps(t *testing.T) {
+	pst := openTestStore(t)
+	for i := 0; i < 40; i++ {
+		if err := pst.Put(testRecord(fmt.Sprintf("user%03d", i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	p := newTestPrimary(t, pst, Options{Ack: AckAsync})
+	// A proxy relays the primary's messages and hangs up on its first
+	// connection right after the first snapshot.
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	go func() {
+		for conns := 0; ; conns++ {
+			fc, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			pc, err := net.Dial("tcp", p.ReplAddr())
+			if err != nil {
+				fc.Close()
+				return
+			}
+			go func() { _, _ = io.Copy(pc, fc); pc.Close() }()
+			go func(first bool) {
+				defer fc.Close()
+				br := bufio.NewReader(pc)
+				for {
+					var m wireMsg
+					if readMsg(br, &m) != nil || writeMsg(fc, &m) != nil {
+						return
+					}
+					if first && m.Type == msgSnapshot {
+						pc.Close()
+						return
+					}
+				}
+			}(conns == 0)
+		}
+	}()
+	fst := openTestStore(t)
+	newTestFollower(t, fst, ln.Addr().String(), Options{Redial: 20 * time.Millisecond})
+	want := snapshotBytes(t, pst)
+	waitFor(t, 5*time.Second, "the follower to hold every record", func() bool { return snapshotBytes(t, fst) == want })
 }

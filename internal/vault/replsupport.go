@@ -2,16 +2,18 @@ package vault
 
 // Replication support for the durable store. The repl package
 // (internal/vault/repl) builds primary/backup log shipping on four
-// seams exported here:
+// seams exported here, and moves a shard's state only as log frames:
 //
 //   - SetReplHooks wires a commit sink (every locally committed frame
 //     batch, in log order, labeled with per-shard sequence numbers)
 //     and an optional quorum gate (block a mutation's ack until the
 //     follower's fsync covers it).
 //   - ShardSnapshot / InstallShardSnapshot move a whole shard's state
-//     for follower bootstrap, reusing the compaction machinery: an
-//     installed snapshot becomes a freshly rewritten log, exactly what
-//     compaction produces.
+//     for follower bootstrap as the log compaction would write: the
+//     primary encodes its live maps as frames, and the follower
+//     validates them, makes them its shard's log through the same
+//     replacement compaction uses, and rebuilds its maps by replaying
+//     them.
 //   - ApplyReplFrames appends a received frame batch to a follower's
 //     shard log and applies it through the same walEntry switch as
 //     startup replay, so replicated state is byte-equivalent to
@@ -33,7 +35,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"log"
-	"sort"
+	"maps"
 
 	"clickpass/internal/canonjson"
 	"clickpass/internal/passpoints"
@@ -76,9 +78,11 @@ type ReplHooks struct {
 	// other policies after the write. lastSeq is the shard-local
 	// sequence number of the batch's final record — the batch holds
 	// the frames for seqs (lastSeq-n+1 .. lastSeq), n its record
-	// count (SplitFrames recovers n). Called with the shard's mutex
-	// held: implementations must only copy the bytes out and return;
-	// calling back into the store deadlocks.
+	// count. Acks, snapshot seqs and resume floors all fall on batch
+	// boundaries, so a sender can retain and ship each batch whole.
+	// Called with the shard's mutex held: implementations must only
+	// copy the bytes out and return; calling back into the store
+	// deadlocks.
 	Commit func(shard int, frames []byte, lastSeq uint64)
 	// QuorumWait, when non-nil, gates every mutation's ack: after the
 	// record is locally durable, the writer blocks until QuorumWait
@@ -220,64 +224,60 @@ func (d *Durable) ReopenShard(i int) error {
 	return nil
 }
 
-// ShardSnapshot returns a consistent copy of shard i's live state —
-// records sorted by user, lockout counters, side-table (KVStore)
-// entries, and the shard's current mutation sequence number — the
-// bootstrap payload a primary streams to a new or lagging follower.
-// The shard is quiesced first so the snapshot covers exactly the
-// committed prefix: every mutation with seq at or below the returned
-// value is folded in, and the frame stream resuming after it
-// completes the state.
-func (d *Durable) ShardSnapshot(i int) ([]*passpoints.Record, map[string]int, map[string][]byte, uint64, error) {
+// ShardSnapshot returns shard i's live state as log frames — the
+// records, lockout counters and side-table (KVStore) entries, in the
+// encoding compaction writes (see encodeState) — and the shard's
+// current mutation sequence number: the bootstrap payload a primary
+// streams to a new or lagging follower. The shard is quiesced first so
+// the snapshot covers exactly the committed prefix: every mutation with
+// seq at or below the returned value is folded in, and the frame
+// stream resuming after it completes the state. The maps are copied
+// under the shard lock and encoded after it is released, so writers
+// wait only for the copy. Stored records and side-table values are
+// never modified in place, so the copies may share them.
+func (d *Durable) ShardSnapshot(i int) ([]byte, uint64, error) {
 	if i < 0 || i >= len(d.logs) {
-		return nil, nil, nil, 0, fmt.Errorf("vault: no shard %d", i)
+		return nil, 0, fmt.Errorf("vault: no shard %d", i)
 	}
 	sh := &d.logs[i]
 	sh.mu.Lock()
-	defer sh.mu.Unlock()
 	if sh.f == nil {
-		return nil, nil, nil, 0, errClosed
+		sh.mu.Unlock()
+		return nil, 0, errClosed
 	}
 	sh.quiesce()
-	recs := make([]*passpoints.Record, 0, len(sh.records))
-	for _, r := range sh.records {
-		recs = append(recs, r)
-	}
-	sort.Slice(recs, func(a, b int) bool { return recs[a].User < recs[b].User })
-	locks := make(map[string]int, len(sh.lockouts))
-	for u, n := range sh.lockouts {
-		locks[u] = n
-	}
-	kv := make(map[string][]byte, len(sh.kv))
-	for k, v := range sh.kv {
-		c := make([]byte, len(v))
-		copy(c, v)
-		kv[k] = c
-	}
-	return recs, locks, kv, sh.seq, nil
+	recs, locks, kv, seq := maps.Clone(sh.records), maps.Clone(sh.lockouts), maps.Clone(sh.kv), sh.seq
+	sh.mu.Unlock()
+	frames, _, err := encodeState(recs, locks, kv)
+	return frames, seq, err
 }
 
-// InstallShardSnapshot replaces shard i's entire state with the given
-// snapshot and rewrites its log wholesale — the follower side of
-// bootstrap. The new log is fsynced into place exactly like a
-// compacted log, so a crash during or after the install recovers to
-// either the old or the new state, never a blend. A fail-stopped shard
-// is eligible (the install writes a brand-new fsynced file, making
-// durability provable again) and comes back healthy on success. On
-// success every side-table entry the snapshot carries is delivered to
-// the KV watch (after the shard lock is released), so a watcher's
-// soft state catches up with a bootstrap exactly like it tracks the
-// frame stream.
-func (d *Durable) InstallShardSnapshot(i int, recs []*passpoints.Record, lockouts map[string]int, kv map[string][]byte) error {
+// InstallShardSnapshot replaces shard i's entire state with the one
+// frames holds — the follower side of bootstrap, which is recovery
+// from a shipped log. The frames are validated in full first, as
+// ApplyReplFrames validates a batch, and a snapshot that fails is an
+// error with no effect. The frames then become the shard's log through
+// the one log replacement compaction uses (see replaceLogLocked), so a
+// crash during or after the install recovers to either the old or the
+// new state, never a blend, and the shard's maps are rebuilt from the
+// entries through the replay apply switch. A fail-stopped shard is
+// eligible (the install writes a brand-new fsynced file, making
+// durability provable again) and comes back healthy on success. Every
+// side-table entry the snapshot carries is then delivered to the KV
+// watch, so a watcher's soft state catches up with a bootstrap exactly
+// like it tracks the frame stream.
+func (d *Durable) InstallShardSnapshot(i int, frames []byte) error {
 	if i < 0 || i >= len(d.logs) {
 		return fmt.Errorf("vault: no shard %d", i)
 	}
-	var notify map[string][]byte
+	entries, err := decodeFrames(frames)
+	if err != nil {
+		return err
+	}
+	installed := false
 	defer func() {
-		if w := d.kvWatch.Load(); w != nil && notify != nil {
-			for k, v := range notify {
-				(*w)(k, v)
-			}
+		if installed {
+			d.notifyKV(entries)
 		}
 	}()
 	sh := &d.logs[i]
@@ -287,85 +287,72 @@ func (d *Durable) InstallShardSnapshot(i int, recs []*passpoints.Record, lockout
 		return errClosed
 	}
 	sh.quiesce()
-	sh.records = make(map[string]*passpoints.Record, len(recs))
-	for _, r := range recs {
-		if r != nil && r.User != "" {
-			sh.records[r.User] = r
+	installed, err = d.replaceLogLocked(i, sh, frames, len(entries))
+	if installed {
+		sh.records = make(map[string]*passpoints.Record)
+		sh.lockouts = make(map[string]int)
+		sh.kv = make(map[string][]byte)
+		for j := range entries {
+			sh.apply(&entries[j])
 		}
 	}
-	sh.lockouts = make(map[string]int, len(lockouts))
-	for u, n := range lockouts {
-		if n > 0 {
-			sh.lockouts[u] = n
-		}
+	if err == nil {
+		sh.failed = nil
 	}
-	sh.kv = make(map[string][]byte, len(kv))
-	for k, v := range kv {
-		if k != "" && len(v) > 0 {
-			sh.kv[k] = v
-		}
-	}
-	sh.wbuf = nil
-	sh.pending = sh.pending[:0]
-	wasFailed := sh.failed
-	sh.failed = nil // rewriteShardLocked must not refuse; see below
-	if err := d.rewriteShardLocked(i, sh); err != nil {
-		if sh.failed == nil {
-			sh.failed = wasFailed
-		}
-		return err
-	}
-	notify = make(map[string][]byte, len(sh.kv))
-	for k, v := range sh.kv {
-		notify[k] = v
-	}
-	return nil
+	return err
 }
 
-// scanFrames walks a concatenation of length+CRC framed log records,
-// invoking fn with each whole frame and its payload. Any torn header,
-// oversized length, CRC mismatch, or trailing garbage returns an
-// error naming the offset — a replication receiver applies either the
-// whole batch or none of it.
-func scanFrames(frames []byte, fn func(frame, payload []byte) error) error {
+// decodeFrames validates a shipped concatenation of log frames in full
+// — framing, CRCs, payloads that decode, no generation markers — and
+// returns its entries. It is the all-or-nothing check ApplyReplFrames
+// and InstallShardSnapshot make before either touches the shard: any
+// torn header, oversized length, CRC mismatch, trailing garbage,
+// undecodable payload or marker is an error naming the offset.
+func decodeFrames(frames []byte) ([]walEntry, error) {
+	var entries []walEntry
 	for off := 0; off < len(frames); {
 		if len(frames)-off < walHeaderSize {
-			return fmt.Errorf("vault: torn frame header at offset %d", off)
+			return nil, fmt.Errorf("vault: torn frame header at offset %d", off)
 		}
 		length := binary.LittleEndian.Uint32(frames[off : off+4])
 		sum := binary.LittleEndian.Uint32(frames[off+4 : off+8])
 		if length == 0 || length > walMaxRecord {
-			return fmt.Errorf("vault: corrupt frame length %d at offset %d", length, off)
+			return nil, fmt.Errorf("vault: corrupt frame length %d at offset %d", length, off)
 		}
 		end := off + walHeaderSize + int(length)
 		if end > len(frames) {
-			return fmt.Errorf("vault: torn frame payload at offset %d", off)
+			return nil, fmt.Errorf("vault: torn frame payload at offset %d", off)
 		}
 		payload := frames[off+walHeaderSize : end]
 		if crc32.ChecksumIEEE(payload) != sum {
-			return fmt.Errorf("vault: frame CRC mismatch at offset %d", off)
+			return nil, fmt.Errorf("vault: frame CRC mismatch at offset %d", off)
 		}
-		if err := fn(frames[off:end], payload); err != nil {
-			return err
+		var e walEntry
+		if err := canonjson.Unmarshal(payload, &e, readWalEntry); err != nil {
+			return nil, fmt.Errorf("vault: corrupt frame payload at offset %d: %w", off, err)
 		}
+		if e.Op == walOpCkpt {
+			// Markers are log-structure records, never shipped; one in
+			// shipped frames means the sender is confused.
+			return nil, fmt.Errorf("vault: shipped frames carry a generation marker at offset %d", off)
+		}
+		entries = append(entries, e)
 		off = end
 	}
-	return nil
+	return entries, nil
 }
 
-// SplitFrames splits a concatenation of framed log records (as handed
-// to ReplHooks.Commit) into one subslice per whole frame, validating
-// framing and CRCs. The subslices alias the input.
-func SplitFrames(frames []byte) ([][]byte, error) {
-	var out [][]byte
-	err := scanFrames(frames, func(frame, _ []byte) error {
-		out = append(out, frame)
-		return nil
-	})
-	if err != nil {
-		return nil, err
+// notifyKV delivers the side-table writes among entries to the KV
+// watch. Callers run it once every shard lock is released: the watcher
+// may call back into the store.
+func (d *Durable) notifyKV(entries []walEntry) {
+	if w := d.kvWatch.Load(); w != nil {
+		for j := range entries {
+			if entries[j].Op == walOpKV && entries[j].Key != "" {
+				(*w)(entries[j].Key, entries[j].Val)
+			}
+		}
 	}
-	return out, nil
 }
 
 // ApplyReplFrames appends a received batch of framed mutation records
@@ -388,20 +375,7 @@ func (d *Durable) ApplyReplFrames(i int, frames []byte) error {
 	if len(frames) == 0 {
 		return nil
 	}
-	var entries []walEntry
-	err := scanFrames(frames, func(_, payload []byte) error {
-		var e walEntry
-		if err := canonjson.Unmarshal(payload, &e, readWalEntry); err != nil {
-			return fmt.Errorf("vault: corrupt frame payload: %w", err)
-		}
-		if e.Op == walOpCkpt {
-			// Markers are log-structure records, never shipped; one in
-			// a replication batch means the sender is confused.
-			return fmt.Errorf("vault: replication batch carries a generation marker")
-		}
-		entries = append(entries, e)
-		return nil
-	})
+	entries, err := decodeFrames(frames)
 	if err != nil {
 		return err
 	}
@@ -410,12 +384,8 @@ func (d *Durable) ApplyReplFrames(i int, frames []byte) error {
 	// it runs after it): the watcher may call back into the store.
 	applied := false
 	defer func() {
-		if w := d.kvWatch.Load(); w != nil && applied {
-			for j := range entries {
-				if entries[j].Op == walOpKV && entries[j].Key != "" {
-					(*w)(entries[j].Key, entries[j].Val)
-				}
-			}
+		if applied {
+			d.notifyKV(entries)
 		}
 	}()
 	sh := &d.logs[i]

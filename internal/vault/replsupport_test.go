@@ -1,8 +1,14 @@
 package vault
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
+	"os"
+	"path/filepath"
+	"reflect"
 	"sync"
 	"testing"
 )
@@ -239,5 +245,179 @@ func TestReopenShardRecovers(t *testing.T) {
 	}
 	if err := d.ReopenShard(9); err == nil {
 		t.Fatal("reopen of shard 9 on a 1-shard store succeeded")
+	}
+}
+
+// snapshotSource returns the ShardSnapshot frames of a one-shard store
+// holding every kind of live state a snapshot carries — records (one
+// replaced, one deleted), lockout counters (one cleared) and
+// side-table entries (one deleted) — and the view a store that
+// installed them must have: the source's state, with exactly those
+// frames as its log.
+func snapshotSource(t *testing.T) ([]byte, shardView) {
+	t.Helper()
+	src := openDurableT(t, DurableOptions{Shards: 1, Sync: SyncNever, NoAutoCompact: true})
+	for i := 0; i < 6; i++ {
+		if err := src.Put(versionedRecord(fmt.Sprintf("snap-%d", i), 0)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := src.Replace(versionedRecord("snap-1", 1)); err != nil {
+		t.Fatal(err)
+	}
+	src.Delete("snap-2")
+	for user, n := range map[string]int{"snap-3": 4, "snap-4": 2, "ghost": 1} {
+		if err := src.SetLockout(user, n); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := src.SetLockout("snap-4", 0); err != nil {
+		t.Fatal(err)
+	}
+	for k, v := range map[string]string{"session/key/1": "k1", "session/rev/snap-5": "9", "gone": "x"} {
+		if err := src.SetKV(k, []byte(v)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := src.SetKV("gone", nil); err != nil {
+		t.Fatal(err)
+	}
+	frames, _, err := src.ShardSnapshot(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := viewOf(t, src)
+	want.log = string(frames)
+	return frames, want
+}
+
+// shardView is everything an install may change about a one-shard
+// store: its records, lockout counters, side table, log bytes and
+// fail-stop state.
+type shardView struct {
+	records  string
+	lockouts map[string]int
+	kv       map[string][]byte
+	log      string
+	failed   []int
+}
+
+func viewOf(t *testing.T, d *Durable) shardView {
+	t.Helper()
+	data, err := os.ReadFile(filepath.Join(d.Dir(), shardLogName(0)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return shardView{string(saveBytes(t, d)), d.Lockouts(), d.KVRange(""), string(data), d.Health().Failed}
+}
+
+// frameOf frames payload for the log without looking at it.
+func frameOf(payload []byte) []byte {
+	out := binary.LittleEndian.AppendUint32(nil, uint32(len(payload)))
+	out = binary.LittleEndian.AppendUint32(out, crc32.ChecksumIEEE(payload))
+	return append(out, payload...)
+}
+
+// TestInstallShardSnapshotRefusesBadFrames: a snapshot that fails the
+// validator ApplyReplFrames uses — a torn frame, a CRC failure, a
+// payload that does not decode, a generation marker — is refused
+// without touching the shard: its maps, its log bytes and its
+// fail-stop state stay as they were, on a healthy shard and on a
+// fail-stopped one. The clean snapshot then installs, making the shard
+// the source's and bringing a fail-stopped shard back healthy.
+func TestInstallShardSnapshotRefusesBadFrames(t *testing.T) {
+	frames, want := snapshotSource(t)
+	marker, err := encodeEntry(&walEntry{Op: walOpCkpt, Ckpt: 1, Full: true}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	crc := bytes.Clone(frames)
+	crc[walHeaderSize+2] ^= 0x40
+	bad := []struct {
+		name   string
+		frames []byte
+	}{
+		{"torn", frames[:len(frames)-3]},
+		{"crc", crc},
+		{"undecodable", append(bytes.Clone(frames), frameOf([]byte("not json"))...)},
+		{"marker", append(bytes.Clone(frames), marker...)},
+	}
+	for _, failStopped := range []bool{false, true} {
+		t.Run(fmt.Sprintf("fail-stopped=%v", failStopped), func(t *testing.T) {
+			ctl := &faultCtl{}
+			if failStopped {
+				ctl.syncErr = failAfter(2, errors.New("injected fsync failure"))
+			}
+			dst := openFaulty(t, t.TempDir(), DurableOptions{Shards: 1, Sync: SyncAlways, NoAutoCompact: true}, ctl)
+			if err := dst.Put(versionedRecord("old", 0)); err != nil {
+				t.Fatal(err)
+			}
+			if err := dst.SetLockout("old", 2); err != nil && !failStopped {
+				t.Fatal(err)
+			}
+			if err := dst.SetKV("session/key/old", []byte("o")); !errors.Is(err, ErrShardFailed) && failStopped {
+				t.Fatalf("SetKV on a fail-stopped shard = %v, want ErrShardFailed", err)
+			}
+			before := viewOf(t, dst)
+			if got := len(before.failed) == 1; got != failStopped {
+				t.Fatalf("Health().Failed = %v with failStopped %v", before.failed, failStopped)
+			}
+			for _, b := range bad {
+				if err := dst.InstallShardSnapshot(0, b.frames); err == nil {
+					t.Fatalf("%s snapshot installed without error", b.name)
+				}
+				if after := viewOf(t, dst); !reflect.DeepEqual(after, before) {
+					t.Fatalf("refused %s snapshot changed the shard:\n got %+v\nwant %+v", b.name, after, before)
+				}
+			}
+			if err := dst.InstallShardSnapshot(0, frames); err != nil {
+				t.Fatalf("clean snapshot: %v", err)
+			}
+			if got := viewOf(t, dst); !reflect.DeepEqual(got, want) {
+				t.Fatalf("installed shard differs from the source:\n got %+v\nwant %+v", got, want)
+			}
+			if err := dst.Put(versionedRecord("after", 0)); err != nil {
+				t.Fatalf("write after install: %v", err)
+			}
+		})
+	}
+}
+
+// TestInstallShardSnapshotCrashBeforeRename copies the store directory
+// at the install's crash point — the snapshot fsynced in its temp file,
+// the rename not yet made — and proves the copy reopens to the
+// pre-install state and removes the stranded temp file, while the live
+// store goes on to hold the snapshot.
+func TestInstallShardSnapshotCrashBeforeRename(t *testing.T) {
+	frames, installed := snapshotSource(t)
+	opts := DurableOptions{Shards: 1, Sync: SyncNever, NoAutoCompact: true}
+	dst := openDurableT(t, opts)
+	ckptOps(t, dst, 0, 40)
+	if err := dst.SetKV("session/key/old", []byte("o")); err != nil {
+		t.Fatal(err)
+	}
+	want := viewOf(t, dst)
+	crash := t.TempDir()
+	dst.testCrashBeforeCompactRename = func(int) { copyDir(t, dst.Dir(), crash) }
+	if err := dst.InstallShardSnapshot(0, frames); err != nil {
+		t.Fatal(err)
+	}
+	if got := viewOf(t, dst); !reflect.DeepEqual(got, installed) {
+		t.Fatalf("installed shard differs from the source:\n got %+v\nwant %+v", got, installed)
+	}
+	stranded, err := filepath.Glob(filepath.Join(crash, ".compact-*"))
+	if err != nil || len(stranded) != 1 {
+		t.Fatalf("crash copy holds temp files %v (err %v), want one", stranded, err)
+	}
+	back, err := OpenDurable(crash, opts)
+	if err != nil {
+		t.Fatalf("reopening the install-crash copy: %v", err)
+	}
+	defer back.Close()
+	if got := viewOf(t, back); !reflect.DeepEqual(got, want) {
+		t.Fatalf("crash before the install's rename did not reopen to the pre-install state:\n got %+v\nwant %+v", got, want)
+	}
+	if _, err := os.Stat(stranded[0]); !os.IsNotExist(err) {
+		t.Errorf("stranded install temp file not removed at open (err %v)", err)
 	}
 }

@@ -9,8 +9,10 @@ import (
 	"hash/crc32"
 	"io"
 	"log"
+	"maps"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -1007,18 +1009,25 @@ func (d *Durable) Delete(user string) {
 }
 
 // SetLockout durably sets user's failed-attempt counter; failures <= 0
-// clears it. It implements LockoutStore: the auth service writes
-// every counter change through here so lockout state — the §5.1
-// online-attack defense — survives a restart instead of resetting to
-// a fresh attempt budget.
+// clears it (a no-op append is skipped when the shard holds no counter
+// for user). It implements LockoutStore: the auth service writes every
+// counter change through here so lockout state — the §5.1
+// online-attack defense — survives a restart instead of resetting to a
+// fresh attempt budget.
 func (d *Durable) SetLockout(user string, failures int) error {
 	if user == "" {
 		return fmt.Errorf("vault: lockout entry must name a user")
 	}
-	if failures < 0 {
-		failures = 0
+	if failures > 0 {
+		return d.mutate(user, walEntry{Op: walOpLock, User: user, Failures: failures}, nil)
 	}
-	return d.mutate(user, walEntry{Op: walOpLock, User: user, Failures: failures}, nil)
+	return d.mutate(user, walEntry{Op: walOpLock, User: user},
+		func(sh *walShard) error {
+			if _, ok := sh.lockouts[user]; !ok {
+				return errSkipAppend
+			}
+			return nil
+		})
 }
 
 // SetKV durably sets key's side-table blob to val, appending the write
@@ -1206,11 +1215,10 @@ func (d *Durable) Compact() error {
 	return nil
 }
 
-// CompactShard rewrites shard i's log from its live map: the new log
-// is written to a temp file, fsynced, and renamed over the old one,
-// so a crash mid-compaction leaves the previous log intact (and the
-// next open removes the stranded temp file). The shard is
-// write-locked for the duration.
+// CompactShard rewrites shard i's log from its live maps (see
+// encodeState and replaceLogLocked): a crash mid-compaction leaves the
+// previous log intact, and the next open removes the stranded temp
+// file. The shard is write-locked for the duration.
 func (d *Durable) CompactShard(i int) error {
 	if i < 0 || i >= len(d.logs) {
 		return fmt.Errorf("vault: no shard %d", i)
@@ -1224,91 +1232,95 @@ func (d *Durable) CompactShard(i int) error {
 	if err := sh.writable(); err != nil {
 		return err
 	}
-	return d.rewriteShardLocked(i, sh)
-}
-
-// rewriteShardLocked rewrites shard i's log from its live maps — the
-// shared tail of CompactShard and InstallShardSnapshot. Caller holds
-// sh.mu with the shard quiesced.
-func (d *Durable) rewriteShardLocked(i int, sh *walShard) error {
-	tmp, err := os.CreateTemp(d.dir, ".compact-*")
+	frames, n, err := encodeState(sh.records, sh.lockouts, sh.kv)
 	if err != nil {
-		return fmt.Errorf("vault: compaction temp file: %w", err)
-	}
-	tmpName := tmp.Name()
-	ok := false
-	defer func() {
-		if !ok {
-			tmp.Close()
-			os.Remove(tmpName)
-		}
-	}()
-	w := bufio.NewWriter(tmp)
-	n := 0
-	writeEntry := func(e *walEntry) error {
-		buf, err := encodeEntry(e, nil)
-		if err != nil {
-			return err
-		}
-		_, err = w.Write(buf)
-		return err
-	}
-	for _, rec := range sh.records {
-		if err := writeEntry(&walEntry{Op: walOpPut, Rec: rec}); err != nil {
-			return fmt.Errorf("vault: compacting %s: %w", sh.path, err)
-		}
-		n++
-	}
-	for user, failures := range sh.lockouts {
-		if err := writeEntry(&walEntry{Op: walOpLock, User: user, Failures: failures}); err != nil {
-			return fmt.Errorf("vault: compacting %s: %w", sh.path, err)
-		}
-		n++
-	}
-	for key, val := range sh.kv {
-		if err := writeEntry(&walEntry{Op: walOpKV, Key: key, Val: val}); err != nil {
-			return fmt.Errorf("vault: compacting %s: %w", sh.path, err)
-		}
-		n++
-	}
-	if err := w.Flush(); err != nil {
 		return fmt.Errorf("vault: compacting %s: %w", sh.path, err)
 	}
-	if err := tmp.Sync(); err != nil {
-		return fmt.Errorf("vault: syncing compacted %s: %w", sh.path, err)
+	_, err = d.replaceLogLocked(i, sh, frames, n)
+	return err
+}
+
+// encodeState frames a shard's live state as log entries — every
+// record, then every lockout counter, then every side-table entry, each
+// group in key order — and returns the frames and their entry count.
+// It is the log compaction writes and the snapshot a follower
+// bootstraps from (see ShardSnapshot), so replaying it rebuilds exactly
+// the maps it was encoded from.
+func encodeState(records map[string]*passpoints.Record, lockouts map[string]int, kv map[string][]byte) ([]byte, int, error) {
+	var frames, buf []byte
+	var err error
+	add := func(e walEntry) {
+		if err == nil {
+			if buf, err = encodeEntry(&e, buf); err == nil {
+				frames = append(frames, buf...)
+			}
+		}
 	}
-	// Size the new log before the rename commits it: failing here
-	// still leaves the old log live, whereas any error after the
-	// rename would leave sh.f pointing at the replaced inode and
-	// every later acked append would vanish on restart.
-	newOff, err := tmp.Seek(0, io.SeekCurrent)
+	for _, user := range slices.Sorted(maps.Keys(records)) {
+		add(walEntry{Op: walOpPut, Rec: records[user]})
+	}
+	for _, user := range slices.Sorted(maps.Keys(lockouts)) {
+		add(walEntry{Op: walOpLock, User: user, Failures: lockouts[user]})
+	}
+	for _, key := range slices.Sorted(maps.Keys(kv)) {
+		add(walEntry{Op: walOpKV, Key: key, Val: kv[key]})
+	}
 	if err != nil {
-		return fmt.Errorf("vault: sizing compacted %s: %w", sh.path, err)
+		return nil, 0, err
 	}
-	if hook := d.testCrashBeforeCompactRename; hook != nil {
-		hook(i)
+	return frames, len(records) + len(lockouts) + len(kv), nil
+}
+
+// replaceLogLocked makes frames, n whole entries, shard i's log — the
+// one log replacement, behind compaction and snapshot install. The
+// frames go to a temp file, which is fsynced and renamed over the old
+// log; the log is then reopened by path and positioned at its end, and
+// the directory fsynced. A crash at any point recovers either the old
+// log or the new one, never a blend. It reports whether the rename
+// committed the new log: from then on the shard's maps must describe
+// frames, even when a later step fails (a failed reopen fail-stops the
+// shard). Caller holds sh.mu with the shard quiesced.
+func (d *Durable) replaceLogLocked(i int, sh *walShard, frames []byte, n int) (bool, error) {
+	tmp, err := os.CreateTemp(d.dir, ".compact-*")
+	if err != nil {
+		return false, fmt.Errorf("vault: compaction temp file: %w", err)
 	}
-	if err := os.Rename(tmpName, sh.path); err != nil {
-		return fmt.Errorf("vault: committing compacted %s: %w", sh.path, err)
+	tmpName := tmp.Name()
+	if _, err = tmp.Write(frames); err != nil {
+		err = fmt.Errorf("vault: writing %s: %w", tmpName, err)
+	} else if err = tmp.Sync(); err != nil {
+		err = fmt.Errorf("vault: syncing %s: %w", tmpName, err)
+	} else {
+		if hook := d.testCrashBeforeCompactRename; hook != nil {
+			hook(i)
+		}
+		if err = os.Rename(tmpName, sh.path); err != nil {
+			err = fmt.Errorf("vault: committing %s: %w", sh.path, err)
+		}
 	}
-	ok = true
 	// Reopen the log by path rather than keeping tmp's descriptor.
 	// The rename doesn't invalidate it, but fsyncs on a descriptor
 	// whose inode was renamed into place have been observed to wedge
 	// in the kernel under concurrent load on some filesystems; a
 	// fresh open by the final path sidesteps that entirely.
 	tmp.Close()
-	nf, err := d.openFile(sh.path)
 	if err != nil {
-		// The compacted log is durably in place but we cannot append
-		// to it: the shard's file state is unusable.
-		sh.failStop(fmt.Errorf("vault: reopening compacted %s: %w", sh.path, err))
-		return fmt.Errorf("vault: reopening compacted %s: %w", sh.path, err)
+		os.Remove(tmpName)
+		return false, err
 	}
-	if _, err := nf.Seek(newOff, io.SeekStart); err != nil {
-		nf.Close()
-		sh.failStop(fmt.Errorf("vault: positioning compacted %s: %w", sh.path, err))
-		return fmt.Errorf("vault: positioning compacted %s: %w", sh.path, err)
+	newOff := int64(len(frames))
+	nf, err := d.openFile(sh.path)
+	if err == nil {
+		if _, err = nf.Seek(newOff, io.SeekStart); err != nil {
+			nf.Close()
+		}
+	}
+	if err != nil {
+		// The new log is durably in place but we cannot append to it:
+		// the shard's file state is unusable.
+		err = fmt.Errorf("vault: reopening rewritten %s: %w", sh.path, err)
+		sh.failStop(err)
+		return true, err
 	}
 	old := sh.f
 	sh.f = nf
@@ -1318,7 +1330,7 @@ func (d *Durable) rewriteShardLocked(i int, sh *walShard) error {
 	sh.entries = n
 	sh.dirty = false
 	old.Close()
-	return syncDir(d.dir)
+	return true, syncDir(d.dir)
 }
 
 // compactLoop is the background compactor: it waits for shard indexes

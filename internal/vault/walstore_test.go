@@ -9,6 +9,7 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -332,6 +333,53 @@ func TestDurableClosedStoreRefusesWrites(t *testing.T) {
 	}
 	if err := d.SetLockout("late", 1); err == nil {
 		t.Error("SetLockout on closed store should fail")
+	}
+}
+
+// TestSetLockoutSkipsAbsentClear: clearing a counter the shard does not
+// hold appends nothing, as deleting an absent record or side-table key
+// does, while clearing a held counter still appends and survives
+// reopen. A closed or fail-stopped store still refuses the clear.
+func TestSetLockoutSkipsAbsentClear(t *testing.T) {
+	d := openDurableT(t, DurableOptions{Shards: 1, Sync: SyncAlways, NoAutoCompact: true})
+	for i := 0; i < 3; i++ {
+		if err := d.SetLockout("nobody", 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := logBytes(t, d); n != 0 {
+		t.Fatalf("three clears of an absent counter wrote %d log bytes, want 0", n)
+	}
+	for user, n := range map[string]int{"alice": 2, "bob": 3} {
+		if err := d.SetLockout(user, n); err != nil {
+			t.Fatal(err)
+		}
+	}
+	held := logBytes(t, d)
+	if err := d.SetLockout("alice", 0); err != nil {
+		t.Fatal(err)
+	}
+	if n := logBytes(t, d); n <= held {
+		t.Fatalf("clearing a held counter left the log at %d bytes, want more than %d", n, held)
+	}
+	back := reopen(t, d)
+	if got := back.Lockouts(); !reflect.DeepEqual(got, map[string]int{"bob": 3}) {
+		t.Fatalf("lockouts after reopen = %v, want only bob's", got)
+	}
+	if err := back.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := back.SetLockout("nobody", 0); !errors.Is(err, errClosed) {
+		t.Errorf("clear on a closed store = %v, want %v", err, errClosed)
+	}
+
+	ctl := &faultCtl{syncErr: failAfter(1, errors.New("injected fsync failure"))}
+	f := openFaulty(t, t.TempDir(), DurableOptions{Shards: 1, Sync: SyncAlways, NoAutoCompact: true}, ctl)
+	if err := f.SetLockout("alice", 1); err == nil {
+		t.Fatal("write over an injected fsync failure acked")
+	}
+	if err := f.SetLockout("nobody", 0); !errors.Is(err, ErrShardFailed) {
+		t.Errorf("clear on a fail-stopped shard = %v, want ErrShardFailed", err)
 	}
 }
 
