@@ -84,11 +84,12 @@ bench-diff:
 # It then stresses the vault's fault and torture suites (torn and
 # corrupt tails, group commit, failed-append rollback, the sync loop,
 # replicated-batch apply, snapshot install and its crash window,
-# reopen, KV, lockout clears) 20 times over under the race detector
-# (about 35 s on a 2-vCPU VM): a flaky run there is a bug report.
+# reopen, KV, lockout clears, and the packed records' reads and copies
+# before and after a reopen) 20 times over under the race detector
+# (about 40 s on a 2-vCPU VM): a flaky run there is a bug report.
 recovery-smoke:
 	$(GO) test ./cmd/pwserver -run TestRecovery -v
-	$(GO) test -race -count=20 -run 'Torture|GroupCommit|WalRollback|SyncLoop|ApplyReplFrames|InstallShardSnapshot|Reopen|KV|Durable|SetLockout' ./internal/vault
+	$(GO) test -race -count=20 -run 'Torture|GroupCommit|WalRollback|SyncLoop|ApplyReplFrames|InstallShardSnapshot|Reopen|KV|Durable|SetLockout|Packed|KeepsCopies' ./internal/vault
 
 # repl-smoke is the CI failover drill: build the real pwserver, start
 # a quorum primary and a follower as separate processes, enroll and
@@ -144,15 +145,17 @@ redteam-smoke:
 # fuzz-smoke runs the decoder and token fuzz targets for FUZZTIME each
 # (go test -fuzz takes one target per run): the differential
 # FuzzCanonicalDecode of the vault formats and of the replication
-# messages, FuzzOpen, FuzzUnmarshalRecord, and FuzzValidateToken,
-# whose mutated session tokens meet a verify cache that holds the
-# genuine ones. Under `go test ./...` they only replay their seeds.
+# messages, FuzzOpen, FuzzUnmarshalRecord, FuzzVerify (Verify against
+# VerifyPacked), and FuzzValidateToken, whose mutated session tokens
+# meet a verify cache that holds the genuine ones. Under
+# `go test ./...` they only replay their seeds.
 FUZZTIME ?= 20s
 fuzz-smoke:
 	$(GO) test ./internal/vault -run '^$$' -fuzz '^FuzzCanonicalDecode$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/vault/repl -run '^$$' -fuzz '^FuzzCanonicalDecode$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/vault -run '^$$' -fuzz '^FuzzOpen$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/passpoints -run '^$$' -fuzz '^FuzzUnmarshalRecord$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/passpoints -run '^$$' -fuzz '^FuzzVerify$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/session -run '^$$' -fuzz '^FuzzValidateToken$$' -fuzztime $(FUZZTIME)
 
 # servebench-test runs the serving benchmark's own tests under the race

@@ -18,10 +18,11 @@ import (
 // StoreRun is one (backend, op) measurement in BENCH_store.json.
 type StoreRun struct {
 	Backend string `json:"backend"`
-	// Op is "readheavy" (10 Gets : 1 Replace), "put" (fresh-user
-	// writes), "put8" (8 concurrent writers, one log), or a start-up
-	// row: "open-snapshot" (open from a JSON snapshot) or "open-replay"
-	// (open by replaying the logs).
+	// Op is "readheavy" (10 GetPackeds, the read a login makes, per
+	// Replace), "get" (the Get that materialises a record copy), "put"
+	// (fresh-user writes), "put8" (8 concurrent writers, one log), or a
+	// start-up row: "open-snapshot" (open from a JSON snapshot) or
+	// "open-replay" (open by replaying the logs).
 	Op          string  `json:"op"`
 	NsPerOp     float64 `json:"ns_per_op"`
 	BytesPerOp  int64   `json:"bytes_per_op"`
@@ -116,8 +117,8 @@ func runStoreBench(outDir string) error {
 	const users = 1024
 	bench := StoreBench{Name: "store", GoMaxProcs: runtime.GOMAXPROCS(0), NumCPU: runtime.NumCPU()}
 	for _, backend := range storeBackends(tmp) {
-		// readheavy: the auth mix — 10 Gets per Replace over a
-		// pre-populated store.
+		// readheavy: the auth mix — 10 GetPackeds, the read a login
+		// makes, per Replace over a pre-populated store.
 		s, cleanup, err := backend.mk()
 		if err != nil {
 			return err
@@ -136,15 +137,31 @@ func runStoreBench(outDir string) error {
 				if i%10 == 9 {
 					_ = s.Replace(rec)
 				} else {
-					if _, err := s.Get(rec.User); err != nil {
+					if _, err := s.GetPacked(rec.User); err != nil {
 						b.Fatal(err)
 					}
 				}
 			}
 		})
-		cleanup()
 		bench.Runs = append(bench.Runs, StoreRun{
 			Backend: backend.name, Op: "readheavy",
+			NsPerOp:    float64(r.T.Nanoseconds()) / float64(r.N),
+			BytesPerOp: r.AllocedBytesPerOp(), AllocsPerOp: r.AllocsPerOp(),
+		})
+
+		// get: the Get tools and tests make, which materialises a copy
+		// of the packed record.
+		r = testing.Benchmark(func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := s.Get(recs[i%users].User); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		cleanup()
+		bench.Runs = append(bench.Runs, StoreRun{
+			Backend: backend.name, Op: "get",
 			NsPerOp:    float64(r.T.Nanoseconds()) / float64(r.N),
 			BytesPerOp: r.AllocedBytesPerOp(), AllocsPerOp: r.AllocsPerOp(),
 		})
@@ -158,8 +175,7 @@ func runStoreBench(outDir string) error {
 		// seq is monotonic across benchmark rounds: testing.Benchmark
 		// reruns the closure with growing b.N against the same store,
 		// so user names must never repeat. Each Put gets its own
-		// Record — stores keep the pointer, and the real enroll path
-		// allocates one per user anyway.
+		// Record, as the real enroll path allocates one per user.
 		seq := 0
 		r = testing.Benchmark(func(b *testing.B) {
 			b.ReportAllocs()
@@ -331,7 +347,7 @@ func measureOpens(dir string) ([]StoreRun, error) {
 // storeMarkdownTable renders the backend comparison CI publishes.
 func storeMarkdownTable(bench StoreBench) string {
 	var b strings.Builder
-	b.WriteString("| backend | readheavy ns/op | put ns/op | put8 ns/op |\n|---|---|---|---|\n")
+	b.WriteString("| backend | readheavy ns/op | get ns/op | put ns/op | put8 ns/op |\n|---|---|---|---|---|\n")
 	byKey := map[string]StoreRun{}
 	var order []string
 	for _, r := range bench.Runs {
@@ -341,9 +357,9 @@ func storeMarkdownTable(bench StoreBench) string {
 		}
 	}
 	for _, name := range order {
-		fmt.Fprintf(&b, "| %s | %.0f | %.0f | %.0f |\n",
-			name, byKey[name+"/readheavy"].NsPerOp, byKey[name+"/put"].NsPerOp,
-			byKey[name+"/put8"].NsPerOp)
+		fmt.Fprintf(&b, "| %s | %.0f | %.0f | %.0f | %.0f |\n",
+			name, byKey[name+"/readheavy"].NsPerOp, byKey[name+"/get"].NsPerOp,
+			byKey[name+"/put"].NsPerOp, byKey[name+"/put8"].NsPerOp)
 	}
 	b.WriteString("\n| start-up | ms/op | allocs/op |\n|---|---|---|\n")
 	for _, r := range bench.Runs {

@@ -21,10 +21,11 @@ import (
 
 // countingStore wraps a vault.Store and counts every call — the probe
 // behind the session tier's core claim: validating a token touches
-// the store zero times.
+// the store zero times. gets counts the materialising Get alone, which
+// a login never makes.
 type countingStore struct {
 	vault.Store
-	calls atomic.Int64
+	calls, gets atomic.Int64
 }
 
 func (c *countingStore) Put(rec *passpoints.Record) error {
@@ -39,7 +40,13 @@ func (c *countingStore) Replace(rec *passpoints.Record) error {
 
 func (c *countingStore) Get(user string) (*passpoints.Record, error) {
 	c.calls.Add(1)
+	c.gets.Add(1)
 	return c.Store.Get(user)
+}
+
+func (c *countingStore) GetPacked(user string) (passpoints.Packed, error) {
+	c.calls.Add(1)
+	return c.Store.GetPacked(user)
 }
 
 func (c *countingStore) Delete(user string) {
@@ -96,7 +103,7 @@ func testCfg(t *testing.T) passpoints.Config {
 
 // TestSessionEndToEndTCP: login over real TCP returns a token; the
 // token validates on the same front with zero store calls; a password
-// change revokes it.
+// change revokes it; no login or change makes a Get.
 func TestSessionEndToEndTCP(t *testing.T) {
 	s, cs, _ := sessionServer(t)
 	l, err := net.Listen("tcp", "127.0.0.1:0")
@@ -151,6 +158,9 @@ func TestSessionEndToEndTCP(t *testing.T) {
 	}
 	if resp, err := c.Validate(ctx, login2.Token); err != nil || !resp.OK() {
 		t.Fatalf("validate fresh token: %+v %v", resp, err)
+	}
+	if n := cs.gets.Load(); n != 0 {
+		t.Errorf("logins and a change made %d Get calls, want 0: a login reads with GetPacked", n)
 	}
 }
 

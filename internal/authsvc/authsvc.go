@@ -193,10 +193,10 @@ type Service struct {
 	locks   vault.LockoutStore // store's lockout extension, or nil
 	lockout int
 	// dummy is a throwaway record verified against on unknown-user
-	// logins, so that path costs the same hash work as a wrong
-	// password and cannot be used as a timing oracle for user
-	// enumeration.
-	dummy *passpoints.Record
+	// logins, through the same VerifyPacked call as a stored record, so
+	// that path costs the same decode and hash work as a wrong password
+	// and cannot be used as a timing oracle for user enumeration.
+	dummy passpoints.Packed
 
 	mu       sync.Mutex
 	failures map[string]int
@@ -237,7 +237,7 @@ func NewService(cfg passpoints.Config, store vault.Store, lockout int) (*Service
 		cfg:      cfg,
 		store:    store,
 		lockout:  lockout,
-		dummy:    dummy,
+		dummy:    passpoints.Pack(dummy),
 		failures: make(map[string]int),
 	}
 	s.locks, _ = store.(vault.LockoutStore)
@@ -366,7 +366,7 @@ func (s *Service) login(ctx context.Context, req Request) Response {
 	if resp, expired := deadlineCheck(ctx); expired {
 		return resp
 	}
-	rec, err := s.store.Get(req.User)
+	rec, err := s.store.GetPacked(req.User)
 	missing := errors.Is(err, vault.ErrNotFound)
 	if err != nil && !missing {
 		// A storage fault is not a wrong password: it must neither leak
@@ -392,10 +392,10 @@ func (s *Service) login(ctx context.Context, req Request) Response {
 		// Equivalent work to the known-user path: a real hash compare,
 		// discarded. The response is built by the same fail() as a
 		// wrong password.
-		_, _ = passpoints.Verify(s.cfg, s.dummy, clicksToPoints(req.Clicks))
+		_, _ = passpoints.VerifyPacked(s.cfg, s.dummy, clicksToPoints(req.Clicks))
 		return s.fail(req.User)
 	}
-	ok, err := passpoints.Verify(s.cfg, rec, clicksToPoints(req.Clicks))
+	ok, err := passpoints.VerifyPacked(s.cfg, rec, clicksToPoints(req.Clicks))
 	if err != nil || !ok {
 		return s.fail(req.User)
 	}

@@ -5,7 +5,8 @@
 // declines, hands the input to encoding/json unchanged. A decoder that
 // accepts an input therefore returns exactly the value encoding/json
 // would have, and one that declines costs only the bytes it scanned
-// before giving up.
+// before giving up. AppendString and AppendBase64 write a string and a
+// []byte exactly as encoding/json does, for encoders written by hand.
 //
 // A Reader accepts only this subset of what encoding/json's Marshal
 // writes:
@@ -264,8 +265,35 @@ func escape(s []byte) (rune, int) {
 	return e, 5
 }
 
+// AppendString appends s as encoding/json writes a string: quoted,
+// escaping quotes, backslashes, control bytes, <, > and &, U+2028,
+// U+2029 and invalid UTF-8. Printable ASCII that needs no escape is
+// copied as is; any other string takes encoding/json's own path.
+func AppendString(dst []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; !plainByte[c] || c == '<' || c == '>' || c == '&' {
+			q, _ := json.Marshal(s) // a string always encodes
+			return append(dst, q...)
+		}
+	}
+	dst = append(dst, '"')
+	dst = append(dst, s...)
+	return append(dst, '"')
+}
+
+// AppendBase64 appends b as encoding/json writes a non-nil []byte: its
+// standard padded base64, quoted.
+func AppendBase64(dst, b []byte) []byte {
+	dst = append(dst, '"')
+	dst = base64.StdEncoding.AppendEncode(dst, b)
+	return append(dst, '"')
+}
+
 // Str reads a string into new memory.
 func (r *Reader) Str() string { return string(r.text()) }
+
+// AppendStr reads a string and appends its decoded bytes to dst.
+func (r *Reader) AppendStr(dst []byte) []byte { return append(dst, r.text()...) }
 
 // Intern reads a string and returns the element of known it equals,
 // allocating a copy only when it equals none of them.
@@ -286,17 +314,20 @@ func (r *Reader) Bytes() []byte {
 	if r.Null() {
 		return nil
 	}
+	return r.AppendBytes([]byte{})
+}
+
+// AppendBytes reads a []byte that is not null, a string of standard
+// padded base64, and appends its decoded bytes to dst.
+func (r *Reader) AppendBytes(dst []byte) []byte {
 	s := r.text()
 	if r.declined {
-		return nil
+		return dst
 	}
-	if len(s) == 0 {
-		return []byte{}
-	}
-	b, err := base64.StdEncoding.AppendDecode(nil, s)
+	b, err := base64.StdEncoding.AppendDecode(dst, s)
 	if err != nil {
 		r.declined = true
-		return nil
+		return dst
 	}
 	return b
 }

@@ -250,6 +250,11 @@ func (s slowStore) Get(user string) (*passpoints.Record, error) {
 	return s.Store.Get(user)
 }
 
+func (s slowStore) GetPacked(user string) (passpoints.Packed, error) {
+	time.Sleep(s.delay)
+	return s.Store.GetPacked(user)
+}
+
 // TestLoadSharedLimiterCapsBothFronts is the acceptance point for the
 // unified serving layer: TCP and HTTP swarms run concurrently against
 // one server whose -maxconns equivalent is far below the combined

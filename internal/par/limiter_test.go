@@ -191,7 +191,11 @@ func TestLimiterAcquireQueuedPreExpired(t *testing.T) {
 // queue: many goroutines hammer AcquireQueued with mixed queue bounds
 // and deadlines across the shed, deadline-expiry, and drain paths; at
 // the end no slot and no waiter count may have leaked — the full
-// capacity must be re-acquirable and Waiting() must read zero.
+// capacity must be re-acquirable and Waiting() must read zero. The
+// test holds every slot until a bound-0 caller has been refused, so
+// the concurrent phase sheds by construction: left to the scheduler,
+// 32 goroutines on a loaded machine sometimes never found the limiter
+// full.
 func TestLimiterQueuedStress(t *testing.T) {
 	const (
 		capacity   = 4
@@ -199,6 +203,9 @@ func TestLimiterQueuedStress(t *testing.T) {
 		iterations = 200
 	)
 	l := NewLimiter(capacity)
+	for range capacity {
+		l.Acquire()
+	}
 	var wg sync.WaitGroup
 	var admitted, shed, expired atomic.Int64
 	for g := 0; g < goroutines; g++ {
@@ -231,6 +238,10 @@ func TestLimiterQueuedStress(t *testing.T) {
 				}
 			}
 		}(g)
+	}
+	waitFor(t, func() bool { return shed.Load() > 0 })
+	for range capacity {
+		l.Release()
 	}
 	wg.Wait()
 	l.Drain()

@@ -231,8 +231,9 @@ func TestUnmarshalRejectsMalformed(t *testing.T) {
 func TestRecordInt32Bounds(t *testing.T) {
 	for want, inputs := range map[bool][]string{true: int32AtBounds, false: int32PastBounds} {
 		for _, in := range inputs {
-			var fast, ref Record
-			accepted := canonjson.Decode([]byte(in), &fast, readRecord)
+			var fast Packed
+			var ref Record
+			accepted := canonjson.Decode([]byte(in), &fast, readPacked)
 			refErr := json.Unmarshal([]byte(in), &ref)
 			if accepted != want || (refErr == nil) != want {
 				t.Errorf("%s: fast path accepted %v, encoding/json error %v; want decoded %v", in, accepted, refErr, want)

@@ -2,6 +2,7 @@ package vault
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -24,9 +25,10 @@ func benchRecords(n int) []*passpoints.Record {
 }
 
 // BenchmarkStoreReadHeavy times the store backends on the
-// authentication front end's op mix — 1 Replace (write) per 10 Gets
-// (reads) — at a fixed goroutine count per sub-benchmark: no sockets,
-// no hashing, just the store under contention.
+// authentication front end's op mix — 1 Replace (write) per 10 reads,
+// each the GetPacked a login makes — at a fixed goroutine count per
+// sub-benchmark: no sockets, no hashing, just the store under
+// contention.
 func BenchmarkStoreReadHeavy(b *testing.B) {
 	const users = 1024
 	for _, backend := range []struct {
@@ -64,7 +66,7 @@ func BenchmarkStoreReadHeavy(b *testing.B) {
 							if op%10 == 9 {
 								_ = s.Replace(rec)
 							} else {
-								if _, err := s.Get(rec.User); err != nil {
+								if _, err := s.GetPacked(rec.User); err != nil {
 									b.Error(err)
 									return
 								}
@@ -76,4 +78,30 @@ func BenchmarkStoreReadHeavy(b *testing.B) {
 			})
 		}
 	}
+}
+
+// BenchmarkShardSnapshot times the bootstrap payload a primary encodes
+// for one shard: ShardSnapshot of 10,000 enrolled records in a
+// one-shard store, per entry.
+func BenchmarkShardSnapshot(b *testing.B) {
+	const n = 10000
+	d := openDurableT(b, DurableOptions{Shards: 1, Sync: SyncNever, NoAutoCompact: true})
+	for _, rec := range enrolledRecords(b, n) {
+		if err := d.Put(rec); err != nil {
+			b.Fatal(err)
+		}
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	b.ResetTimer()
+	for range b.N {
+		if _, _, err := d.ShardSnapshot(0); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	runtime.ReadMemStats(&after)
+	entries := float64(b.N) * n
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/entries, "ns/entry")
+	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/entries, "allocs/entry")
 }

@@ -14,12 +14,12 @@ import (
 // decodesLikeJSON checks one reflection-free decoder against
 // encoding/json on data: dec must decline, or accept input
 // encoding/json accepts and return a reflect.DeepEqual value. It
-// reports whether dec accepted.
-func decodesLikeJSON[T any](t *testing.T, data []byte, dec func(*canonjson.Reader, *T)) bool {
+// returns that value and whether dec accepted.
+func decodesLikeJSON[T any](t *testing.T, data []byte, dec func(*canonjson.Reader, *T)) (T, bool) {
 	t.Helper()
 	var fast T
 	if !canonjson.Decode(data, &fast, dec) {
-		return false
+		return fast, false
 	}
 	var ref T
 	if err := json.Unmarshal(data, &ref); err != nil {
@@ -28,11 +28,38 @@ func decodesLikeJSON[T any](t *testing.T, data []byte, dec func(*canonjson.Reade
 	if !reflect.DeepEqual(fast, ref) {
 		t.Fatalf("%T decoder disagrees with encoding/json on %q:\n got %#v\nwant %#v", ref, data, fast, ref)
 	}
-	return true
+	return fast, true
 }
 
-// readRecordPtr adapts passpoints.ReadRecord to canonjson.Decode.
-func readRecordPtr(r *canonjson.Reader, rec **passpoints.Record) { *rec = passpoints.ReadRecord(r) }
+// encodesLikeJSON checks a hand-written encoder against encoding/json:
+// a packed record's AppendJSON must write the bytes json.Marshal writes
+// for its record, and a log entry's frame payload the bytes it writes
+// for the entry.
+func encodesLikeJSON[T passpoints.Packed | walEntry](t *testing.T, v T) {
+	t.Helper()
+	var got, want []byte
+	switch v := any(v).(type) {
+	case passpoints.Packed:
+		got, want = v.AppendJSON(nil), mustMarshal(t, v.Record())
+	case walEntry:
+		got, want = appendFrame(nil, &v)[walHeaderSize:], mustMarshal(t, v)
+	}
+	if string(got) != string(want) {
+		t.Fatalf("hand-written encoding\n%s\nencoding/json\n%s", got, want)
+	}
+}
+
+func mustMarshal(t *testing.T, v any) []byte {
+	t.Helper()
+	b, err := json.Marshal(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// readPacked adapts passpoints.ReadPacked to canonjson.Decode.
+func readPacked(r *canonjson.Reader, p *passpoints.Packed) { *p = passpoints.ReadPacked(r) }
 
 // canonRecords covers the record shapes the decoder must take on its
 // fast path: every field set, robust grids, negative values, an
@@ -63,7 +90,7 @@ func canonRecords(t testing.TB) []*passpoints.Record {
 // writes for it (zero fields omitted), the generation markers earlier
 // releases wrote (20-digit ids), and one entry with every field set.
 func canonEntries(t testing.TB) []walEntry {
-	rec := canonRecords(t)[0]
+	rec := passpoints.Pack(canonRecords(t)[0])
 	every := walEntry{Op: walOpPut, User: "u", Rec: rec, Failures: 3, Key: "k", Val: []byte("v"), Ckpt: math.MaxUint64, Full: true}
 	allFieldsSet(t, every)
 	return []walEntry{
@@ -101,25 +128,24 @@ func TestCanonicalDecodeCoversStoredTypes(t *testing.T) {
 	recs := canonRecords(t)
 	for _, rec := range recs {
 		data, _ := json.Marshal(rec)
-		if !decodesLikeJSON(t, data, readRecordPtr) {
+		if _, ok := decodesLikeJSON(t, data, readPacked); !ok {
 			t.Errorf("record fell back: %s", data)
 		}
+		encodesLikeJSON(t, passpoints.Pack(rec))
 	}
 	for _, snap := range [][]*passpoints.Record{recs, {}, nil} {
 		data, err := json.MarshalIndent(snap, "", "  ")
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !decodesLikeJSON(t, data, readSnapshot) {
+		if _, ok := decodesLikeJSON(t, data, readSnapshot); !ok {
 			t.Errorf("snapshot fell back: %s", data)
 		}
 	}
 	for _, e := range canonEntries(t) {
-		frame, err := encodeEntry(&e, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !decodesLikeJSON(t, frame[walHeaderSize:], readWalEntry) {
+		frame := appendFrame(nil, &e)
+		encodesLikeJSON(t, e)
+		if _, ok := decodesLikeJSON(t, frame[walHeaderSize:], readWalEntry); !ok {
 			t.Errorf("%s entry fell back: %s", e.Op, frame[walHeaderSize:])
 		}
 	}
@@ -136,7 +162,8 @@ func TestParseRecordsRightSizesRecords(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, r := range recs {
+	for _, p := range recs {
+		r := p.Record()
 		if cap(r.Clears) != len(r.Clears) {
 			t.Errorf("%s: clears len %d cap %d", r.User, len(r.Clears), cap(r.Clears))
 		}
@@ -150,7 +177,8 @@ func TestParseRecordsRightSizesRecords(t *testing.T) {
 // FuzzCanonicalDecode: for arbitrary bytes, every reflection-free
 // decoder of a vault format — record, snapshot, log entry — either
 // declines or returns exactly encoding/json's value, and never
-// accepts what encoding/json rejects.
+// accepts what encoding/json rejects; a record or log entry it accepts
+// encodes back by hand to exactly encoding/json's bytes.
 func FuzzCanonicalDecode(f *testing.F) {
 	for _, seed := range openSeeds {
 		f.Add(seed)
@@ -183,8 +211,12 @@ func FuzzCanonicalDecode(f *testing.F) {
 		f.Add([]byte(variant))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		decodesLikeJSON(t, data, readRecordPtr)
+		if p, ok := decodesLikeJSON(t, data, readPacked); ok {
+			encodesLikeJSON(t, p)
+		}
 		decodesLikeJSON(t, data, readSnapshot)
-		decodesLikeJSON(t, data, readWalEntry)
+		if e, ok := decodesLikeJSON(t, data, readWalEntry); ok {
+			encodesLikeJSON(t, e)
+		}
 	})
 }

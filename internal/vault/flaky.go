@@ -141,13 +141,21 @@ func (f *Flaky) Replace(rec *passpoints.Record) error {
 	return f.inner.Replace(rec)
 }
 
-// Get returns the record for user; injected failures return
+// Get returns a copy of user's record; injected failures return
 // ErrInjected, never a false ErrNotFound.
 func (f *Flaky) Get(user string) (*passpoints.Record, error) {
 	if err := f.fault(); err != nil {
 		return nil, err
 	}
 	return f.inner.Get(user)
+}
+
+// GetPacked returns user's packed record, with Get's faults.
+func (f *Flaky) GetPacked(user string) (passpoints.Packed, error) {
+	if err := f.fault(); err != nil {
+		return passpoints.Packed{}, err
+	}
+	return f.inner.GetPacked(user)
 }
 
 // Delete removes a user's record. Deletes have no error return in the
@@ -204,5 +212,5 @@ func (f *flakyLockout) SetLockout(user string, failures int) error {
 
 // Lockouts returns a copy of every persisted counter (never faulted:
 // the auth service reads it once, at its first record read, and only
-// Get and the mutations carry the injected faults).
+// the record reads and the mutations carry the injected faults).
 func (f *flakyLockout) Lockouts() map[string]int { return f.locks.Lockouts() }

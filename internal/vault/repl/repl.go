@@ -330,7 +330,7 @@ func (n *Node) Replace(rec *passpoints.Record) error {
 	return n.store.Replace(rec)
 }
 
-// Get returns the record for user, or vault.ErrNotFound (primary
+// Get returns a copy of user's record, or vault.ErrNotFound (primary
 // only: a replica's record may be one the primary has replaced, and
 // its lockout counters may trail the primary's, so a credential is
 // checked nowhere else).
@@ -339,6 +339,15 @@ func (n *Node) Get(user string) (*passpoints.Record, error) {
 		return nil, err
 	}
 	return n.store.Get(user)
+}
+
+// GetPacked returns user's packed record, or vault.ErrNotFound; like
+// Get, it is served on an unfenced primary only.
+func (n *Node) GetPacked(user string) (passpoints.Packed, error) {
+	if err := n.writable(); err != nil {
+		return passpoints.Packed{}, err
+	}
+	return n.store.GetPacked(user)
 }
 
 // Delete removes a user's record (primary only; the interface has no

@@ -79,6 +79,15 @@ func newTestFollower(t *testing.T, st *vault.Durable, primary string, opts Optio
 	return n
 }
 
+// recordReads are a node's two record reads, each returning only its
+// error: only an unfenced primary serves either.
+func recordReads(n *Node, user string) map[string]func() error {
+	return map[string]func() error{
+		"Get":       func() error { _, err := n.Get(user); return err },
+		"GetPacked": func() error { _, err := n.GetPacked(user); return err },
+	}
+}
+
 // waitFor polls cond until it holds or the deadline passes.
 func waitFor(t *testing.T, d time.Duration, what string, cond func() bool) {
 	t.Helper()
@@ -198,8 +207,10 @@ func TestReplPairConverges(t *testing.T) {
 	if !errors.As(err, &npe) || !errors.Is(err, vault.ErrNotPrimary) {
 		t.Fatalf("follower Put = %v, want NotPrimaryError", err)
 	}
-	if _, err := f.Get("user001"); !errors.Is(err, vault.ErrNotPrimary) {
-		t.Fatalf("follower Get = %v, want ErrNotPrimary", err)
+	for name, read := range recordReads(f, "user001") {
+		if err := read(); !errors.Is(err, vault.ErrNotPrimary) {
+			t.Fatalf("follower %s = %v, want ErrNotPrimary", name, err)
+		}
 	}
 	if err := f.SetLockout("user001", 9); !errors.Is(err, vault.ErrNotPrimary) {
 		t.Fatalf("follower SetLockout = %v, want ErrNotPrimary", err)
@@ -337,6 +348,46 @@ func TestReplQuorumTimeoutWithoutFollower(t *testing.T) {
 	}
 }
 
+// TestPrimaryServesPackedReads: an unfenced primary serves GetPacked
+// and Get alike, each the record Put stored byte for byte in its
+// Marshal form, for nil and empty slices, an unknown kind, 300 clears
+// and user names that need JSON escapes.
+func TestPrimaryServesPackedReads(t *testing.T) {
+	p := newTestPrimary(t, openTestStore(t), Options{Ack: AckAsync})
+	many := testRecord("many")
+	for i := range 300 {
+		many.Clears = append(many.Clears, passpoints.ClearID{DX: int32(i), DY: -int32(i), Grid: uint8(i)})
+	}
+	recs := []*passpoints.Record{
+		testRecord("zoë <admin> & 密码"),
+		testRecord("q\"\\\n\x01"),
+		{User: "nil"},
+		{User: "empty", Clears: []passpoints.ClearID{}, Salt: []byte{}, Digest: []byte{}},
+		many,
+	}
+	for _, rec := range recs {
+		if err := p.Put(rec); err != nil {
+			t.Fatalf("Put(%q): %v", rec.User, err)
+		}
+	}
+	for _, rec := range recs {
+		want, _ := rec.Marshal()
+		got, err := p.Get(rec.User)
+		if err != nil {
+			t.Fatalf("Get(%q): %v", rec.User, err)
+		}
+		packed, err := p.GetPacked(rec.User)
+		if err != nil {
+			t.Fatalf("GetPacked(%q): %v", rec.User, err)
+		}
+		gb, _ := got.Marshal()
+		pb, _ := packed.Record().Marshal()
+		if string(gb) != string(want) || string(pb) != string(want) {
+			t.Errorf("%q stored as %s; Get gives %s, GetPacked %s", rec.User, want, gb, pb)
+		}
+	}
+}
+
 // TestReplAsyncMode: async ack mode acks immediately and the follower
 // converges eventually.
 func TestReplAsyncMode(t *testing.T) {
@@ -397,6 +448,11 @@ func TestReplPromoteAndFence(t *testing.T) {
 	if npe.Primary != "new:1" {
 		t.Fatalf("fence redirect = %q, want new:1", npe.Primary)
 	}
+	for name, read := range recordReads(p, "pre00") {
+		if err := read(); !errors.As(err, &npe) || npe.Primary != "new:1" {
+			t.Fatalf("fenced primary %s = %v, want a redirect to new:1", name, err)
+		}
+	}
 	if _, gerr := pst.Get("zombie-write"); !errors.Is(gerr, vault.ErrNotFound) {
 		t.Fatal("fenced primary applied a refused write")
 	}
@@ -439,10 +495,11 @@ func TestReplFollowerStaleness(t *testing.T) {
 	waitFor(t, 5*time.Second, "convergence", func() bool { return fst.Len() == 1 })
 	refuses := func(when string) {
 		t.Helper()
-		var npe *vault.NotPrimaryError
-		_, err := f.Get("fresh")
-		if !errors.As(err, &npe) || npe.Primary != "primary:9" {
-			t.Fatalf("%s follower Get = %v, want redirect to primary:9", when, err)
+		for name, read := range recordReads(f, "fresh") {
+			var npe *vault.NotPrimaryError
+			if err := read(); !errors.As(err, &npe) || npe.Primary != "primary:9" {
+				t.Fatalf("%s follower %s = %v, want redirect to primary:9", when, name, err)
+			}
 		}
 	}
 	refuses("fresh")

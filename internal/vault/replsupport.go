@@ -202,7 +202,7 @@ func (d *Durable) ReopenShard(i int) error {
 	}
 	oldF, oldRecs, oldLocks, oldKV := sh.f, sh.records, sh.lockouts, sh.kv
 	sh.f = nf
-	sh.records = make(map[string]*passpoints.Record, len(oldRecs))
+	sh.records = make(map[string]passpoints.Packed, len(oldRecs))
 	sh.lockouts = make(map[string]int, len(oldLocks))
 	sh.kv = make(map[string][]byte, len(oldKV))
 	sh.wbuf = nil
@@ -248,8 +248,8 @@ func (d *Durable) ShardSnapshot(i int) ([]byte, uint64, error) {
 	sh.quiesce()
 	recs, locks, kv, seq := maps.Clone(sh.records), maps.Clone(sh.lockouts), maps.Clone(sh.kv), sh.seq
 	sh.mu.Unlock()
-	frames, _, err := encodeState(recs, locks, kv)
-	return frames, seq, err
+	frames, _ := encodeState(recs, locks, kv)
+	return frames, seq, nil
 }
 
 // InstallShardSnapshot replaces shard i's entire state with the one
@@ -289,7 +289,7 @@ func (d *Durable) InstallShardSnapshot(i int, frames []byte) error {
 	sh.quiesce()
 	installed, err = d.replaceLogLocked(i, sh, frames, len(entries))
 	if installed {
-		sh.records = make(map[string]*passpoints.Record)
+		sh.records = make(map[string]passpoints.Packed)
 		sh.lockouts = make(map[string]int)
 		sh.kv = make(map[string][]byte)
 		for j := range entries {

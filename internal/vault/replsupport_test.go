@@ -327,10 +327,7 @@ func frameOf(payload []byte) []byte {
 // the source's and bringing a fail-stopped shard back healthy.
 func TestInstallShardSnapshotRefusesBadFrames(t *testing.T) {
 	frames, want := snapshotSource(t)
-	marker, err := encodeEntry(&walEntry{Op: walOpCkpt, Ckpt: 1, Full: true}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	marker := appendFrame(nil, &walEntry{Op: walOpCkpt, Ckpt: 1, Full: true})
 	crc := bytes.Clone(frames)
 	crc[walHeaderSize+2] ^= 0x40
 	bad := []struct {

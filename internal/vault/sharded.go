@@ -40,10 +40,18 @@ type Sharded struct {
 	path string // empty for purely in-memory stores
 }
 
+// shard holds one partition's records, each packed into one immutable
+// allocation (see passpoints.Packed) and keyed by its user name, a
+// substring of that allocation.
 type shard struct {
 	mu      sync.RWMutex
-	records map[string]*passpoints.Record
+	records map[string]passpoints.Packed
 }
+
+// put stores p under its user name. The key shares p's memory, and Go
+// replaces a string key on overwrite, so a slot never pins a replaced
+// record. Caller holds mu for writing.
+func (sh *shard) put(p passpoints.Packed) { sh.records[p.User()] = p }
 
 // newShardSet returns n empty shards (n <= 0 selects DefaultShards).
 func newShardSet(n int) shardSet {
@@ -52,7 +60,7 @@ func newShardSet(n int) shardSet {
 	}
 	s := shardSet{shards: make([]shard, n)}
 	for i := range s.shards {
-		s.shards[i].records = make(map[string]*passpoints.Record)
+		s.shards[i].records = make(map[string]passpoints.Packed)
 	}
 	return s
 }
@@ -74,9 +82,8 @@ func OpenSharded(path string, n int) (*Sharded, error) {
 	if err != nil {
 		return nil, err
 	}
-	for _, r := range recs {
-		sh := &s.shards[s.index(r.User)]
-		sh.records[r.User] = r
+	for _, p := range recs {
+		s.shards[s.index(p.User())].put(p)
 	}
 	return s, nil
 }
@@ -89,10 +96,20 @@ func (s *shardSet) index(key string) int {
 	return int(FNV32a(key) % uint32(len(s.shards)))
 }
 
-// Put stores a record for a new user.
-func (s *Sharded) Put(rec *passpoints.Record) error {
+// pack packs a record a caller hands Put or Replace, which must name a
+// user; the store keeps the copy, never the caller's record.
+func pack(rec *passpoints.Record) (passpoints.Packed, error) {
 	if rec == nil || rec.User == "" {
-		return fmt.Errorf("vault: record must have a user")
+		return passpoints.Packed{}, fmt.Errorf("vault: record must have a user")
+	}
+	return passpoints.Pack(rec), nil
+}
+
+// Put stores a copy of the record for a new user.
+func (s *Sharded) Put(rec *passpoints.Record) error {
+	p, err := pack(rec)
+	if err != nil {
+		return err
 	}
 	sh := &s.shards[s.index(rec.User)]
 	sh.mu.Lock()
@@ -100,33 +117,44 @@ func (s *Sharded) Put(rec *passpoints.Record) error {
 	if _, ok := sh.records[rec.User]; ok {
 		return ErrExists
 	}
-	sh.records[rec.User] = rec
+	sh.put(p)
 	return nil
 }
 
-// Replace stores a record, overwriting any existing one (password
-// change).
+// Replace stores a copy of the record, overwriting any existing one
+// (password change).
 func (s *Sharded) Replace(rec *passpoints.Record) error {
-	if rec == nil || rec.User == "" {
-		return fmt.Errorf("vault: record must have a user")
+	p, err := pack(rec)
+	if err != nil {
+		return err
 	}
 	sh := &s.shards[s.index(rec.User)]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	sh.records[rec.User] = rec
+	sh.put(p)
 	return nil
 }
 
-// Get returns the record for user, or ErrNotFound.
-func (s *shardSet) Get(user string) (*passpoints.Record, error) {
+// GetPacked returns user's packed record, or ErrNotFound, without
+// allocating: the read login verifies in place.
+func (s *shardSet) GetPacked(user string) (passpoints.Packed, error) {
 	sh := &s.shards[s.index(user)]
 	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	rec, ok := sh.records[user]
+	p, ok := sh.records[user]
+	sh.mu.RUnlock()
 	if !ok {
-		return nil, ErrNotFound
+		return passpoints.Packed{}, ErrNotFound
 	}
-	return rec, nil
+	return p, nil
+}
+
+// Get returns a copy of user's record, or ErrNotFound.
+func (s *shardSet) Get(user string) (*passpoints.Record, error) {
+	p, err := s.GetPacked(user)
+	if err != nil {
+		return nil, err
+	}
+	return p.Record(), nil
 }
 
 // Delete removes a user's record; deleting a missing user is not an
@@ -165,25 +193,25 @@ func (s *shardSet) Len() int {
 	return n
 }
 
-// All returns every record sorted by user — the attacker's view after
-// a password-file compromise.
+// All returns a copy of every record sorted by user — the attacker's
+// view after a password-file compromise.
 func (s *shardSet) All() []*passpoints.Record {
 	recs := s.Snapshot()
 	sort.Slice(recs, func(i, j int) bool { return recs[i].User < recs[j].User })
 	return recs
 }
 
-// Snapshot returns every record in shard order without the global sort
-// All performs. Each shard is copied under its read lock, so the
-// snapshot is per-shard-consistent; use it when the caller iterates
+// Snapshot returns a copy of every record in shard order without the
+// global sort All performs. Each shard is read under its read lock, so
+// the snapshot is per-shard-consistent; use it when the caller iterates
 // once and does not need a canonical order.
 func (s *shardSet) Snapshot() []*passpoints.Record {
 	recs := make([]*passpoints.Record, 0, s.Len())
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.RLock()
-		for _, r := range sh.records {
-			recs = append(recs, r)
+		for _, p := range sh.records {
+			recs = append(recs, p.Record())
 		}
 		sh.mu.RUnlock()
 	}

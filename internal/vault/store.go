@@ -11,23 +11,30 @@ import "clickpass/internal/passpoints"
 // enforced by a shared conformance test (storeImpls in
 // sharded_test.go) rather than by each caller's assumptions.
 //
-// All implementations must be safe for concurrent use. Get returns
-// ErrNotFound for missing users; Put returns ErrExists for duplicates;
-// Delete of a missing user is a no-op.
+// All implementations must be safe for concurrent use. Get and
+// GetPacked return ErrNotFound for missing users; Put returns ErrExists
+// for duplicates; Delete of a missing user is a no-op. A store keeps a
+// copy of what Put and Replace hand it, and Get, All and Snapshot hand
+// out copies the caller owns, so no caller can change a stored record.
+// Login reads with GetPacked and verifies the packed value in place;
+// Get serves tools and tests.
 type Store interface {
-	// Put stores a record for a new user.
+	// Put stores a copy of the record for a new user.
 	Put(rec *passpoints.Record) error
-	// Replace stores a record, overwriting any existing one.
+	// Replace stores a copy of the record, overwriting any existing one.
 	Replace(rec *passpoints.Record) error
-	// Get returns the record for user, or ErrNotFound.
+	// Get returns a copy of user's record, or ErrNotFound.
 	Get(user string) (*passpoints.Record, error)
+	// GetPacked returns user's packed record, or ErrNotFound, without
+	// allocating.
+	GetPacked(user string) (passpoints.Packed, error)
 	// Delete removes a user's record; missing users are not an error.
 	Delete(user string)
 	// Users returns all user names in sorted order.
 	Users() []string
 	// Len returns the number of records.
 	Len() int
-	// All returns every record sorted by user.
+	// All returns a copy of every record sorted by user.
 	All() []*passpoints.Record
 	// Save writes the store to its backing file atomically; it fails
 	// for purely in-memory stores.

@@ -1,8 +1,9 @@
 // Package vault is the server-side "password file": a store of
 // PassPoints records keyed by user name behind the Store interface.
 // Two implementations ship, and both keep their records in one shard
-// set: an fnv-partitioned map with an RWMutex per shard and one read
-// path, whose reads scale with cores. Sharded is that set in memory,
+// set: an fnv-partitioned map of packed records (one immutable
+// allocation per account, see passpoints.Packed) with an RWMutex per
+// shard and one read path, whose reads scale with cores. Sharded is that set in memory,
 // with an atomic file-backed save. Durable, the crash-safe backend,
 // pairs each shard with a checksummed append-only log, appends every
 // mutation to it before acking, and replays the logs on startup. Under
@@ -36,7 +37,7 @@ var ErrExists = fmt.Errorf("vault: user already exists")
 // record carries a user, no user appears twice. A missing file is an
 // empty vault, not an error. Shared by every Store implementation so
 // the validation rules cannot drift between backends.
-func loadRecords(path string) ([]*passpoints.Record, error) {
+func loadRecords(path string) ([]passpoints.Packed, error) {
 	data, err := os.ReadFile(path)
 	if os.IsNotExist(err) {
 		return nil, nil
@@ -51,35 +52,36 @@ func loadRecords(path string) ([]*passpoints.Record, error) {
 	return recs, nil
 }
 
-// ParseRecords decodes a vault file's contents, enforcing the format
-// invariants (records must name distinct, non-empty users). Exposed so
-// fuzzing and external tools can exercise exactly the parser the
-// stores use.
-func ParseRecords(data []byte) ([]*passpoints.Record, error) {
-	var recs []*passpoints.Record
+// ParseRecords decodes a vault file's contents into packed records,
+// enforcing the format invariants (records must name distinct,
+// non-empty users). Exposed so fuzzing and external tools can exercise
+// exactly the parser the stores use.
+func ParseRecords(data []byte) ([]passpoints.Packed, error) {
+	var recs []passpoints.Packed
 	if err := canonjson.Unmarshal(data, &recs, readSnapshot); err != nil {
 		return nil, fmt.Errorf("parsing: %w", err)
 	}
 	seen := make(map[string]bool, len(recs))
-	for _, r := range recs {
-		if r == nil {
+	for _, p := range recs {
+		if p.IsZero() {
 			return nil, fmt.Errorf("contains a null record")
 		}
-		if r.User == "" {
+		user := p.User()
+		if user == "" {
 			return nil, fmt.Errorf("contains a record without a user")
 		}
-		if seen[r.User] {
-			return nil, fmt.Errorf("contains duplicate user %q", r.User)
+		if seen[user] {
+			return nil, fmt.Errorf("contains duplicate user %q", user)
 		}
-		seen[r.User] = true
+		seen[user] = true
 	}
 	return recs, nil
 }
 
-// readSnapshot reads a snapshot file without reflection: the JSON
-// array of records writeRecords produces.
-func readSnapshot(r *canonjson.Reader, recs *[]*passpoints.Record) {
-	*recs = canonjson.Slice(r, passpoints.ReadRecord)
+// readSnapshot reads a snapshot file without reflection, straight into
+// packed records: the JSON array of records writeRecords produces.
+func readSnapshot(r *canonjson.Reader, recs *[]passpoints.Packed) {
+	*recs = canonjson.Slice(r, passpoints.ReadPacked)
 }
 
 // writeRecords writes a record snapshot to path atomically (write to a

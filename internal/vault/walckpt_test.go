@@ -7,6 +7,8 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"clickpass/internal/passpoints"
 )
 
 // ckptOps drives a deterministic mutation history — puts, replaces,
@@ -164,10 +166,7 @@ func writeParentDir(t *testing.T, ckpt string, entries ...walEntry) string {
 	}
 	var log []byte
 	for i := range entries {
-		frame, err := encodeEntry(&entries[i], nil)
-		if err != nil {
-			t.Fatal(err)
-		}
+		frame := appendFrame(nil, &entries[i])
 		log = append(log, frame...)
 	}
 	if err := os.WriteFile(filepath.Join(dir, shardLogName(0)), log, 0o600); err != nil {
@@ -207,7 +206,7 @@ func TestFullMarkerLogReplays(t *testing.T) {
 	opts := DurableOptions{Shards: 1, Sync: SyncNever, NoAutoCompact: true}
 	dir := writeParentDir(t, "",
 		walEntry{Op: walOpCkpt, Ckpt: 7, Full: true},
-		walEntry{Op: walOpPut, Rec: versionedRecord("alice", 3)},
+		walEntry{Op: walOpPut, Rec: passpoints.Pack(versionedRecord("alice", 3))},
 		walEntry{Op: walOpLock, User: "alice", Failures: 2},
 		walEntry{Op: walOpKV, Key: "session/key", Val: []byte("k")},
 	)
@@ -242,7 +241,7 @@ func TestFullMarkerLogReplays(t *testing.T) {
 func TestCheckpointRefusesPartialState(t *testing.T) {
 	rotated := []walEntry{
 		{Op: walOpCkpt, Ckpt: 7},
-		{Op: walOpPut, Rec: versionedRecord("bob", 1)},
+		{Op: walOpPut, Rec: passpoints.Pack(versionedRecord("bob", 1))},
 	}
 	for _, tc := range []struct {
 		name, ckpt, want string

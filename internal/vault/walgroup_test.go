@@ -379,10 +379,7 @@ func TestWalRollback(t *testing.T) {
 		}},
 		{"ApplyReplFrames", func(t *testing.T, d *Durable, recs []*passpoints.Record) error {
 			for _, r := range recs {
-				frame, err := encodeEntry(&walEntry{Op: walOpPut, Rec: r}, nil)
-				if err != nil {
-					t.Fatal(err)
-				}
+				frame := appendFrame(nil, &walEntry{Op: walOpPut, Rec: passpoints.Pack(r)})
 				if err := d.ApplyReplFrames(0, frame); err != nil {
 					return err
 				}

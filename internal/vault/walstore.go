@@ -13,6 +13,7 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -310,10 +311,10 @@ type walEntry struct {
 	// head of every rewritten log: with Full set by compaction, which
 	// replays as a no-op, and without it by checkpoint rotation, whose
 	// log recover refuses (see recover).
-	Op       string             `json:"op"`
-	User     string             `json:"user"`
-	Rec      *passpoints.Record `json:"rec,omitempty"`
-	Failures int                `json:"failures,omitempty"`
+	Op       string            `json:"op"`
+	User     string            `json:"user"`
+	Rec      passpoints.Packed `json:"rec,omitzero"`
+	Failures int               `json:"failures,omitempty"`
 	// Key and Val carry a "kv" side-table write (see KVStore); an
 	// empty Val deletes Key.
 	Key string `json:"key,omitempty"`
@@ -347,7 +348,7 @@ func readWalEntry(r *canonjson.Reader, e *walEntry) {
 		case 1:
 			e.User = r.Str()
 		case 2:
-			e.Rec = passpoints.ReadRecord(r)
+			e.Rec = passpoints.ReadPacked(r)
 		case 3:
 			e.Failures = r.Int()
 		case 4:
@@ -508,8 +509,8 @@ func (sh *walShard) recover() error {
 func (sh *walShard) apply(e *walEntry) {
 	switch e.Op {
 	case walOpPut:
-		if e.Rec != nil && e.Rec.User != "" {
-			sh.records[e.Rec.User] = e.Rec
+		if e.Rec.User() != "" {
+			sh.put(e.Rec)
 		}
 	case walOpDel:
 		delete(sh.records, e.User)
@@ -539,11 +540,9 @@ func (sh *walShard) applyUndo(e *walEntry) func() {
 	undo := func() {}
 	switch e.Op {
 	case walOpPut:
-		if e.Rec != nil {
-			undo = undoFor(sh.records, e.Rec.User)
-		}
+		undo = sh.undoRecord(e.Rec.User())
 	case walOpDel:
-		undo = undoFor(sh.records, e.User)
+		undo = sh.undoRecord(e.User)
 	case walOpLock:
 		undo = undoFor(sh.lockouts, e.User)
 	case walOpKV:
@@ -551,6 +550,19 @@ func (sh *walShard) applyUndo(e *walEntry) func() {
 	}
 	sh.apply(e)
 	return undo
+}
+
+// undoRecord captures user's record and returns a closure that puts
+// it back under its own key (see shard.put).
+func (sh *walShard) undoRecord(user string) func() {
+	prev, had := sh.records[user]
+	return func() {
+		if had {
+			sh.put(prev)
+		} else {
+			delete(sh.records, user)
+		}
+	}
 }
 
 // undoFor captures m[k]'s current state and returns a closure that
@@ -633,22 +645,43 @@ func replayLog(f walFile, apply func(*walEntry) error) (int, int64, error) {
 	return n, off, nil
 }
 
-// encodeEntry frames e for the log: length + CRC32 header, JSON
-// payload. buf is reused when large enough.
-func encodeEntry(e *walEntry, buf []byte) ([]byte, error) {
-	payload, err := json.Marshal(e)
-	if err != nil {
-		return nil, fmt.Errorf("vault: encoding log entry: %w", err)
+// appendFrame appends e's log frame to buf: a little-endian uint32
+// payload length and the payload's IEEE CRC32, then the payload, the
+// bytes json.Marshal writes for e. The header is reserved, the payload
+// encoded straight behind it, and the header filled in.
+func appendFrame(buf []byte, e *walEntry) []byte {
+	start := len(buf)
+	buf = e.appendJSON(append(buf, make([]byte, walHeaderSize)...))
+	payload := buf[start+walHeaderSize:]
+	binary.LittleEndian.PutUint32(buf[start:], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(buf[start+4:], crc32.ChecksumIEEE(payload))
+	return buf
+}
+
+// appendJSON appends the bytes json.Marshal writes for e to b, without
+// reflection.
+func (e *walEntry) appendJSON(b []byte) []byte {
+	b = canonjson.AppendString(append(b, `{"op":`...), e.Op)
+	b = canonjson.AppendString(append(b, `,"user":`...), e.User)
+	if !e.Rec.IsZero() {
+		b = e.Rec.AppendJSON(append(b, `,"rec":`...))
 	}
-	need := walHeaderSize + len(payload)
-	if cap(buf) < need {
-		buf = make([]byte, need)
+	if e.Failures != 0 {
+		b = strconv.AppendInt(append(b, `,"failures":`...), int64(e.Failures), 10)
 	}
-	buf = buf[:need]
-	binary.LittleEndian.PutUint32(buf[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(buf[4:8], crc32.ChecksumIEEE(payload))
-	copy(buf[walHeaderSize:], payload)
-	return buf, nil
+	if e.Key != "" {
+		b = canonjson.AppendString(append(b, `,"key":`...), e.Key)
+	}
+	if len(e.Val) > 0 {
+		b = canonjson.AppendBase64(append(b, `,"val":`...), e.Val)
+	}
+	if e.Ckpt != 0 {
+		b = strconv.AppendUint(append(b, `,"ckpt":`...), e.Ckpt, 10)
+	}
+	if e.Full {
+		b = append(b, `,"full":true`...)
+	}
+	return append(b, '}')
 }
 
 // appendDirect is the shard's one append outside group commit, behind
@@ -673,11 +706,8 @@ func (sh *walShard) appendDirect(entries []walEntry, frames []byte, synced bool)
 		return err
 	}
 	if frames == nil {
-		buf, err := encodeEntry(&entries[0], sh.buf)
-		if err != nil {
-			return err
-		}
-		sh.buf, frames = buf, buf
+		sh.buf = appendFrame(sh.buf[:0], &entries[0])
+		frames = sh.buf
 	}
 	if _, err := sh.f.Write(frames); err != nil {
 		werr := fmt.Errorf("vault: appending to %s: %w", sh.path, err)
@@ -712,22 +742,17 @@ func (sh *walShard) appendDirect(entries []walEntry, frames []byte, synced bool)
 	return nil
 }
 
-// stage encodes e and appends the frame to the shard's in-memory
-// batch buffer — the group-commit write path. The bytes reach the
-// file when a batch leader flushes the buffer (awaitCommit); only
-// the whole-batch failure paths can discard them, and those fail-stop
-// the shard. Caller holds sh.mu.
-func (sh *walShard) stage(e *walEntry) error {
-	buf, err := encodeEntry(e, sh.buf)
-	if err != nil {
-		return err
-	}
-	sh.buf = buf
-	sh.wbuf = append(sh.wbuf, buf...)
-	sh.lsize += int64(len(buf))
+// stage appends e's frame to the shard's in-memory batch buffer — the
+// group-commit write path. The bytes reach the file when a batch
+// leader flushes the buffer (awaitCommit); only the whole-batch
+// failure paths can discard them, and those fail-stop the shard.
+// Caller holds sh.mu.
+func (sh *walShard) stage(e *walEntry) {
+	n := len(sh.wbuf)
+	sh.wbuf = appendFrame(sh.wbuf, e)
+	sh.lsize += int64(len(sh.wbuf) - n)
 	sh.entries++
 	sh.seq++
-	return nil
 }
 
 // restore truncates the log to off and repositions the write offset
@@ -938,10 +963,7 @@ func (d *Durable) mutate(user string, e walEntry, pre func(*walShard) error) err
 	}
 	var myseq uint64
 	if d.opts.Sync == SyncAlways {
-		if err := sh.stage(&es[0]); err != nil {
-			sh.mu.Unlock()
-			return err
-		}
+		sh.stage(&es[0])
 		myseq = sh.seq
 		sh.pending = append(sh.pending, walPending{end: sh.lsize, undo: sh.applyUndo(&es[0])})
 		err = sh.awaitCommit(sh.lsize)
@@ -972,13 +994,14 @@ func (d *Durable) mutate(user string, e walEntry, pre func(*walShard) error) err
 	return nil
 }
 
-// Put stores a record for a new user, appending it to the user's
-// shard log before acking.
+// Put stores a copy of the record for a new user, appending it to the
+// user's shard log before acking.
 func (d *Durable) Put(rec *passpoints.Record) error {
-	if rec == nil || rec.User == "" {
-		return fmt.Errorf("vault: record must have a user")
+	p, err := pack(rec)
+	if err != nil {
+		return err
 	}
-	return d.mutate(rec.User, walEntry{Op: walOpPut, Rec: rec},
+	return d.mutate(rec.User, walEntry{Op: walOpPut, Rec: p},
 		func(sh *walShard) error {
 			if _, ok := sh.records[rec.User]; ok {
 				return ErrExists
@@ -987,13 +1010,14 @@ func (d *Durable) Put(rec *passpoints.Record) error {
 		})
 }
 
-// Replace stores a record, overwriting any existing one (password
-// change), appending before acking.
+// Replace stores a copy of the record, overwriting any existing one
+// (password change), appending before acking.
 func (d *Durable) Replace(rec *passpoints.Record) error {
-	if rec == nil || rec.User == "" {
-		return fmt.Errorf("vault: record must have a user")
+	p, err := pack(rec)
+	if err != nil {
+		return err
 	}
-	return d.mutate(rec.User, walEntry{Op: walOpPut, Rec: rec}, nil)
+	return d.mutate(rec.User, walEntry{Op: walOpPut, Rec: p}, nil)
 }
 
 // Delete removes a user's record; deleting a missing user is a no-op
@@ -1189,12 +1213,12 @@ func (d *Durable) ImportJSON(path string) error {
 	if err != nil {
 		return err
 	}
-	for _, r := range recs {
+	for _, p := range recs {
 		// loadRecords already validated non-nil records and distinct,
 		// non-empty users.
-		sh, _ := d.shardFor(r.User)
+		sh, _ := d.shardFor(p.User())
 		sh.mu.Lock()
-		err := sh.appendDirect([]walEntry{{Op: walOpPut, Rec: r}}, nil, false)
+		err := sh.appendDirect([]walEntry{{Op: walOpPut, Rec: p}}, nil, false)
 		sh.mu.Unlock()
 		if err != nil {
 			return err
@@ -1232,11 +1256,8 @@ func (d *Durable) CompactShard(i int) error {
 	if err := sh.writable(); err != nil {
 		return err
 	}
-	frames, n, err := encodeState(sh.records, sh.lockouts, sh.kv)
-	if err != nil {
-		return fmt.Errorf("vault: compacting %s: %w", sh.path, err)
-	}
-	_, err = d.replaceLogLocked(i, sh, frames, n)
+	frames, n := encodeState(sh.records, sh.lockouts, sh.kv)
+	_, err := d.replaceLogLocked(i, sh, frames, n)
 	return err
 }
 
@@ -1246,29 +1267,18 @@ func (d *Durable) CompactShard(i int) error {
 // It is the log compaction writes and the snapshot a follower
 // bootstraps from (see ShardSnapshot), so replaying it rebuilds exactly
 // the maps it was encoded from.
-func encodeState(records map[string]*passpoints.Record, lockouts map[string]int, kv map[string][]byte) ([]byte, int, error) {
-	var frames, buf []byte
-	var err error
-	add := func(e walEntry) {
-		if err == nil {
-			if buf, err = encodeEntry(&e, buf); err == nil {
-				frames = append(frames, buf...)
-			}
-		}
-	}
+func encodeState(records map[string]passpoints.Packed, lockouts map[string]int, kv map[string][]byte) ([]byte, int) {
+	var frames []byte
 	for _, user := range slices.Sorted(maps.Keys(records)) {
-		add(walEntry{Op: walOpPut, Rec: records[user]})
+		frames = appendFrame(frames, &walEntry{Op: walOpPut, Rec: records[user]})
 	}
 	for _, user := range slices.Sorted(maps.Keys(lockouts)) {
-		add(walEntry{Op: walOpLock, User: user, Failures: lockouts[user]})
+		frames = appendFrame(frames, &walEntry{Op: walOpLock, User: user, Failures: lockouts[user]})
 	}
 	for _, key := range slices.Sorted(maps.Keys(kv)) {
-		add(walEntry{Op: walOpKV, Key: key, Val: kv[key]})
+		frames = appendFrame(frames, &walEntry{Op: walOpKV, Key: key, Val: kv[key]})
 	}
-	if err != nil {
-		return nil, 0, err
-	}
-	return frames, len(records) + len(lockouts) + len(kv), nil
+	return frames, len(records) + len(lockouts) + len(kv)
 }
 
 // replaceLogLocked makes frames, n whole entries, shard i's log — the

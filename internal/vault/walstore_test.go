@@ -13,6 +13,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"clickpass/internal/passpoints"
 )
 
 // reopen closes d and opens the same directory again with the same
@@ -143,7 +145,7 @@ func TestDurableRefusesUndecodableEntry(t *testing.T) {
 	if err := d.Close(); err != nil {
 		t.Fatal(err)
 	}
-	payload, err := json.Marshal(walEntry{Op: walOpPut, Rec: versionedRecord("wide", 1)})
+	payload, err := json.Marshal(walEntry{Op: walOpPut, Rec: passpoints.Pack(versionedRecord("wide", 1))})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,10 +156,7 @@ func TestDurableRefusesUndecodableEntry(t *testing.T) {
 	wal := binary.LittleEndian.AppendUint32(nil, uint32(len(payload)))
 	wal = binary.LittleEndian.AppendUint32(wal, crc32.ChecksumIEEE(payload))
 	wal = append(wal, payload...)
-	next, err := encodeEntry(&walEntry{Op: walOpPut, Rec: versionedRecord("narrow", 1)}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	next := appendFrame(nil, &walEntry{Op: walOpPut, Rec: passpoints.Pack(versionedRecord("narrow", 1))})
 	wal = append(wal, next...)
 	path := filepath.Join(dir, shardLogName(0))
 	if err := os.WriteFile(path, wal, 0o600); err != nil {
