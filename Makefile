@@ -82,14 +82,18 @@ bench-diff:
 # while password changes churn its log until the background compactor
 # has replaced it twice, so the SIGKILL lands in or near a compaction.
 # It then stresses the vault's fault and torture suites (torn and
-# corrupt tails, group commit, failed-append rollback, the sync loop,
-# replicated-batch apply, snapshot install and its crash window,
-# reopen, KV, lockout clears, and the packed records' reads and copies
-# before and after a reopen) 20 times over under the race detector
-# (about 40 s on a 2-vCPU VM): a flaky run there is a bug report.
+# corrupt tails, group commit and its one failure rule — a failed
+# write rolled back cleanly under concurrent writers, a failed fsync
+# fail-stopping the shard, a failed flush failing the batch of a
+# leader that is out — failed-append rollback from every caller under both sync
+# modes, the fsyncs each caller makes, the sync loop, replicated-batch
+# apply, snapshot install and its crash window, reopen, KV, lockout
+# clears, and the packed records' reads and copies before and after a
+# reopen) 20 times over under the race detector (about a minute on a
+# 2-vCPU VM): a flaky run there is a bug report.
 recovery-smoke:
 	$(GO) test ./cmd/pwserver -run TestRecovery -v
-	$(GO) test -race -count=20 -run 'Torture|GroupCommit|WalRollback|SyncLoop|ApplyReplFrames|InstallShardSnapshot|Reopen|KV|Durable|SetLockout|Packed|KeepsCopies' ./internal/vault
+	$(GO) test -race -count=20 -run 'Torture|GroupCommit|WalRollback|FsyncsPerCaller|SyncLoop|ApplyReplFrames|InstallShardSnapshot|Reopen|KV|Durable|SetLockout|Packed|KeepsCopies' ./internal/vault
 
 # repl-smoke is the CI failover drill: build the real pwserver, start
 # a quorum primary and a follower as separate processes, enroll and

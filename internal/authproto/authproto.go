@@ -258,8 +258,8 @@ func (s *Server) rebuild() {
 	//     shed before it competes for the shared concurrency budget.
 	//   - Overload owns the shared limiter: wait queue (unbounded
 	//     when no policy is set), priority watermarks, fast
-	//     CodeOverloaded sheds.
-	//   - InFlight inside admission, so the gauge's high-water mark is
+	//     CodeOverloaded sheds, and the in-flight gauge over the
+	//     admitted requests, whose high-water mark is therefore
 	//     provably capped by the limiter.
 	//   - Faults innermost: an injected latency spike must occupy a
 	//     real admission slot — that is how a slow dependency actually
@@ -283,10 +283,7 @@ func (s *Server) rebuild() {
 		authsvc.WithDeadline(s.reqTimeout),
 		authsvc.WithUserRate(s.userRate, s.userBurst),
 	)
-	mw = append(mw,
-		authsvc.WithOverload(s.limiter, s.overload, s.metrics),
-		authsvc.WithInFlight(s.metrics),
-	)
+	mw = append(mw, authsvc.WithOverload(s.limiter, s.overload, s.metrics))
 	if s.faults.Enabled() {
 		mw = append(mw, authsvc.WithFaults(s.faults))
 	}

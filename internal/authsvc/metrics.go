@@ -18,7 +18,7 @@ import (
 // WritePrometheus publishes them.
 //
 // The two concerns attach at different pipeline depths (see
-// WithMetrics and WithInFlight): counts and latency are recorded
+// WithMetrics and WithOverload): counts and latency are recorded
 // outermost, so refused and throttled requests — the load an
 // overloaded server sheds — are visible in authsvc_responses_total;
 // the in-flight gauge runs inside admission, so its high-water mark is

@@ -90,20 +90,6 @@ func WithMetrics(m *Metrics) Middleware {
 	}
 }
 
-// WithInFlight tracks the in-flight gauge and its high-water mark in
-// m. Place it inside WithOverload so the gauge counts requests being
-// handled, not requests queued for a slot — which makes its peak a
-// proof that the shared limiter caps the combined transports.
-func WithInFlight(m *Metrics) Middleware {
-	return func(next Handler) Handler {
-		return HandlerFunc(func(ctx context.Context, req Request) Response {
-			m.enter()
-			defer m.leave()
-			return next.Handle(ctx, req)
-		})
-	}
-}
-
 // WithUserRate enforces a per-user token bucket: at most burst
 // requests back to back, refilling at perSec requests per second.
 // Requests without a user (ping) pass through. perSec <= 0 disables

@@ -56,7 +56,7 @@ func TestWithAdmissionCapsConcurrency(t *testing.T) {
 	gate := make(chan struct{})
 	var m Metrics
 	h := Chain(echoHandler(Response{Code: CodeOK}, gate),
-		WithMetrics(&m), WithOverload(lim, OverloadPolicy{}, &m), WithInFlight(&m))
+		WithMetrics(&m), WithOverload(lim, OverloadPolicy{}, &m))
 
 	var wg sync.WaitGroup
 	for i := 0; i < 5; i++ {
@@ -164,12 +164,12 @@ func TestWithUserRateDisabled(t *testing.T) {
 }
 
 // TestMetricsCountsInExposition: requests through WithMetrics and
-// WithInFlight show up on the exposition by op and by code, the
+// WithOverload show up on the exposition by op and by code, the
 // in-flight gauge returns to zero, and the latency max is within the
 // latency sum.
 func TestMetricsCountsInExposition(t *testing.T) {
 	var m Metrics
-	h := Chain(testService(t, 3), WithMetrics(&m), WithInFlight(&m))
+	h := Chain(testService(t, 3), WithMetrics(&m), WithOverload(par.NewLimiter(1), OverloadPolicy{}, &m))
 	ctx := context.Background()
 	h.Handle(ctx, Request{Op: OpEnroll, User: "m", Clicks: clicks(0)})
 	h.Handle(ctx, Request{Op: OpLogin, User: "m", Clicks: clicks(0)})

@@ -141,9 +141,11 @@ func metaFrom(ctx context.Context) *reqMeta {
 // push the queue past its watermark is refused with CodeOverloaded in
 // microseconds, and a request whose deadline expires while queued —
 // or that emerges from the queue with its budget already burned — is
-// dropped with CodeUnavailable before touching the vault. m
-// (optional, may be nil) receives shed counts by priority and
-// queue-wait observations.
+// dropped with CodeUnavailable before touching the vault. m receives
+// shed counts by priority and queue-wait observations, and tracks the
+// in-flight gauge over exactly the admitted requests, so its
+// high-water mark proves the shared limiter caps the combined
+// transports.
 func WithOverload(lim *par.Limiter, pol OverloadPolicy, m *Metrics) Middleware {
 	budgets := pol.budgets()
 	retryMs := int(pol.retryAfter().Milliseconds())
@@ -153,9 +155,7 @@ func WithOverload(lim *par.Limiter, pol OverloadPolicy, m *Metrics) Middleware {
 			t0 := time.Now()
 			err := lim.AcquireQueued(ctx, budgets[pr])
 			if err == par.ErrSaturated {
-				if m != nil {
-					m.observeShed(pr)
-				}
+				m.observeShed(pr)
 				if meta := metaFrom(ctx); meta != nil {
 					meta.shed = true
 				}
@@ -170,9 +170,7 @@ func WithOverload(lim *par.Limiter, pol OverloadPolicy, m *Metrics) Middleware {
 			}
 			defer lim.Release()
 			wait := time.Since(t0)
-			if m != nil {
-				m.observeQueueWait(wait, pr)
-			}
+			m.observeQueueWait(wait, pr)
 			if meta := metaFrom(ctx); meta != nil {
 				meta.queueWait = wait
 			}
@@ -185,6 +183,8 @@ func WithOverload(lim *par.Limiter, pol OverloadPolicy, m *Metrics) Middleware {
 				}
 				return Response{Version: Version, Code: CodeUnavailable, Err: "deadline exceeded"}
 			}
+			m.enter()
+			defer m.leave()
 			return next.Handle(ctx, req)
 		})
 	}

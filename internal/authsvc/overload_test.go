@@ -89,7 +89,7 @@ func TestWithOverloadHardCeiling(t *testing.T) {
 	lim := par.NewLimiter(1)
 	pol := OverloadPolicy{Queue: 2}
 	blocking := newBlockingHandler()
-	h := Chain(blocking, WithOverload(lim, pol, nil))
+	h := Chain(blocking, WithOverload(lim, pol, &Metrics{}))
 
 	go h.Handle(context.Background(), Request{Op: OpLogin, User: "holder"})
 	<-blocking.entered
@@ -116,7 +116,7 @@ func TestWithOverloadHardCeiling(t *testing.T) {
 func TestWithOverloadDeadlineInQueue(t *testing.T) {
 	lim := par.NewLimiter(1)
 	blocking := newBlockingHandler()
-	h := Chain(blocking, WithDeadline(0), WithOverload(lim, OverloadPolicy{Queue: 8}, nil))
+	h := Chain(blocking, WithDeadline(0), WithOverload(lim, OverloadPolicy{Queue: 8}, &Metrics{}))
 
 	go h.Handle(context.Background(), Request{Op: OpLogin, User: "holder"})
 	<-blocking.entered
@@ -170,7 +170,7 @@ func TestWithLogEmitsStructuredLines(t *testing.T) {
 	var buf bytes.Buffer
 	lim := par.NewLimiter(1)
 	blocking := newBlockingHandler()
-	h := Chain(blocking, WithLog(&buf), WithOverload(lim, OverloadPolicy{Queue: 1}, nil))
+	h := Chain(blocking, WithLog(&buf), WithOverload(lim, OverloadPolicy{Queue: 1}, &Metrics{}))
 
 	holderDone := make(chan Response, 1)
 	go func() { holderDone <- h.Handle(context.Background(), Request{Op: OpLogin, User: "holder"}) }()

@@ -3,6 +3,7 @@ package vault
 import (
 	"fmt"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -81,12 +82,29 @@ func BenchmarkStoreReadHeavy(b *testing.B) {
 }
 
 // BenchmarkShardSnapshot times the bootstrap payload a primary encodes
-// for one shard: ShardSnapshot of 10,000 enrolled records in a
-// one-shard store, per entry.
+// for one shard: ShardSnapshot of 10,000 records in a one-shard store,
+// per entry. The uniform row enrolls every account alike; the mixed
+// row reshapes every tenth into one of the packed shapes (300 clears,
+// no clears, escaped and non-ASCII names, an unknown kind) under a
+// name up to 1 KiB long, so the buffer sizing cannot lean on records
+// looking alike.
 func BenchmarkShardSnapshot(b *testing.B) {
 	const n = 10000
+	b.Run("uniform", func(b *testing.B) { benchShardSnapshot(b, enrolledRecords(b, n)) })
+	b.Run("mixed", func(b *testing.B) {
+		recs, shapes := enrolledRecords(b, n), packedShapes(b)
+		for i := 0; i < n; i += 10 {
+			rec := *shapes[(i/10)%len(shapes)]
+			rec.User = fmt.Sprintf("%s-%d-%s", rec.User, i, strings.Repeat("x", i%1024))
+			recs[i] = &rec
+		}
+		benchShardSnapshot(b, recs)
+	})
+}
+
+func benchShardSnapshot(b *testing.B, recs []*passpoints.Record) {
 	d := openDurableT(b, DurableOptions{Shards: 1, Sync: SyncNever, NoAutoCompact: true})
-	for _, rec := range enrolledRecords(b, n) {
+	for _, rec := range recs {
 		if err := d.Put(rec); err != nil {
 			b.Fatal(err)
 		}
@@ -101,7 +119,7 @@ func BenchmarkShardSnapshot(b *testing.B) {
 	}
 	b.StopTimer()
 	runtime.ReadMemStats(&after)
-	entries := float64(b.N) * n
+	entries := float64(b.N * len(recs))
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/entries, "ns/entry")
 	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/entries, "allocs/entry")
 }

@@ -176,14 +176,6 @@ func (f *Flaky) Len() int { return f.inner.Len() }
 // All returns every record sorted by user.
 func (f *Flaky) All() []*passpoints.Record { return f.inner.All() }
 
-// Save writes the wrapped store to its backing file.
-func (f *Flaky) Save() error {
-	if err := f.mutFault(); err != nil {
-		return err
-	}
-	return f.inner.Save()
-}
-
 // SaveTo writes the wrapped store to the given path.
 func (f *Flaky) SaveTo(path string) error {
 	if err := f.mutFault(); err != nil {

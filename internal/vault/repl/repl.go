@@ -370,9 +370,6 @@ func (n *Node) Len() int { return n.store.Len() }
 // All returns every record sorted by user.
 func (n *Node) All() []*passpoints.Record { return n.store.All() }
 
-// Save flushes the wrapped store's logs.
-func (n *Node) Save() error { return n.store.Save() }
-
 // SaveTo exports the wrapped store as a JSON snapshot.
 func (n *Node) SaveTo(path string) error { return n.store.SaveTo(path) }
 

@@ -611,11 +611,13 @@ func TestReplRetentionHoldsOnlyUnacked(t *testing.T) {
 	p = newTestPrimary(t, pst, Options{Ack: AckAsync, RetainBytes: retain, Logf: logs.logf})
 	fst := openTestStore(t)
 	l := &link{}
-	newTestFollower(t, fst, p.ReplAddr(), Options{Dial: l.dial, Redial: 20 * time.Millisecond})
+	f := newTestFollower(t, fst, p.ReplAddr(), Options{Dial: l.dial, Redial: 20 * time.Millisecond})
 	if err := p.Put(testRecord("seed")); err != nil {
 		t.Fatalf("Put: %v", err)
 	}
-	waitFor(t, 5*time.Second, "initial convergence", func() bool { return fst.Len() == 1 })
+	// A cut before every shard's snapshot is installed redials into a
+	// fresh bootstrap, not the resume this test is about.
+	waitFor(t, 5*time.Second, "initial convergence", func() bool { return fst.Len() == 1 && bootstrapped(f) })
 	l.cut()
 	for i := 0; i < writes; i++ {
 		if err := p.Put(testRecord(fmt.Sprintf("user%03d", i))); err != nil {
@@ -643,6 +645,18 @@ func TestReplRetentionHoldsOnlyUnacked(t *testing.T) {
 	if !reflect.DeepEqual(fst.All(), pst.All()) {
 		t.Fatal("resumed follower's records differ from the primary's")
 	}
+}
+
+// bootstrapped reports whether follower f has installed a snapshot of
+// every shard from its current primary, so that a redial resumes from
+// its applied floors instead of bootstrapping again.
+func bootstrapped(f *Node) bool {
+	f.mu.Lock()
+	fo := f.fo
+	f.mu.Unlock()
+	fo.mu.Lock()
+	defer fo.mu.Unlock()
+	return fo.upstreamRun != 0
 }
 
 // TestReplLagClearsAfterResume: a follower that resumes with every
@@ -929,9 +943,11 @@ func TestReplRefusesOldProtocolPeer(t *testing.T) {
 		if got := snapshotBytes(t, fst); got != want {
 			t.Fatal("follower installed a snapshot from a refused primary")
 		}
-		if logs.count("replication protocol 0") == 0 || logs.count(`unexpected "records" message`) == 0 {
-			t.Fatal("the follower did not log both refusals")
-		}
+		// The follower logs a refusal once it has hung up, so the second
+		// may land after serve returns.
+		waitFor(t, 5*time.Second, "the follower to log both refusals", func() bool {
+			return logs.count("replication protocol 0") > 0 && logs.count(`unexpected "records" message`) > 0
+		})
 	})
 }
 

@@ -73,16 +73,16 @@ func (e *NotPrimaryError) Unwrap() error { return ErrNotPrimary }
 // with SetReplHooks before serving traffic.
 type ReplHooks struct {
 	// Commit receives every locally committed frame batch of a shard
-	// in strict log order: under SyncAlways a batch is delivered only
-	// after the group-commit fsync that made it durable; under the
-	// other policies after the write. lastSeq is the shard-local
-	// sequence number of the batch's final record — the batch holds
-	// the frames for seqs (lastSeq-n+1 .. lastSeq), n its record
-	// count. Acks, snapshot seqs and resume floors all fall on batch
-	// boundaries, so a sender can retain and ship each batch whole.
-	// Called with the shard's mutex held: implementations must only
-	// copy the bytes out and return; calling back into the store
-	// deadlocks.
+	// in strict log order, from the batch leader that wrote it: under
+	// SyncAlways only after the group-commit fsync that made it
+	// durable, under the other policies after the write. A batch that
+	// failed is never delivered. lastSeq is the shard-local sequence
+	// number of the batch's final record — the batch holds the frames
+	// for seqs (lastSeq-n+1 .. lastSeq), n its record count. Acks,
+	// snapshot seqs and resume floors all fall on batch boundaries, so
+	// a sender can retain and ship each batch whole. Called with the
+	// shard's mutex held: implementations must only copy the bytes out
+	// and return; calling back into the store deadlocks.
 	Commit func(shard int, frames []byte, lastSeq uint64)
 	// QuorumWait, when non-nil, gates every mutation's ack: after the
 	// record is locally durable, the writer blocks until QuorumWait
@@ -193,9 +193,9 @@ func (d *Durable) ReopenShard(i int) error {
 	if sh.failed == nil {
 		return nil
 	}
-	for sh.syncing {
-		sh.commit.Wait()
-	}
+	// A shard fail-stopped by a flush may still have a leader in
+	// flight; once it lands, it has rolled back every pending record.
+	sh.quiesce()
 	nf, err := d.openFile(sh.path)
 	if err != nil {
 		return fmt.Errorf("vault: reopening %s: %w", sh.path, err)
@@ -205,8 +205,6 @@ func (d *Durable) ReopenShard(i int) error {
 	sh.records = make(map[string]passpoints.Packed, len(oldRecs))
 	sh.lockouts = make(map[string]int, len(oldLocks))
 	sh.kv = make(map[string][]byte, len(oldKV))
-	sh.wbuf = nil
-	sh.pending = sh.pending[:0]
 	if err := sh.recover(); err != nil {
 		// Replay failed: keep serving the pre-reopen acked state in
 		// memory and stay fail-stopped under the new cause.
@@ -357,17 +355,17 @@ func (d *Durable) notifyKV(entries []walEntry) {
 
 // ApplyReplFrames appends a received batch of framed mutation records
 // to shard i's log and applies them to its maps — the follower's
-// write path, through the same appendDirect as a local unsynced
-// mutation and the same walEntry apply switch as startup replay.
-// The batch is validated in full first (framing, CRCs, JSON, no
-// generation markers) and applied all-or-nothing: a corrupt batch is
-// an error with no effect, so the sender can simply resend from the
-// last acknowledged position. Under SyncAlways the append is fsynced
-// before returning — the durability a quorum ack then vouches for —
-// and a failed fsync rolls the batch back and fail-stops the shard,
-// as a failed group commit does. Once the batch is applied, the
-// compactor is kicked when the shard's garbage crosses the same ratio
-// mutate checks.
+// write path, through the same appendLog as a local mutation and the
+// same walEntry apply switch as startup replay. The received frames
+// are staged as they are. The batch is validated in full first
+// (framing, CRCs, JSON, no generation markers) and applied
+// all-or-nothing: a corrupt batch is an error with no effect, so the
+// sender can simply resend from the last acknowledged position. Under
+// SyncAlways the append is fsynced before returning — the durability a
+// quorum ack then vouches for — and a failed write or fsync rolls the
+// batch back under the one failure rule of appendLog. Once the batch
+// is applied, the compactor is kicked when the shard's garbage crosses
+// the same ratio mutate checks.
 func (d *Durable) ApplyReplFrames(i int, frames []byte) error {
 	if i < 0 || i >= len(d.logs) {
 		return fmt.Errorf("vault: no shard %d", i)
@@ -391,10 +389,7 @@ func (d *Durable) ApplyReplFrames(i int, frames []byte) error {
 	sh := &d.logs[i]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	// Fsync under the lock: a follower's shard has no concurrent
-	// foreground writers, so this only delays reads, and it keeps the
-	// ack the caller sends upstream honest.
-	if err := sh.appendDirect(entries, frames, d.opts.Sync == SyncAlways); err != nil {
+	if _, err := sh.appendLog(entries, frames, d.opts.Sync == SyncAlways); err != nil {
 		return err
 	}
 	applied = true

@@ -37,7 +37,6 @@ type shardSet struct {
 // per-shard-consistent.
 type Sharded struct {
 	shardSet
-	path string // empty for purely in-memory stores
 }
 
 // shard holds one partition's records, each packed into one immutable
@@ -74,10 +73,9 @@ func NewSharded(n int) *Sharded {
 // OpenSharded loads a sharded store from path, creating an empty one
 // if the file does not exist. The file is the JSON snapshot format
 // Durable imports and exports, and it does not depend on the shard
-// count. Saves write back to the same path.
+// count; SaveTo writes one.
 func OpenSharded(path string, n int) (*Sharded, error) {
 	s := NewSharded(n)
-	s.path = path
 	recs, err := loadRecords(path)
 	if err != nil {
 		return nil, err
@@ -216,15 +214,6 @@ func (s *shardSet) Snapshot() []*passpoints.Record {
 		sh.mu.RUnlock()
 	}
 	return recs
-}
-
-// Save writes the store to its backing file atomically. It fails for
-// purely in-memory stores.
-func (s *Sharded) Save() error {
-	if s.path == "" {
-		return fmt.Errorf("vault: no backing file configured")
-	}
-	return s.SaveTo(s.path)
 }
 
 // SaveTo writes the store to the given path atomically, as the JSON

@@ -16,12 +16,9 @@ import (
 )
 
 // storeImpl is one Store implementation under conformance test.
-// persistent marks backends whose in-memory form still has real
-// backing storage (Save must succeed rather than fail).
 type storeImpl struct {
-	name       string
-	mk         func(tb testing.TB) Store
-	persistent bool
+	name string
+	mk   func(tb testing.TB) Store
 }
 
 // storeImpls enumerates every Store implementation so the conformance
@@ -29,11 +26,11 @@ type storeImpl struct {
 // has to add a row here.
 func storeImpls() []storeImpl {
 	return []storeImpl{
-		{"sharded", func(testing.TB) Store { return NewSharded(8) }, false},
+		{"sharded", func(testing.TB) Store { return NewSharded(8) }},
 		// Degenerate single-shard stores must still be correct.
-		{"sharded1", func(testing.TB) Store { return NewSharded(1) }, false},
-		{"durable", func(tb testing.TB) Store { return openDurableT(tb, DurableOptions{Shards: 8}) }, true},
-		{"durable1", func(tb testing.TB) Store { return openDurableT(tb, DurableOptions{Shards: 1}) }, true},
+		{"sharded1", func(testing.TB) Store { return NewSharded(1) }},
+		{"durable", func(tb testing.TB) Store { return openDurableT(tb, DurableOptions{Shards: 8}) }},
+		{"durable1", func(tb testing.TB) Store { return openDurableT(tb, DurableOptions{Shards: 1}) }},
 	}
 }
 
@@ -120,21 +117,6 @@ func TestStoreConformance(t *testing.T) {
 	}
 }
 
-// TestStoreInMemorySaveFails: Save without a backing file must fail —
-// except on persistent backends (Durable), whose logs are the backing
-// file, so Save reduces to a flush and must succeed.
-func TestStoreInMemorySaveFails(t *testing.T) {
-	for _, impl := range storeImpls() {
-		err := impl.mk(t).Save()
-		if impl.persistent && err != nil {
-			t.Errorf("%s: Save on persistent store failed: %v", impl.name, err)
-		}
-		if !impl.persistent && err == nil {
-			t.Errorf("%s: Save on in-memory store should fail", impl.name)
-		}
-	}
-}
-
 // TestShardedFileInterop: the snapshot file does not depend on the
 // shard count — a file saved at one count must load at another and
 // save back byte-identically.
@@ -154,7 +136,7 @@ func TestShardedFileInterop(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := sh.Save(); err != nil {
+	if err := sh.SaveTo(path); err != nil {
 		t.Fatal(err)
 	}
 
@@ -261,11 +243,11 @@ func TestShardedSnapshotCompact(t *testing.T) {
 	if !seen["a"] || !seen["b"] || !seen["c"] {
 		t.Errorf("Snapshot missing users: %v", seen)
 	}
-	if err := s.Save(); err != nil {
+	if err := s.SaveTo(path); err != nil {
 		t.Fatal(err)
 	}
 	s.Delete("b")
-	if err := s.Save(); err != nil {
+	if err := s.SaveTo(path); err != nil {
 		t.Fatal(err)
 	}
 	back, err := OpenSharded(path, 1)

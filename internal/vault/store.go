@@ -36,9 +36,6 @@ type Store interface {
 	Len() int
 	// All returns a copy of every record sorted by user.
 	All() []*passpoints.Record
-	// Save writes the store to its backing file atomically; it fails
-	// for purely in-memory stores.
-	Save() error
 	// SaveTo writes the store to the given path atomically.
 	SaveTo(path string) error
 }

@@ -3,14 +3,14 @@
 // Two implementations ship, and both keep their records in one shard
 // set: an fnv-partitioned map of packed records (one immutable
 // allocation per account, see passpoints.Packed) with an RWMutex per
-// shard and one read path, whose reads scale with cores. Sharded is that set in memory,
-// with an atomic file-backed save. Durable, the crash-safe backend,
-// pairs each shard with a checksummed append-only log, appends every
-// mutation to it before acking, and replays the logs on startup. Under
-// SyncAlways local mutations group-commit; every other append — a
-// local mutation under the other policies, ImportJSON, and a
-// replication follower's ApplyReplFrames — goes through one function.
-// Both speak the same on-disk JSON snapshot format (Durable via
+// shard and one read path, whose reads scale with cores. Sharded is
+// that set in memory, loaded from a JSON snapshot and written to one
+// atomically by SaveTo. Durable, the crash-safe backend, pairs each
+// shard with a checksummed append-only log, appends every mutation to
+// it before acking, and replays the logs on startup. Every append — a
+// local mutation, ImportJSON, and a replication follower's
+// ApplyReplFrames — goes through one group commit, fsynced when the
+// caller asks for it, under one failure rule. Both speak the same on-disk JSON snapshot format (Durable via
 // SaveTo/ImportJSON), so a deployment can migrate between backends in
 // place. Stealing this state is the offline-attack scenario of the
 // paper's §5.1 — it exposes salts, iteration counts, clear grid

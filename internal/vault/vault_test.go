@@ -119,7 +119,7 @@ func TestSaveOpenRoundTrip(t *testing.T) {
 	if err := v.Put(testRecord(t, "carol")); err != nil {
 		t.Fatal(err)
 	}
-	if err := v.Save(); err != nil {
+	if err := v.SaveTo(path); err != nil {
 		t.Fatal(err)
 	}
 	back, err := OpenSharded(path, 0)
@@ -132,12 +132,6 @@ func TestSaveOpenRoundTrip(t *testing.T) {
 	}
 	if rec.Kind != passpoints.KindCentered || rec.SquareSidePx != 13 {
 		t.Errorf("round-trip mangled record: %+v", rec)
-	}
-}
-
-func TestSaveInMemoryFails(t *testing.T) {
-	if err := NewSharded(0).Save(); err == nil {
-		t.Error("Save on in-memory store should fail")
 	}
 }
 

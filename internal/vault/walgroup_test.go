@@ -326,15 +326,239 @@ func TestGroupCommitBatchFailure(t *testing.T) {
 	}
 }
 
-// TestWalRollback covers the failed-append rollback paths of
-// appendDirect, the one append outside group commit, from each of its
-// three callers: a mutation under SyncNever, ApplyReplFrames and
-// ImportJSON. Each writes three records, and the third write fails. A
-// failed write whose rollback succeeds errors the call, leaves no
-// trace in memory or in the log, and keeps the shard usable, while a
-// rollback that cannot restore the committed offset — Truncate or the
-// follow-up Seek failing — must fail-stop the shard instead of letting
-// later appends write behind a tear. The Seek case guards a
+// TestGroupCommitWriteFailureRollsBack injects one failing batch write
+// under concurrent SyncAlways load, with a rollback that succeeds, and
+// asserts the one failure rule: every writer whose record was pending
+// — in the failed batch or in the batch staged behind it — gets the
+// write's error, not ErrShardFailed; the shard stays writable, so the
+// writers carry on; and memory and a reopened log hold exactly each
+// writer's last acked version.
+func TestGroupCommitWriteFailureRollsBack(t *testing.T) {
+	const writers = 8
+	injected := errors.New("injected write failure")
+	ctl := &faultCtl{writeErr: failAfter(20, injected)}
+	dir := t.TempDir()
+	opts := DurableOptions{Shards: 1, Sync: SyncAlways, NoAutoCompact: true}
+	d := openFaulty(t, dir, opts, ctl)
+
+	// lastAcked[w] is the newest version whose Replace returned nil.
+	lastAcked := make([]int, writers)
+	failures := make([][]error, writers)
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		lastAcked[w] = -1
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			user := fmt.Sprintf("user-%d", w)
+			for v := 0; v < 40; v++ {
+				if err := d.Replace(versionedRecord(user, v)); err != nil {
+					failures[w] = append(failures[w], err)
+					continue
+				}
+				lastAcked[w] = v
+			}
+		}(w)
+	}
+	wg.Wait()
+	failed := 0
+	for w, errs := range failures {
+		failed += len(errs)
+		for _, err := range errs {
+			if errors.Is(err, ErrShardFailed) || !errors.Is(err, injected) {
+				t.Errorf("writer %d: got %v, want the injected write error without ErrShardFailed", w, err)
+				break
+			}
+		}
+	}
+	if failed == 0 {
+		t.Fatal("no writer observed the injected write failure")
+	}
+	t.Logf("%d pending writes failed with the batch", failed)
+	if err := d.Replace(versionedRecord("user-0", 999)); err != nil {
+		t.Fatalf("write after a clean rollback: %v", err)
+	}
+	lastAcked[0] = 999
+	check := func(where string, d *Durable) {
+		t.Helper()
+		for w := 0; w < writers; w++ {
+			user := fmt.Sprintf("user-%d", w)
+			rec, err := d.Get(user)
+			if err != nil {
+				if lastAcked[w] >= 0 {
+					t.Errorf("%s: %s acked through %d but missing: %v", where, user, lastAcked[w], err)
+				}
+				continue
+			}
+			if got := recordVersion(t, where, rec); got != lastAcked[w] {
+				t.Errorf("%s: %s at version %d, want exactly last acked %d", where, user, got, lastAcked[w])
+			}
+		}
+	}
+	check("in memory", d)
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+	back, err := OpenDurable(dir, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer back.Close()
+	check("after reopen", back)
+}
+
+// TestGroupCommitFailedFlushFailsBatchInFlight: a Save whose fsync
+// fails while a batch leader is out fail-stops the shard at once, and
+// the leader's batch fails with it. Save returns without waiting for
+// the leader, a write arriving during the flight is refused rather
+// than staged, and the leader, whose own fsync succeeds, does not ack:
+// both fsyncs went through one open file, which reports a writeback
+// error once, so its success proves nothing. The record stays at its
+// version before the batch, in memory and after a reopen.
+func TestGroupCommitFailedFlushFailsBatchInFlight(t *testing.T) {
+	injected := errors.New("injected fsync failure")
+	flushGate, leaderGate := make(chan struct{}), make(chan struct{})
+	entered := make(chan int64, 8)
+	var calls atomic.Int64
+	// Sync 2 is Save's, which fails once released; sync 3 is the
+	// leader's, which succeeds once released.
+	ctl := &faultCtl{syncErr: func() error {
+		n := calls.Add(1)
+		entered <- n
+		switch n {
+		case 2:
+			<-flushGate
+			return injected
+		case 3:
+			<-leaderGate
+		}
+		return nil
+	}}
+	dir := t.TempDir()
+	opts := DurableOptions{Shards: 1, Sync: SyncAlways, NoAutoCompact: true}
+	d := openFaulty(t, dir, opts, ctl)
+	if err := d.Put(versionedRecord("alpha", 0)); err != nil {
+		t.Fatal(err)
+	}
+	<-entered
+	saved := make(chan error, 1)
+	go func() { saved <- d.Save() }()
+	<-entered
+	replaced := make(chan error, 1)
+	go func() { replaced <- d.Replace(versionedRecord("alpha", 1)) }()
+	<-entered // the leader has written its batch and waits in its fsync
+	close(flushGate)
+	select {
+	case err := <-saved:
+		if !errors.Is(err, injected) {
+			t.Fatalf("Save: got %v, want the injected fsync error", err)
+		}
+	case <-time.After(10 * time.Second):
+		close(leaderGate)
+		t.Fatal("Save waited for the leader in flight")
+	}
+	refused := make(chan error, 1)
+	go func() { refused <- d.Replace(versionedRecord("alpha", 2)) }()
+	select {
+	case err := <-refused:
+		if !errors.Is(err, ErrShardFailed) {
+			t.Fatalf("write during the flight: got %v, want ErrShardFailed", err)
+		}
+	case <-time.After(10 * time.Second):
+		close(leaderGate)
+		t.Fatal("a write during the flight was staged behind the leader, not refused")
+	}
+	close(leaderGate)
+	if err := <-replaced; !errors.Is(err, ErrShardFailed) {
+		t.Fatalf("Replace in the leader's batch: got %v, want ErrShardFailed", err)
+	}
+	check := func(where string, d *Durable) {
+		t.Helper()
+		rec, err := d.Get("alpha")
+		if err != nil {
+			t.Fatalf("%s: %v", where, err)
+		}
+		if got := recordVersion(t, where, rec); got != 0 {
+			t.Errorf("%s: alpha at version %d, want the acked 0", where, got)
+		}
+	}
+	check("in memory", d)
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+	back, err := OpenDurable(dir, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer back.Close()
+	check("after reopen", back)
+}
+
+// TestFsyncsPerCaller pins how often each caller of the append path
+// fsyncs a shard log, counted before Close: one fsync per sequential
+// mutation and per replicated batch under SyncAlways, none under
+// SyncNever, and an ImportJSON one per shard — its closing Save —
+// whatever the record count.
+func TestFsyncsPerCaller(t *testing.T) {
+	const n = 5
+	batch := appendFrame(nil, &walEntry{Op: walOpPut, Rec: passpoints.Pack(versionedRecord("r0", 0))})
+	batch = appendFrame(batch, &walEntry{Op: walOpLock, User: "r0", Failures: 2})
+	batch = appendFrame(batch, &walEntry{Op: walOpKV, Key: "k", Val: []byte("v")})
+	recs := make([]*passpoints.Record, 300)
+	for i := range recs {
+		recs[i] = versionedRecord(fmt.Sprintf("imp-%03d", i), 0)
+	}
+	snap := filepath.Join(t.TempDir(), "snap.json")
+	if err := writeRecords(snap, recs); err != nil {
+		t.Fatal(err)
+	}
+	callers := []struct {
+		name   string
+		shards int
+		run    func(d *Durable) error
+		want   map[SyncPolicy]int64
+	}{
+		{"mutations", 1, func(d *Durable) error {
+			for v := 0; v < n; v++ {
+				if err := d.Replace(versionedRecord("alpha", v)); err != nil {
+					return err
+				}
+			}
+			return d.SetLockout("alpha", 1)
+		}, map[SyncPolicy]int64{SyncAlways: n + 1, SyncNever: 0}},
+		{"replicated-batch", 1, func(d *Durable) error {
+			return d.ApplyReplFrames(0, batch)
+		}, map[SyncPolicy]int64{SyncAlways: 1, SyncNever: 0}},
+		{"import", 4, func(d *Durable) error {
+			return d.ImportJSON(snap)
+		}, map[SyncPolicy]int64{SyncAlways: 4, SyncNever: 4}},
+	}
+	for _, c := range callers {
+		for _, policy := range []SyncPolicy{SyncAlways, SyncNever} {
+			t.Run(c.name+"-"+policy.String(), func(t *testing.T) {
+				ctl := &faultCtl{}
+				d := openFaulty(t, t.TempDir(), DurableOptions{Shards: c.shards, Sync: policy, NoAutoCompact: true}, ctl)
+				if err := c.run(d); err != nil {
+					t.Fatal(err)
+				}
+				if got, want := ctl.syncs.Load(), c.want[policy]; got != want {
+					t.Errorf("%d fsyncs, want %d", got, want)
+				}
+			})
+		}
+	}
+}
+
+// TestWalRollback covers the failed-append rollback paths of the one
+// append path, appendLog, from each of its three callers — a mutation,
+// ApplyReplFrames and ImportJSON — under SyncAlways (a synced leader
+// writes outside the shard lock) and SyncNever (an unsynced one writes
+// under it). Each caller writes three records, and the third write
+// fails. A failed write whose rollback succeeds errors the call,
+// leaves no trace in memory or in the log, and keeps the shard usable,
+// while a rollback that cannot restore the committed offset — Truncate
+// or the follow-up Seek failing — must fail-stop the shard instead of
+// letting later appends write behind a tear. The Seek case guards a
 // regression: rollback once ignored a failed Seek after a successful
 // Truncate.
 func TestWalRollback(t *testing.T) {
@@ -398,52 +622,63 @@ func TestWalRollback(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			for _, c := range callers {
 				t.Run(c.name, func(t *testing.T) {
-					dir := t.TempDir()
-					d := openFaulty(t, dir, DurableOptions{Shards: 1, Sync: SyncNever}, tc.ctl())
-					versions := func(d *Durable) map[string]int {
-						got := map[string]int{}
-						for _, r := range d.All() {
-							got[r.User] = recordVersion(t, tc.name, r)
-						}
-						return got
-					}
-					recs := []*passpoints.Record{versionedRecord("u0", 0), versionedRecord("u1", 0), versionedRecord("u2", 0)}
-					// Write 3 fails.
-					if err := c.write(t, d, recs); err == nil {
-						t.Fatal("injected write failure not surfaced")
-					}
-					if got, want := versions(d), map[string]int{"u0": 0, "u1": 0}; !reflect.DeepEqual(got, want) {
-						t.Errorf("in memory after the failed write: %v, want %v", got, want)
-					}
-					err := d.Replace(versionedRecord("u0", 1))
-					if tc.wantStop {
-						if !errors.Is(err, ErrShardFailed) {
-							t.Fatalf("append after failed rollback: got %v, want ErrShardFailed", err)
-						}
-					} else if err != nil {
-						t.Fatalf("append after clean rollback: %v", err)
-					}
-					// Either way the log must replay to a consistent
-					// prefix: u0 and u1 acked, u2 failed, u0's version 1
-					// only if the shard stayed usable.
-					if err := d.Close(); err != nil {
-						t.Fatal(err)
-					}
-					back, err := OpenDurable(dir, DurableOptions{Shards: 1, Sync: SyncNever})
-					if err != nil {
-						t.Fatal(err)
-					}
-					defer back.Close()
-					want := map[string]int{"u0": 1, "u1": 0}
-					if tc.wantStop {
-						want["u0"] = 0
-					}
-					if got := versions(back); !reflect.DeepEqual(got, want) {
-						t.Errorf("recovered %v, want %v", got, want)
+					for _, policy := range []SyncPolicy{SyncAlways, SyncNever} {
+						t.Run(policy.String(), func(t *testing.T) {
+							testWalRollback(t, tc.ctl(), tc.wantStop, policy, c.write)
+						})
 					}
 				})
 			}
 		})
+	}
+}
+
+// testWalRollback runs one TestWalRollback case: write three records
+// through write, the third of which fails, then check the shard's
+// state, one more write and the log's replay.
+func testWalRollback(t *testing.T, ctl *faultCtl, wantStop bool, policy SyncPolicy,
+	write func(t *testing.T, d *Durable, recs []*passpoints.Record) error) {
+	dir := t.TempDir()
+	d := openFaulty(t, dir, DurableOptions{Shards: 1, Sync: policy}, ctl)
+	versions := func(d *Durable) map[string]int {
+		got := map[string]int{}
+		for _, r := range d.All() {
+			got[r.User] = recordVersion(t, t.Name(), r)
+		}
+		return got
+	}
+	recs := []*passpoints.Record{versionedRecord("u0", 0), versionedRecord("u1", 0), versionedRecord("u2", 0)}
+	// Write 3 fails.
+	if err := write(t, d, recs); err == nil {
+		t.Fatal("injected write failure not surfaced")
+	}
+	if got, want := versions(d), map[string]int{"u0": 0, "u1": 0}; !reflect.DeepEqual(got, want) {
+		t.Errorf("in memory after the failed write: %v, want %v", got, want)
+	}
+	err := d.Replace(versionedRecord("u0", 1))
+	if wantStop {
+		if !errors.Is(err, ErrShardFailed) {
+			t.Fatalf("append after failed rollback: got %v, want ErrShardFailed", err)
+		}
+	} else if err != nil {
+		t.Fatalf("append after clean rollback: %v", err)
+	}
+	// Either way the log must replay to a consistent prefix: u0 and u1
+	// acked, u2 failed, u0's version 1 only if the shard stayed usable.
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+	back, err := OpenDurable(dir, DurableOptions{Shards: 1, Sync: SyncNever})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer back.Close()
+	want := map[string]int{"u0": 1, "u1": 0}
+	if wantStop {
+		want["u0"] = 0
+	}
+	if got := versions(back); !reflect.DeepEqual(got, want) {
+		t.Errorf("recovered %v, want %v", got, want)
 	}
 }
 

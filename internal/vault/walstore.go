@@ -136,23 +136,24 @@ type DurableOptions struct {
 // each log at the first torn or corrupt record: everything acked
 // before the tear is recovered, the torn tail is dropped.
 //
-// Under SyncAlways, concurrent appends to one shard group-commit:
-// each writer stages its encoded record under the shard lock, then
-// the writers coalesce into batches — one leader writes and fsyncs
-// the whole staged buffer — so N concurrent mutations cost one write
-// and one fsync, not N of each. Every waiter acks only if the shared
-// fsync succeeded, and a failed fsync fails (and rolls back) the
-// whole batch. A failed fsync also fail-stops the shard (see
-// ErrShardFailed): durability claims after a kernel writeback error
-// are unverifiable, so the shard refuses further mutations rather
-// than ack them.
+// Every append — a local mutation, ImportJSON, a replicated batch —
+// goes through one group commit (see walShard.appendLog): each writer
+// stages its frames under the shard lock, and the writers coalesce
+// into batches that one leader writes, and fsyncs when any record in
+// the batch asked for it (a mutation under SyncAlways, a replicated
+// batch on a SyncAlways follower). So N concurrent mutations cost one
+// write and one fsync, not N of each. A failed write whose rollback
+// restores the committed offset fails every pending record and leaves
+// the shard writable. A failed rollback or a failed fsync also
+// fail-stops the shard (see ErrShardFailed): durability claims after a
+// kernel writeback error are unverifiable, so the shard refuses
+// further mutations rather than ack them.
 //
 // Note one visibility caveat of group commit: a mutation becomes
-// readable (Get/Users/Snapshot) the moment its record is written,
-// microseconds before the shared fsync that acks it. If that fsync
-// fails, the batch's map updates are rolled back and the shard
-// fail-stops — a reader can briefly observe a mutation that is then
-// refused, but never one that silently survives un-acked.
+// readable (Get/Users/Snapshot) the moment it is staged, before the
+// write and the shared fsync that ack it. If its batch fails, the map
+// updates are rolled back — a reader can briefly observe a mutation
+// that is then refused, but never one that silently survives un-acked.
 //
 // Logs only grow, so a background compactor (or an explicit Compact)
 // rewrites a shard's log from its live maps once dead records outgrow
@@ -227,29 +228,37 @@ func defaultOpenFile(path string) (walFile, error) {
 	return os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o600)
 }
 
-// walPending is one record written to a shard's log but not yet
-// covered by a successful fsync: the bookkeeping group commit and a
-// synced appendDirect need to ack (drop the undo) or fail (run it) a
-// whole batch at once.
-type walPending struct {
-	end  int64  // log length once this record was written
-	undo func() // reverts the record's eager map application
+// walBatch is the outcome of one staged batch, shared by the writers
+// that wait on it: settled once, by the leader that writes the batch
+// or by the rollback that discards it. Waiters read the outcome rather
+// than the log offsets, because once a rolled-back write leaves the
+// shard writable a later batch can commit past a failed waiter's
+// bytes.
+type walBatch struct {
+	done bool
+	err  error
 }
+
+// walBufKeep caps the staging buffer a shard keeps for reuse: a
+// buffer that grew past it (a large replicated catch-up batch) is
+// released after its write rather than pinned per shard.
+const walBufKeep = 64 << 10
 
 // walShard is the log of one shard of the set: the shard's lockouts
 // and KV, its file and offsets. It takes the shard's lock, whose
 // write side covers the records, the maps here, the file and all
 // offsets, and whose read side every Durable read takes. The commit
-// condvar (sharing the write lock) coordinates group commit: under
-// SyncAlways writers stage their encoded records in wbuf under the
-// lock, then wait on the condvar while one of them — the batch leader
-// — writes and fsyncs the whole buffer outside the lock and wakes
-// everyone with the shared result.
+// condvar (sharing the write lock) coordinates group commit: writers
+// stage their frames in wbuf under the lock, and one of them — the
+// batch leader — writes the whole buffer and wakes everyone with the
+// shared result. A batch that needs an fsync is written and fsynced
+// outside the lock, so later writers keep staging the next batch;
+// one that does not is written under the lock.
 // Staging in memory rather than writing through matters beyond the
 // saved syscalls: an fsync racing concurrent appends to the same
 // inode degrades badly on journaling filesystems (the flush chases
 // freshly dirtied pages), so exactly one goroutine — the leader —
-// ever touches the file while a sync is possible.
+// ever writes the file while a sync is possible.
 type walShard struct {
 	*shard             // the records and their lock
 	commit   sync.Cond // group-commit wakeups; commit.L == &mu
@@ -262,25 +271,24 @@ type walShard struct {
 	kv   map[string][]byte
 	f    walFile
 	path string
-	// Three log lengths, always off <= wsize <= lsize:
-	// off is the committed length — every byte below it belongs to an
-	// acked record (and, under SyncAlways, has been fsynced); wsize
-	// is the length written to the file; lsize is the logical length
-	// including records still staged in wbuf. Outside an in-flight
-	// group commit all three are equal.
+	// off is the committed log length: every byte below it belongs to
+	// a written batch (fsynced when the batch asked for it). A leader
+	// in flight writes from off; a failed write truncates back to it.
 	off   int64
-	wsize int64
-	lsize int64
-	wbuf  []byte // staged frames awaiting the next batch flush
+	wbuf  []byte    // staged frames awaiting the next batch leader
+	spare []byte    // idle buffer; becomes wbuf while a leader writes the old one
+	wsync bool      // a record staged in wbuf asked for an fsync
+	next  *walBatch // outcome of the batch in wbuf, once a writer waits on it
+	// pending holds, for every staged record not yet committed, the
+	// entry that undoes its map update, oldest first.
+	pending []walEntry
 	// entries counts records in the log since its last rewrite.
 	entries  int
 	dirty    bool   // has unsynced appends (SyncInterval bookkeeping)
 	dirtyGen uint64 // bumped per unsynced append, so a sync landing
 	// mid-append cannot clear dirty for bytes it did not cover
-	syncing bool // a group-commit leader's fsync is in flight
-	pending []walPending
+	syncing bool  // a leader is writing and fsyncing outside the lock
 	failed  error // sticky fail-stop cause; non-nil refuses mutations
-	buf     []byte
 	// seq numbers this shard's mutations within the current process
 	// lifetime; it is never persisted. Replication identifies stream
 	// positions by (runID, shard, seq) — see ReplHooks. Gaps are legal
@@ -498,14 +506,13 @@ func (sh *walShard) recover() error {
 	}
 	sh.entries = n
 	sh.off = off
-	sh.wsize = off
-	sh.lsize = off
 	return nil
 }
 
-// apply folds one decoded entry into the shard's maps. Replay-time
-// and (eagerly, with applyUndo) mutation-time both route through the
-// same switch so live and replayed semantics cannot drift.
+// apply folds one decoded entry into the shard's maps. Replay, the
+// append path and its rollback (applying undoEntry's inverse) all
+// route through the same switch, so live and replayed semantics cannot
+// drift.
 func (sh *walShard) apply(e *walEntry) {
 	switch e.Op {
 	case walOpPut:
@@ -533,49 +540,26 @@ func (sh *walShard) apply(e *walEntry) {
 	}
 }
 
-// applyUndo applies e like apply and returns a closure that restores
-// the touched key's prior state — the rollback a synced append runs
-// when its fsync fails.
-func (sh *walShard) applyUndo(e *walEntry) func() {
-	undo := func() {}
+// undoEntry returns the entry that, applied, restores the state e is
+// about to change: the touched key's prior record, counter or blob, or
+// its deletion when it had none. Caller holds sh.mu.
+func (sh *walShard) undoEntry(e *walEntry) walEntry {
 	switch e.Op {
-	case walOpPut:
-		undo = sh.undoRecord(e.Rec.User())
-	case walOpDel:
-		undo = sh.undoRecord(e.User)
+	case walOpPut, walOpDel:
+		user := e.User
+		if e.Op == walOpPut {
+			user = e.Rec.User()
+		}
+		if prev, ok := sh.records[user]; ok {
+			return walEntry{Op: walOpPut, Rec: prev}
+		}
+		return walEntry{Op: walOpDel, User: user}
 	case walOpLock:
-		undo = undoFor(sh.lockouts, e.User)
+		return walEntry{Op: walOpLock, User: e.User, Failures: sh.lockouts[e.User]}
 	case walOpKV:
-		undo = undoFor(sh.kv, e.Key)
+		return walEntry{Op: walOpKV, Key: e.Key, Val: sh.kv[e.Key]}
 	}
-	sh.apply(e)
-	return undo
-}
-
-// undoRecord captures user's record and returns a closure that puts
-// it back under its own key (see shard.put).
-func (sh *walShard) undoRecord(user string) func() {
-	prev, had := sh.records[user]
-	return func() {
-		if had {
-			sh.put(prev)
-		} else {
-			delete(sh.records, user)
-		}
-	}
-}
-
-// undoFor captures m[k]'s current state and returns a closure that
-// puts it back.
-func undoFor[V any](m map[string]V, k string) func() {
-	prev, had := m[k]
-	return func() {
-		if had {
-			m[k] = prev
-		} else {
-			delete(m, k)
-		}
-	}
+	return walEntry{}
 }
 
 // replayLog streams f's records from the start, calling apply for
@@ -684,75 +668,134 @@ func (e *walEntry) appendJSON(b []byte) []byte {
 	return append(b, '}')
 }
 
-// appendDirect is the shard's one append outside group commit, behind
-// a mutation under SyncInterval or SyncNever, ImportJSON and
-// ApplyReplFrames. It waits out any group commit, refuses a closed or
-// fail-stopped shard, and writes frames — the encoding of entries, or
-// nil to encode the single entry here — in one write call. A failed
-// write truncates back to the pre-write offset so torn bytes never sit
-// in front of later records; if even that rollback fails, the shard
-// fail-stops — the file's write offset can no longer be trusted, and
-// appending anyway would strand every later record behind a tear that
-// replay truncates away. With synced, the entries are applied with
-// their undos pending and the log is fsynced before the call returns;
-// a failed fsync fail-stops the shard, and failStop rolls the entries
-// back exactly as it does a failed group commit. Without, they are
-// applied outright and the shard is marked dirty for the next flush.
-// Either way the entries are counted and the frames shipped. Caller
-// holds sh.mu.
-func (sh *walShard) appendDirect(entries []walEntry, frames []byte, synced bool) error {
-	sh.quiesce()
+// appendLog is the shard's one append path, behind every local
+// mutation, ImportJSON and ApplyReplFrames. It refuses a closed or
+// fail-stopped shard, stages frames — the encoding of entries, or nil
+// to encode them here — behind any batch in flight, applies the
+// entries with their undos pending, and waits in awaitCommit until a
+// batch leader has written them, and fsynced them when sync is set or
+// another record in the batch asked for it. It returns the seq of the
+// call's last entry, taken when the entries are staged, so a quorum
+// wait covers exactly them. Caller holds sh.mu; appendLog may release
+// and reacquire it.
+func (sh *walShard) appendLog(entries []walEntry, frames []byte, sync bool) (uint64, error) {
 	if err := sh.writable(); err != nil {
-		return err
+		return 0, err
 	}
 	if frames == nil {
-		sh.buf = appendFrame(sh.buf[:0], &entries[0])
-		frames = sh.buf
-	}
-	if _, err := sh.f.Write(frames); err != nil {
-		werr := fmt.Errorf("vault: appending to %s: %w", sh.path, err)
-		if rerr := sh.restore(sh.wsize); rerr != nil {
-			sh.failStop(fmt.Errorf("%v; rollback failed: %v", werr, rerr))
-		}
-		return werr
-	}
-	sh.wsize += int64(len(frames))
-	sh.lsize = sh.wsize
-	sh.entries += len(entries)
-	sh.seq += uint64(len(entries))
-	if synced {
 		for i := range entries {
-			sh.pending = append(sh.pending, walPending{end: sh.wsize, undo: sh.applyUndo(&entries[i])})
-		}
-		if err := sh.f.Sync(); err != nil {
-			sh.failStop(fmt.Errorf("vault: syncing %s: %w", sh.path, err))
-			return sh.writable()
+			sh.wbuf = appendFrame(sh.wbuf, &entries[i])
 		}
 	} else {
-		for i := range entries {
-			sh.apply(&entries[i])
-		}
-		sh.dirty = true
-		sh.dirtyGen++
+		sh.wbuf = append(sh.wbuf, frames...)
 	}
-	sh.commitTo(sh.wsize)
-	if sh.ship != nil {
-		sh.ship(frames, sh.seq)
+	for i := range entries {
+		sh.pending = append(sh.pending, sh.undoEntry(&entries[i]))
+		sh.apply(&entries[i])
 	}
-	return nil
+	sh.wsync = sh.wsync || sync
+	sh.entries += len(entries)
+	sh.seq += uint64(len(entries))
+	seq := sh.seq // later writers advance sh.seq during the wait
+	return seq, sh.awaitCommit()
 }
 
-// stage appends e's frame to the shard's in-memory batch buffer — the
-// group-commit write path. The bytes reach the file when a batch
-// leader flushes the buffer (awaitCommit); only the whole-batch
-// failure paths can discard them, and those fail-stop the shard.
+// awaitCommit blocks until the batch holding the caller's staged
+// records is settled, and returns its outcome. While a leader is out,
+// the caller waits on the outcome of the batch staged behind it. The
+// first writer to find no leader in flight leads: it takes every
+// staged frame, its own among them, and writes them at the committed
+// offset — under the lock when no record asked for an fsync, and
+// otherwise outside it followed by one fsync, so later writers keep
+// staging the next batch. It then settles the batch for every waiter
+// and ships the frames, in log order because leaders take turns. A
+// failed write whose truncate-and-seek rollback succeeds fails every
+// pending record and leaves the shard writable (see abort); a failed
+// rollback or fsync fail-stops the shard (see failStop), and so does a
+// leader that lands to find the shard fail-stopped during its flight.
 // Caller holds sh.mu.
-func (sh *walShard) stage(e *walEntry) {
-	n := len(sh.wbuf)
-	sh.wbuf = appendFrame(sh.wbuf, e)
-	sh.lsize += int64(len(sh.wbuf) - n)
-	sh.entries++
-	sh.seq++
+func (sh *walShard) awaitCommit() error {
+	var mine *walBatch
+	for sh.syncing {
+		if mine == nil {
+			if sh.next == nil {
+				sh.next = new(walBatch)
+			}
+			mine = sh.next
+		}
+		sh.commit.Wait()
+		if mine.done {
+			return mine.err
+		}
+	}
+	// A leader settles its batch before it clears syncing, so every
+	// pending undo belongs to a record staged in wbuf.
+	batch, waiters, synced := sh.wbuf, sh.next, sh.wsync
+	n, lastSeq, f := len(sh.pending), sh.seq, sh.f
+	sh.next, sh.wsync = nil, false
+	var werr, serr error
+	if synced {
+		sh.syncing = true
+		sh.wbuf = sh.spare[:0]
+		sh.mu.Unlock()
+		_, werr = f.Write(batch)
+		if werr == nil {
+			serr = f.Sync()
+		}
+		sh.mu.Lock()
+		sh.syncing = false
+	} else {
+		_, werr = f.Write(batch)
+	}
+	var err error
+	switch {
+	case sh.failed != nil:
+		// A flush's fsync failed during the flight (see flush). It
+		// synced the same open file, and the kernel reports a writeback
+		// error once per open file, so this batch's pages may be lost
+		// whatever its own write and fsync returned.
+		sh.failStop(sh.failed)
+		err = sh.writable()
+	case werr != nil:
+		err = fmt.Errorf("vault: appending to %s: %w", sh.path, werr)
+		if rerr := sh.restore(sh.off); rerr != nil {
+			// The file's write offset can no longer be trusted:
+			// appending anyway would strand every later record behind a
+			// tear that replay truncates away.
+			sh.failStop(fmt.Errorf("%v; rollback failed: %v", err, rerr))
+			err = sh.writable()
+		} else {
+			sh.abort(err)
+		}
+	case serr != nil:
+		sh.failStop(fmt.Errorf("vault: syncing %s: %w", sh.path, serr))
+		err = sh.writable()
+	default:
+		sh.off += int64(len(batch))
+		rest := copy(sh.pending, sh.pending[n:])
+		clear(sh.pending[rest:])
+		sh.pending = sh.pending[:rest]
+		if !synced {
+			sh.dirty = true
+			sh.dirtyGen++
+		}
+		if sh.ship != nil {
+			sh.ship(batch, lastSeq)
+		}
+	}
+	if cap(batch) > walBufKeep {
+		batch = nil
+	}
+	if synced {
+		sh.spare = batch[:0]
+	} else {
+		sh.wbuf = batch[:0]
+	}
+	if waiters != nil {
+		waiters.done, waiters.err = true, err
+	}
+	sh.commit.Broadcast()
+	return err
 }
 
 // restore truncates the log to off and repositions the write offset
@@ -770,26 +813,45 @@ func (sh *walShard) restore(off int64) error {
 	return nil
 }
 
+// abort rolls back every pending record: the batch whose write failed
+// and any batch staged behind it, whose map updates sit on top of it.
+// It applies their undos newest first, drops their staged frames, and
+// settles the staged batch with err. Caller holds sh.mu with no leader
+// in flight.
+func (sh *walShard) abort(err error) {
+	for i := len(sh.pending) - 1; i >= 0; i-- {
+		sh.apply(&sh.pending[i])
+	}
+	sh.entries -= len(sh.pending)
+	clear(sh.pending)
+	sh.pending = sh.pending[:0]
+	sh.wbuf, sh.wsync = sh.wbuf[:0], false
+	if sh.next != nil {
+		sh.next.done, sh.next.err = true, err
+		sh.next = nil
+	}
+}
+
 // failStop marks the shard permanently failed (see ErrShardFailed),
-// rolls back every pending record — map state and log bytes — and
-// wakes all waiters so they observe the failure. Caller holds sh.mu.
+// which refuses every new mutation at once, rolls back every pending
+// record — map state and log bytes — and wakes all waiters so they
+// observe ErrShardFailed. With a leader in flight it only marks the
+// shard: the leader rolls back when it lands (see awaitCommit), rather
+// than have its batch undone and truncated under it. Caller holds
+// sh.mu.
 func (sh *walShard) failStop(cause error) {
 	if sh.failed == nil {
 		sh.failed = cause
 		log.Printf("vault: %v; shard %s fail-stopped (reads continue, mutations refused until restart)", cause, sh.path)
 	}
-	for i := len(sh.pending) - 1; i >= 0; i-- {
-		sh.pending[i].undo()
+	if sh.syncing {
+		return
 	}
-	sh.entries -= len(sh.pending)
-	sh.pending = sh.pending[:0]
-	sh.wbuf = sh.wbuf[:0]
+	sh.abort(sh.writable())
 	// Best effort: the shard refuses mutations from here on, but a
 	// successful truncate keeps unacked bytes out of the log so a
 	// restart replays exactly the committed prefix.
 	_ = sh.restore(sh.off)
-	sh.wsize = sh.off
-	sh.lsize = sh.off
 	sh.commit.Broadcast()
 }
 
@@ -806,91 +868,10 @@ func (sh *walShard) writable() error {
 	return nil
 }
 
-// commitTo marks everything below target durable: the committed
-// offset advances and the covered pending records drop their undos —
-// they are acked. Caller holds sh.mu.
-func (sh *walShard) commitTo(target int64) {
-	sh.off = target
-	n := 0
-	for n < len(sh.pending) && sh.pending[n].end <= target {
-		n++
-	}
-	if n > 0 {
-		rest := copy(sh.pending, sh.pending[n:])
-		for i := rest; i < len(sh.pending); i++ {
-			sh.pending[i] = walPending{} // release undo closures
-		}
-		sh.pending = sh.pending[:rest]
-	}
-}
-
-// awaitCommit blocks until the record ending at logical offset myEnd
-// is durable, or the batch fails. Callers arrive holding sh.mu with
-// their record staged in wbuf and a pending entry queued; the first
-// one to find no flush in flight becomes the batch leader: it takes
-// the whole staged buffer, writes and fsyncs it outside the lock (so
-// later writers keep staging — they form the next batch), and wakes
-// everyone with the shared result. A failed batch write or fsync
-// fails every waiter it covered and fail-stops the shard: the
-// waiters' records are interleaved in one flush, so no single record
-// can be cleanly retried, and after a failed fsync durability can no
-// longer be proven at all (see ErrShardFailed).
-func (sh *walShard) awaitCommit(myEnd int64) error {
-	for {
-		if sh.off >= myEnd {
-			return nil // a leader's flush covered us
-		}
-		if sh.failed != nil {
-			return sh.failed // our batch failed; maps already rolled back
-		}
-		if !sh.syncing {
-			sh.syncing = true
-			f := sh.f
-			batch := sh.wbuf
-			sh.wbuf = nil // writers arriving mid-flush stage a new buffer
-			// Every staged record is in this batch, so the shard's seq
-			// at take time is the batch's last record's seq — what the
-			// replication ship needs to label the frames.
-			lastSeq := sh.seq
-			target := sh.wsize + int64(len(batch))
-			sh.mu.Unlock()
-			_, werr := f.Write(batch)
-			var serr error
-			if werr == nil {
-				serr = f.Sync()
-			}
-			sh.mu.Lock()
-			sh.syncing = false
-			switch {
-			case werr != nil:
-				// The file may hold a partial batch; failStop's restore
-				// truncates it back to the committed prefix.
-				sh.failStop(fmt.Errorf("vault: appending batch to %s: %w", sh.path, werr))
-			case serr != nil:
-				sh.failStop(fmt.Errorf("vault: syncing %s: %w", sh.path, serr))
-			default:
-				sh.wsize = target
-				sh.commitTo(target)
-				// Ship only what an fsync covers, in strict log order:
-				// leaders are serialized by `syncing`, and the hook runs
-				// under the same lock hold that cleared it, so no later
-				// batch can overtake this call.
-				if sh.ship != nil && len(batch) > 0 {
-					sh.ship(batch, lastSeq)
-				}
-			}
-			sh.commit.Broadcast()
-		} else {
-			sh.commit.Wait()
-		}
-	}
-}
-
-// quiesce blocks until no group-commit fsync is in flight and no
-// written record awaits one (off == wsize): the stable state
-// compaction, appendDirect, flush and Close need before they touch
-// the shard's file. Caller holds sh.mu; quiesce may release and
-// reacquire it.
+// quiesce blocks until no leader is in flight and no staged record
+// awaits one: the stable state compaction, snapshots, flush and Close
+// need before they touch the shard's file. Caller holds sh.mu; quiesce
+// may release and reacquire it.
 func (sh *walShard) quiesce() {
 	for sh.syncing || len(sh.pending) > 0 {
 		sh.commit.Wait()
@@ -936,17 +917,14 @@ var errSkipAppend = errors.New("vault: skip append")
 
 // mutate is the local write path: under the shard lock it runs pre
 // (which may refuse the mutation, or skip it via errSkipAppend), then
-// logs e and applies it to the shard's maps — under SyncAlways by
-// joining the shard's group commit, acking only once a shared fsync
-// covers the record (rolling the map update back if the batch fails),
-// and otherwise through appendDirect. It nudges the compactor when the
-// shard's garbage crosses compactRatio.
+// appends e through appendLog, fsynced under SyncAlways. It nudges the
+// compactor when the shard's garbage crosses compactRatio.
 func (d *Durable) mutate(user string, e walEntry, pre func(*walShard) error) error {
 	if d.closed.Load() {
 		return errClosed
 	}
-	es := []walEntry{e}
 	sh, i := d.shardFor(user)
+	var seq uint64
 	sh.mu.Lock()
 	// writable also catches Close winning the race between the
 	// closed-flag check and the shard lock.
@@ -954,27 +932,14 @@ func (d *Durable) mutate(user string, e walEntry, pre func(*walShard) error) err
 	if err == nil && pre != nil {
 		err = pre(sh)
 	}
-	if err != nil {
-		sh.mu.Unlock()
-		if err == errSkipAppend {
-			return nil
-		}
-		return err
-	}
-	var myseq uint64
-	if d.opts.Sync == SyncAlways {
-		sh.stage(&es[0])
-		myseq = sh.seq
-		sh.pending = append(sh.pending, walPending{end: sh.lsize, undo: sh.applyUndo(&es[0])})
-		err = sh.awaitCommit(sh.lsize)
-	} else {
-		// The frame ships before the lock is released, so two writers'
-		// frames reach the replication buffer in log order.
-		err = sh.appendDirect(es, nil, false)
-		myseq = sh.seq
+	if err == nil {
+		seq, err = sh.appendLog([]walEntry{e}, nil, d.opts.Sync == SyncAlways)
 	}
 	needCompact := err == nil && sh.needsCompact()
 	sh.mu.Unlock()
+	if err == errSkipAppend {
+		return nil
+	}
 	if err != nil {
 		return err
 	}
@@ -984,7 +949,7 @@ func (d *Durable) mutate(user string, e walEntry, pre func(*walShard) error) err
 		// or fail-stopping — the record is locally durable and the
 		// stream will deliver it on reconnect, so state never diverges;
 		// the caller just cannot claim replica coverage for it.
-		if werr := (*wait)(i, myseq); werr != nil {
+		if werr := (*wait)(i, seq); werr != nil {
 			return werr
 		}
 	}
@@ -1184,7 +1149,8 @@ func (sh *walShard) flush(force bool) error {
 		err = fmt.Errorf("vault: syncing %s: %w", sh.path, err)
 		// Unless compaction already replaced (and fsynced) the file we
 		// failed to sync, the shard's durability can no longer be
-		// proven.
+		// proven. A leader that went out meanwhile fails its batch
+		// when it lands (see failStop).
 		if sh.f == f && sh.failed == nil {
 			sh.failStop(err)
 		}
@@ -1200,11 +1166,11 @@ func (sh *walShard) flush(force bool) error {
 // write) into an empty durable store, appending every record to its
 // shard log — the in-place migration path for a deployment moving off
 // the in-memory backend. It refuses to import over existing records.
-// Records are appended unsynced and flushed once per shard at the
-// end: per-record durability buys nothing here (a failed import is
-// retried from the snapshot anyway), and one fsync per shard instead
-// of per user keeps a million-record migration in seconds, not
-// hours.
+// Records are appended unsynced, whatever the policy, and flushed
+// once per shard at the end: per-record durability buys nothing here
+// (a failed import is retried from the snapshot anyway), and one fsync
+// per shard instead of per user keeps a million-record migration in
+// seconds, not hours.
 func (d *Durable) ImportJSON(path string) error {
 	if d.Len() > 0 {
 		return fmt.Errorf("vault: ImportJSON into non-empty store")
@@ -1218,7 +1184,7 @@ func (d *Durable) ImportJSON(path string) error {
 		// non-empty users.
 		sh, _ := d.shardFor(p.User())
 		sh.mu.Lock()
-		err := sh.appendDirect([]walEntry{{Op: walOpPut, Rec: p}}, nil, false)
+		_, err := sh.appendLog([]walEntry{{Op: walOpPut, Rec: p}}, nil, false)
 		sh.mu.Unlock()
 		if err != nil {
 			return err
@@ -1266,19 +1232,39 @@ func (d *Durable) CompactShard(i int) error {
 // group in key order — and returns the frames and their entry count.
 // It is the log compaction writes and the snapshot a follower
 // bootstraps from (see ShardSnapshot), so replaying it rebuilds exactly
-// the maps it was encoded from.
+// the maps it was encoded from. It walks the entries twice: the first
+// pass sums their frames' lengths, and the second encodes the frames
+// into one buffer of exactly that size, which growing by append would
+// copy over and over.
 func encodeState(records map[string]passpoints.Packed, lockouts map[string]int, kv map[string][]byte) ([]byte, int) {
-	var frames []byte
-	for _, user := range slices.Sorted(maps.Keys(records)) {
-		frames = appendFrame(frames, &walEntry{Op: walOpPut, Rec: records[user]})
+	users := slices.Sorted(maps.Keys(records))
+	locked := slices.Sorted(maps.Keys(lockouts))
+	keys := slices.Sorted(maps.Keys(kv))
+	var frames, scratch []byte
+	size := 0
+	for sizing := true; ; sizing = false {
+		add := func(e walEntry) {
+			if sizing {
+				scratch = e.appendJSON(scratch[:0])
+				size += walHeaderSize + len(scratch)
+			} else {
+				frames = appendFrame(frames, &e)
+			}
+		}
+		for _, user := range users {
+			add(walEntry{Op: walOpPut, Rec: records[user]})
+		}
+		for _, user := range locked {
+			add(walEntry{Op: walOpLock, User: user, Failures: lockouts[user]})
+		}
+		for _, key := range keys {
+			add(walEntry{Op: walOpKV, Key: key, Val: kv[key]})
+		}
+		if !sizing {
+			return frames, len(users) + len(locked) + len(keys)
+		}
+		frames = make([]byte, 0, size)
 	}
-	for _, user := range slices.Sorted(maps.Keys(lockouts)) {
-		frames = appendFrame(frames, &walEntry{Op: walOpLock, User: user, Failures: lockouts[user]})
-	}
-	for _, key := range slices.Sorted(maps.Keys(kv)) {
-		frames = appendFrame(frames, &walEntry{Op: walOpKV, Key: key, Val: kv[key]})
-	}
-	return frames, len(records) + len(lockouts) + len(kv)
 }
 
 // replaceLogLocked makes frames, n whole entries, shard i's log — the
@@ -1335,8 +1321,6 @@ func (d *Durable) replaceLogLocked(i int, sh *walShard, frames []byte, n int) (b
 	old := sh.f
 	sh.f = nf
 	sh.off = newOff
-	sh.wsize = newOff
-	sh.lsize = newOff
 	sh.entries = n
 	sh.dirty = false
 	old.Close()

@@ -7,9 +7,12 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"maps"
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -219,6 +222,44 @@ func TestDurableCompaction(t *testing.T) {
 	}
 	if locks := back.Lockouts(); locks["locked"] == 0 {
 		t.Errorf("lockout counter lost in compaction: %v", locks)
+	}
+}
+
+// TestEncodeStateSizesFromEveryEntry: the frame buffer compaction and
+// a bootstrap snapshot encode into is exactly as long as its frames,
+// whatever the shard's records look like. The state mixes 200 small
+// records with every packed shape (300 clears, escaped and non-ASCII
+// names, an unknown kind) and one record whose 64 KiB name sorts
+// first, so no single record's frame can stand for the others; the
+// frames must equal those of each entry framed in turn.
+func TestEncodeStateSizesFromEveryEntry(t *testing.T) {
+	recs := append(packedShapes(t), versionedRecord("!"+strings.Repeat("x", 64<<10), 0))
+	for i := range 200 {
+		recs = append(recs, versionedRecord(fmt.Sprintf("u%03d", i), i))
+	}
+	records := make(map[string]passpoints.Packed)
+	for _, rec := range recs {
+		records[rec.User] = passpoints.Pack(rec)
+	}
+	lockouts := map[string]int{"u007": 3, "ghost": 1}
+	kv := map[string][]byte{"session/key/1": []byte("k1"), "big": bytes.Repeat([]byte{0xff}, 4096)}
+	frames, n := encodeState(records, lockouts, kv)
+	if cap(frames) != len(frames) {
+		t.Errorf("frame buffer cap %d for %d bytes of frames, want them equal", cap(frames), len(frames))
+	}
+	var want []byte
+	for _, user := range slices.Sorted(maps.Keys(records)) {
+		want = appendFrame(want, &walEntry{Op: walOpPut, Rec: records[user]})
+	}
+	want = appendFrame(want, &walEntry{Op: walOpLock, User: "ghost", Failures: 1})
+	want = appendFrame(want, &walEntry{Op: walOpLock, User: "u007", Failures: 3})
+	want = appendFrame(want, &walEntry{Op: walOpKV, Key: "big", Val: kv["big"]})
+	want = appendFrame(want, &walEntry{Op: walOpKV, Key: "session/key/1", Val: kv["session/key/1"]})
+	if !bytes.Equal(frames, want) {
+		t.Errorf("encodeState frames differ from the entries framed one by one (%d bytes, want %d)", len(frames), len(want))
+	}
+	if want := len(records) + len(lockouts) + len(kv); n != want {
+		t.Errorf("entry count %d, want %d", n, want)
 	}
 }
 
