@@ -150,9 +150,11 @@ redteam-smoke:
 # (go test -fuzz takes one target per run): the differential
 # FuzzCanonicalDecode of the vault formats and of the replication
 # messages, FuzzOpen, FuzzUnmarshalRecord, FuzzVerify (Verify against
-# VerifyPacked), and FuzzValidateToken, whose mutated session tokens
-# meet a verify cache that holds the genuine ones. Under
-# `go test ./...` they only replay their seeds.
+# VerifyPacked), FuzzValidateToken, whose mutated session tokens
+# meet a verify cache that holds the genuine ones, and the serving
+# fronts' request decoders FuzzReadFrame (a TCP frame) and
+# FuzzHTTPDecode (an HTTP body), both straight into authsvc.Request.
+# Under `go test ./...` they only replay their seeds.
 FUZZTIME ?= 20s
 fuzz-smoke:
 	$(GO) test ./internal/vault -run '^$$' -fuzz '^FuzzCanonicalDecode$$' -fuzztime $(FUZZTIME)
@@ -161,6 +163,8 @@ fuzz-smoke:
 	$(GO) test ./internal/passpoints -run '^$$' -fuzz '^FuzzUnmarshalRecord$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/passpoints -run '^$$' -fuzz '^FuzzVerify$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/session -run '^$$' -fuzz '^FuzzValidateToken$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/authproto -run '^$$' -fuzz '^FuzzReadFrame$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/authproto -run '^$$' -fuzz '^FuzzHTTPDecode$$' -fuzztime $(FUZZTIME)
 
 # servebench-test runs the serving benchmark's own tests under the race
 # detector: the only model-checked end-to-end run of all four

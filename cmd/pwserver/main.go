@@ -9,12 +9,12 @@
 // bucket. -queue bounds the admission wait queue (default 4x
 // maxconns): past the per-priority watermarks, work is shed with fast
 // "overloaded" responses (logins shed last) instead of queueing
-// toward its deadline; -queue 0 queues without bound. -chaos
-// injects deterministic faults (dev only) and -logjson emits one
-// structured log line per request. -metrics starts the admin surface
-// (Prometheus exposition at /metrics, plus the lockout reset) on its
-// own address — bind it to loopback or a protected network, never the
-// public one. The lockout bounds online dictionary attacks (§5.1):
+// toward its deadline; -queue 0 queues without bound. -chaos wraps
+// the store in vault.Flaky, whose seeded faults hit every store call
+// (dev only), and -logjson emits one structured log line per request.
+// -metrics starts the admin surface (Prometheus exposition at
+// /metrics, plus the lockout reset) on its own address — bind it to
+// loopback or a protected network, never the public one. The lockout bounds online dictionary attacks (§5.1):
 // after N failed logins an account refuses further attempts until an
 // administrative reset.
 //
@@ -86,7 +86,7 @@ func main() {
 		side        = flag.Int("side", 13, "grid-square side (pixels)")
 		schemeArg   = flag.String("scheme", "centered", "discretization scheme: centered or robust")
 		iter        = flag.Int("iterations", 1000, "hash iterations")
-		lockout     = flag.Int("lockout", authproto.DefaultLockout, "failed attempts before lockout")
+		lockout     = flag.Int("lockout", authsvc.DefaultLockout, "failed attempts before lockout")
 		useTLS      = flag.Bool("tls", false, "wrap the TCP listener in TLS with an ephemeral self-signed certificate")
 		backendArg  = flag.String("backend", "memory", "storage backend: memory (a JSON snapshot at -vault) or durable (a log directory at -vault)")
 		shards      = flag.Int("shards", 0, "vault shard count (0 = 32; a durable directory keeps the count it was created with)")
@@ -175,6 +175,18 @@ func main() {
 		Scheme:     scheme,
 		Iterations: *iter,
 	}
+	if *chaos != "" {
+		faults, err := vault.ParseFlakySpec(*chaos)
+		if err != nil {
+			fatal(err)
+		}
+		// Every store call the service makes can now fault; a ping or a
+		// validate makes none. An injected error answers internal and
+		// costs no lockout attempt; a spike holds the admission slot the
+		// store call runs in.
+		store = vault.NewFlaky(store, faults)
+		fmt.Printf("pwserver: CHAOS MODE: %s (dev only — injected store faults are live)\n", *chaos)
+	}
 	srv, err := authproto.NewServer(cfg, store, *lockout)
 	if err != nil {
 		fatal(err)
@@ -247,14 +259,6 @@ func main() {
 		srv.SetOverload(authsvc.OverloadPolicy{Queue: queueDepth, RetryAfter: *retryAfter})
 		fmt.Printf("pwserver: overload policy on (queue %d, normal/low sheds at %d/%d waiting)\n",
 			queueDepth, int(float64(queueDepth)*authsvc.DefaultNormalMark), int(float64(queueDepth)*authsvc.DefaultLowMark))
-	}
-	if *chaos != "" {
-		faults, err := authsvc.ParseFaultSpec(*chaos)
-		if err != nil {
-			fatal(err)
-		}
-		srv.SetFaults(faults)
-		fmt.Printf("pwserver: CHAOS MODE: %s (dev only — injected faults are live)\n", *chaos)
 	}
 	if *logJSON {
 		srv.SetLogWriter(os.Stderr)

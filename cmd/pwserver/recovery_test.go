@@ -245,7 +245,7 @@ func dialT(t *testing.T, addr string) authsvc.Client {
 	t.Helper()
 	var lastErr error
 	for i := 0; i < 20; i++ {
-		c, err := authproto.DialService(addr, 2*time.Second)
+		c, err := authproto.Dial(addr, 2*time.Second)
 		if err == nil {
 			return c
 		}

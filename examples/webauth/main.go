@@ -22,6 +22,7 @@ import (
 	"net/http"
 
 	"clickpass/internal/authproto"
+	"clickpass/internal/authsvc"
 	"clickpass/internal/core"
 	"clickpass/internal/dataset"
 	"clickpass/internal/geom"
@@ -64,7 +65,7 @@ func main() {
 	base := "http://" + l.Addr().String()
 	fmt.Printf("graphical-password HTTP service on %s\n\n", base)
 
-	post := func(path string, body map[string]interface{}) (int, authproto.Response) {
+	post := func(path string, body map[string]interface{}) (int, authsvc.Response) {
 		data, err := json.Marshal(body)
 		if err != nil {
 			log.Fatal(err)
@@ -74,7 +75,7 @@ func main() {
 			log.Fatal(err)
 		}
 		defer resp.Body.Close()
-		var out authproto.Response
+		var out authsvc.Response
 		raw, _ := io.ReadAll(resp.Body)
 		_ = json.Unmarshal(raw, &out)
 		return resp.StatusCode, out
@@ -99,7 +100,7 @@ func main() {
 	for i := 0; ; i++ {
 		status, resp = post("/v1/login", map[string]interface{}{"user": "demo", "clicks": clicks(50 + i)})
 		fmt.Printf("POST /v1/login (guess %d)             -> %d\n", i+1, status)
-		if resp.Locked {
+		if resp.Locked() {
 			fmt.Println("account locked: online dictionary attack stopped by rate limiting (§5.1)")
 			break
 		}

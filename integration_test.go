@@ -6,6 +6,7 @@ package clickpass
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"net"
 	"testing"
@@ -65,17 +66,18 @@ func TestStudyReplayThroughServer(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer client.Close()
+	ctx := context.Background()
 
 	users := make(map[int]string)
 	for i := range d.Passwords {
 		pw := &d.Passwords[i]
 		user := fmt.Sprintf("user-%d", pw.ID)
 		users[pw.ID] = user
-		resp, err := client.Enroll(user, pw.Clicks)
+		resp, err := client.Enroll(ctx, user, pw.Clicks)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !resp.OK {
+		if !resp.OK() {
 			t.Fatalf("enroll %s: %+v", user, resp)
 		}
 	}
@@ -92,12 +94,12 @@ func TestStudyReplayThroughServer(t *testing.T) {
 				break
 			}
 		}
-		resp, err := client.Login(users[login.PasswordID], login.Clicks)
+		resp, err := client.Login(ctx, users[login.PasswordID], login.Clicks)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if resp.OK != want {
-			t.Fatalf("login %d: server says %v, scheme says %v", i, resp.OK, want)
+		if resp.OK() != want {
+			t.Fatalf("login %d: server says %v, scheme says %v", i, resp.OK(), want)
 		}
 		agree++
 	}

@@ -10,9 +10,12 @@
 // Wire format (TCP): each message is a 4-byte big-endian length
 // followed by a JSON document, request/response in lockstep on one
 // connection. Frames are capped at MaxFrame to bound allocation from
-// untrusted peers. The JSON shapes predate the versioned service
-// types and stay backward compatible: the `v` and `code` fields are
-// additive, and legacy flag fields (ok/locked) are still emitted.
+// untrusted peers. The package declares no message types of its own:
+// both fronts decode a request straight into authsvc.Request (the
+// HTTP front takes the op from the route), and both write every reply
+// as authsvc.Response's fields plus the ok and locked flags that
+// clients older than the code field read, through one wire struct.
+// Clients decode replies into authsvc.Response.
 package authproto
 
 import (
@@ -31,7 +34,6 @@ import (
 	"time"
 
 	"clickpass/internal/authsvc"
-	"clickpass/internal/dataset"
 	"clickpass/internal/par"
 	"clickpass/internal/passpoints"
 	"clickpass/internal/vault"
@@ -39,9 +41,6 @@ import (
 
 // MaxFrame is the largest accepted wire frame in bytes.
 const MaxFrame = 1 << 20
-
-// DefaultLockout is the failed-attempt budget per account.
-const DefaultLockout = authsvc.DefaultLockout
 
 // DefaultMaxConns bounds the shared request-admission limiter and the
 // per-Serve connection pool when the caller does not set a limit.
@@ -53,95 +52,32 @@ const DefaultMaxConns = 1024
 // to requests that arrive without one.
 const DefaultRequestTimeout = 30 * time.Second
 
-// Op identifies a request type. It aliases the service's op type; the
-// wire strings are identical.
-type Op = authsvc.Op
-
-// Protocol operations.
-const (
-	OpPing     = authsvc.OpPing
-	OpEnroll   = authsvc.OpEnroll
-	OpLogin    = authsvc.OpLogin
-	OpChange   = authsvc.OpChange   // replace the password after verifying the old one
-	OpReset    = authsvc.OpReset    // administrative: clear an account's lockout
-	OpValidate = authsvc.OpValidate // check a session token minted by login
-)
-
-// Request is the wire shape of a client request. V is the additive
-// version field; zero means version 1 (legacy clients never send it).
-type Request struct {
-	V      int             `json:"v,omitempty"`
-	Op     Op              `json:"op"`
-	User   string          `json:"user,omitempty"`
-	Clicks []dataset.Click `json:"clicks,omitempty"`
-	// NewClicks carries the replacement password for OpChange.
-	NewClicks []dataset.Click `json:"new_clicks,omitempty"`
-	// BudgetMs is the additive deadline-budget field: how many more
-	// milliseconds the client will wait, queueing included. Zero
-	// (legacy clients) means no budget.
-	BudgetMs int `json:"budget_ms,omitempty"`
-	// Token carries the session token for OpValidate. Additive.
-	Token string `json:"token,omitempty"`
+// response is the wire shape of every reply a front writes, and the
+// only place that shape lives: authsvc.Response plus the ok and locked
+// flags that clients older than the code field read. The field order
+// is the wire order. Clients decode replies straight into
+// authsvc.Response, which ignores the two flags.
+type response struct {
+	V         int          `json:"v,omitempty"`
+	OK        bool         `json:"ok"`
+	Code      authsvc.Code `json:"code,omitempty"`
+	Error     string       `json:"error,omitempty"`
+	Locked    bool         `json:"locked,omitempty"`
+	Remaining int          `json:"remaining,omitempty"`
+	// The fields below are additive; each rides only with the code it
+	// accompanies (see authsvc.Response).
+	RetryAfterMs int    `json:"retry_after_ms,omitempty"`
+	Primary      string `json:"primary,omitempty"`
+	Token        string `json:"token,omitempty"`
+	User         string `json:"user,omitempty"`
 }
 
-// service converts the wire request to the service's typed request.
-func (r Request) service() authsvc.Request {
-	return authsvc.Request{
-		Version:   r.V,
-		Op:        r.Op,
-		User:      r.User,
-		Clicks:    r.Clicks,
-		NewClicks: r.NewClicks,
-		BudgetMs:  r.BudgetMs,
-		Token:     r.Token,
-	}
-}
-
-// wireRequest converts a service request to its wire shape.
-func wireRequest(req authsvc.Request) Request {
-	return Request{
-		V:         req.Version,
-		Op:        req.Op,
-		User:      req.User,
-		Clicks:    req.Clicks,
-		NewClicks: req.NewClicks,
-		BudgetMs:  req.BudgetMs,
-		Token:     req.Token,
-	}
-}
-
-// Response is the wire shape of a server reply. The legacy flags
-// (ok/locked) are kept for old clients; Code carries the service's
-// typed outcome for new ones.
-type Response struct {
-	V         int    `json:"v,omitempty"`
-	OK        bool   `json:"ok"`
-	Code      string `json:"code,omitempty"`
-	Error     string `json:"error,omitempty"`
-	Locked    bool   `json:"locked,omitempty"`
-	Remaining int    `json:"remaining,omitempty"` // login attempts left
-	// RetryAfterMs accompanies code=overloaded: the server's hint for
-	// when a retry may be admitted (also the Retry-After header on
-	// HTTP). Additive; legacy servers never send it.
-	RetryAfterMs int `json:"retry_after_ms,omitempty"`
-	// Primary accompanies code=not_primary: the advertised address of
-	// the replica serving writes. Additive; only replicated servers
-	// send it.
-	Primary string `json:"primary,omitempty"`
-	// Token accompanies a successful login on a session-enabled
-	// server. Additive.
-	Token string `json:"token,omitempty"`
-	// User accompanies a successful validate: the account the token
-	// names. Additive.
-	User string `json:"user,omitempty"`
-}
-
-// wireResponse converts a service response to its wire shape.
-func wireResponse(resp authsvc.Response) Response {
-	return Response{
+// wireResponse builds the wire reply for a service response.
+func wireResponse(resp authsvc.Response) response {
+	return response{
 		V:            resp.Version,
 		OK:           resp.OK(),
-		Code:         string(resp.Code),
+		Code:         resp.Code,
 		Error:        resp.Err,
 		Locked:       resp.Locked(),
 		Remaining:    resp.Remaining,
@@ -152,25 +88,10 @@ func wireResponse(resp authsvc.Response) Response {
 	}
 }
 
-// service converts a wire response back to the service's typed
-// response. Replies from legacy servers carry no code; the flags
-// determine it (anything not OK or locked reads as denied, the closest
-// legacy semantic).
-func (r Response) service() authsvc.Response {
-	if r.Code != "" {
-		return authsvc.Response{Version: r.V, Code: authsvc.Code(r.Code), Err: r.Error,
-			Remaining: r.Remaining, RetryAfterMs: r.RetryAfterMs, Primary: r.Primary,
-			Token: r.Token, User: r.User}
-	}
-	code := authsvc.CodeDenied
-	switch {
-	case r.Locked:
-		code = authsvc.CodeLocked
-	case r.OK:
-		code = authsvc.CodeOK
-	}
-	return authsvc.Response{Version: r.V, Code: code, Err: r.Error, Remaining: r.Remaining,
-		Token: r.Token, User: r.User}
+// invalid is a front's own refusal of a request the service never
+// sees.
+func invalid(msg string) authsvc.Response {
+	return authsvc.Response{Version: authsvc.Version, Code: authsvc.CodeInvalid, Err: msg}
 }
 
 // Server is the network front of the authentication service. The
@@ -189,7 +110,6 @@ type Server struct {
 	userBurst  int
 	reqTimeout time.Duration
 	overload   authsvc.OverloadPolicy
-	faults     authsvc.FaultOptions
 	session    authsvc.SessionTier
 	logw       io.Writer
 
@@ -260,10 +180,10 @@ func (s *Server) rebuild() {
 	//     when no policy is set), priority watermarks, fast
 	//     CodeOverloaded sheds, and the in-flight gauge over the
 	//     admitted requests, whose high-water mark is therefore
-	//     provably capped by the limiter.
-	//   - Faults innermost: an injected latency spike must occupy a
-	//     real admission slot — that is how a slow dependency actually
-	//     starves a server, and what the overload policy must absorb.
+	//     provably capped by the limiter. A slow store call (pwserver's
+	//     -chaos wraps the store in vault.Flaky) runs inside its slot,
+	//     which is how a slow dependency starves a server and what the
+	//     overload policy must absorb.
 	mw := []authsvc.Middleware{
 		authsvc.WithRecover(),
 		authsvc.WithMetrics(s.metrics),
@@ -284,9 +204,6 @@ func (s *Server) rebuild() {
 		authsvc.WithUserRate(s.userRate, s.userBurst),
 	)
 	mw = append(mw, authsvc.WithOverload(s.limiter, s.overload, s.metrics))
-	if s.faults.Enabled() {
-		mw = append(mw, authsvc.WithFaults(s.faults))
-	}
 	s.handler = authsvc.Chain(s.svc, mw...)
 }
 
@@ -333,16 +250,6 @@ func (s *Server) SetSession(tier authsvc.SessionTier) {
 	s.rebuild()
 }
 
-// SetFaults enables deterministic fault injection (latency spikes and
-// injected errors) at the innermost pipeline stage — the pwserver
-// -chaos switch. A zero FaultOptions disables it. Call before
-// serving; for storage-level faults wrap the store with
-// vault.NewFlaky before NewServer.
-func (s *Server) SetFaults(o authsvc.FaultOptions) {
-	s.faults = o
-	s.rebuild()
-}
-
 // SetLogWriter enables the structured request log: one JSON line per
 // request (id, op, user, code, latency, queue wait, shed/deadline
 // outcome) written to w. nil disables it. Call before serving.
@@ -355,17 +262,11 @@ func (s *Server) SetLogWriter(w io.Writer) {
 // counts, latency, and the in-flight gauge across every transport.
 func (s *Server) Metrics() *authsvc.Metrics { return s.metrics }
 
-// Handle executes one wire request through the full pipeline. This is
-// the transport-independent entry point used by both the TCP and HTTP
-// front ends (and directly by tests).
-func (s *Server) Handle(req Request) Response {
-	return s.HandleContext(context.Background(), req)
-}
-
-// HandleContext is Handle with the transport's request context, so
-// deadlines and cancellation propagate into the service.
-func (s *Server) HandleContext(ctx context.Context, req Request) Response {
-	return wireResponse(s.handler.Handle(ctx, req.service()))
+// Handle executes one request through the full pipeline in process.
+// It serves every op, the administrative reset included, so it is for
+// tests and trusted in-process callers, never a network peer.
+func (s *Server) Handle(req authsvc.Request) authsvc.Response {
+	return s.handler.Handle(context.Background(), req)
 }
 
 // ErrServerClosed is returned by Serve on a server whose Shutdown has
@@ -611,26 +512,22 @@ func (s *Server) serveConnState(conn net.Conn, st *connState) {
 			return // EOF, idle timeout, shutdown nudge, or bad size
 		}
 		st.resume(conn)
-		var req Request
+		var req authsvc.Request
 		if err := readBody(conn, n, &req); err != nil {
 			return // timeout or malformed frame: drop the peer
 		}
-		var resp Response
-		if req.Op == OpReset {
+		var resp authsvc.Response
+		if req.Op == authsvc.OpReset {
 			// The administrative reset must not ride the public TCP
 			// front: an online guesser could otherwise clear its own
 			// failure counter and defeat the §5.1 lockout. Admin paths
 			// are the in-process Handle and the HTTP AdminHandler.
-			resp = wireResponse(authsvc.Response{
-				Version: authsvc.Version,
-				Code:    authsvc.CodeInvalid,
-				Err:     "reset is admin-only; not served on this front",
-			})
+			resp = invalid("reset is admin-only; not served on this front")
 		} else {
-			resp = s.HandleContext(context.Background(), req)
+			resp = s.handler.Handle(context.Background(), req)
 		}
 		_ = conn.SetWriteDeadline(time.Now().Add(10 * time.Second))
-		if err := writeFrame(conn, resp); err != nil {
+		if err := writeFrame(conn, wireResponse(resp)); err != nil {
 			return
 		}
 		if s.inShutdown.Load() {
@@ -685,60 +582,3 @@ func writeFrame(w io.Writer, v interface{}) error {
 	_, err = w.Write(data)
 	return err
 }
-
-// Client is the raw framed-TCP codec client. Not safe for concurrent
-// use; requests are serialized on one connection. For the
-// transport-agnostic surface shared with HTTP, wrap it with
-// DialService or see NewHTTPClient.
-type Client struct {
-	conn net.Conn
-}
-
-// Dial connects to a server.
-func Dial(addr string, timeout time.Duration) (*Client, error) {
-	conn, err := net.DialTimeout("tcp", addr, timeout)
-	if err != nil {
-		return nil, fmt.Errorf("authproto: dial %s: %w", addr, err)
-	}
-	return &Client{conn: conn}, nil
-}
-
-// NewClient wraps an existing connection (e.g. net.Pipe in tests).
-func NewClient(conn net.Conn) *Client { return &Client{conn: conn} }
-
-// Do sends one request and reads the reply.
-func (c *Client) Do(req Request) (Response, error) {
-	if err := writeFrame(c.conn, req); err != nil {
-		return Response{}, err
-	}
-	var resp Response
-	if err := readFrame(c.conn, &resp); err != nil {
-		return Response{}, err
-	}
-	return resp, nil
-}
-
-// Ping checks liveness.
-func (c *Client) Ping() error {
-	resp, err := c.Do(Request{Op: OpPing})
-	if err != nil {
-		return err
-	}
-	if !resp.OK {
-		return fmt.Errorf("authproto: ping rejected: %s", resp.Error)
-	}
-	return nil
-}
-
-// Enroll registers a new password.
-func (c *Client) Enroll(user string, clicks []dataset.Click) (Response, error) {
-	return c.Do(Request{Op: OpEnroll, User: user, Clicks: clicks})
-}
-
-// Login attempts authentication.
-func (c *Client) Login(user string, clicks []dataset.Click) (Response, error) {
-	return c.Do(Request{Op: OpLogin, User: user, Clicks: clicks})
-}
-
-// Close closes the connection.
-func (c *Client) Close() error { return c.conn.Close() }

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"net"
 	"net/http"
 	"strings"
 	"time"
@@ -16,29 +17,28 @@ import (
 // agnostic client surface — over both wire codecs. Tests and loadtest
 // take an authsvc.Client and run identically against either front.
 
-// DialService connects the unified client over the framed-TCP codec.
-// Like the raw Client it wraps, the result is not safe for concurrent
-// use; requests are serialized on one connection. A context deadline
-// on a call bounds that call's whole network exchange.
-func DialService(addr string, timeout time.Duration) (authsvc.Client, error) {
-	raw, err := Dial(addr, timeout)
+// Dial connects the framed-TCP client to addr. The client is not safe
+// for concurrent use; requests are serialized on one connection. A
+// context deadline on a call bounds that call's whole network exchange.
+func Dial(addr string, timeout time.Duration) (authsvc.Client, error) {
+	conn, err := net.DialTimeout("tcp", addr, timeout)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("authproto: dial %s: %w", addr, err)
 	}
-	return ServiceClient(raw), nil
+	return NewClient(conn), nil
 }
 
-// ServiceClient wraps an existing raw codec client (e.g. over
-// net.Pipe or TLS via DialTLS) as an authsvc.Client.
-func ServiceClient(raw *Client) authsvc.Client {
-	c := &tcpServiceClient{raw: raw}
+// NewClient returns the framed-TCP client over an established
+// connection (a TLS connection from DialTLS, net.Pipe in tests).
+func NewClient(conn net.Conn) authsvc.Client {
+	c := &tcpClient{conn: conn}
 	c.Ops = authsvc.Ops{Doer: c}
 	return c
 }
 
-type tcpServiceClient struct {
+type tcpClient struct {
 	authsvc.Ops
-	raw *Client
+	conn net.Conn
 	// broken marks a connection whose request/response lockstep is no
 	// longer trustworthy (a failed or timed-out exchange may have left
 	// an unread response frame in flight); every later call refuses
@@ -63,7 +63,7 @@ func stampBudget(ctx context.Context, req *authsvc.Request) {
 	}
 }
 
-func (c *tcpServiceClient) Do(ctx context.Context, req authsvc.Request) (authsvc.Response, error) {
+func (c *tcpClient) Do(ctx context.Context, req authsvc.Request) (authsvc.Response, error) {
 	if err := ctx.Err(); err != nil {
 		return authsvc.Response{}, err
 	}
@@ -75,19 +75,23 @@ func (c *tcpServiceClient) Do(ctx context.Context, req authsvc.Request) (authsvc
 	// connection deadline; cancellation without a deadline falls back
 	// to the entry check above.
 	if deadline, ok := ctx.Deadline(); ok {
-		_ = c.raw.conn.SetDeadline(deadline)
-		defer func() { _ = c.raw.conn.SetDeadline(time.Time{}) }()
+		_ = c.conn.SetDeadline(deadline)
+		defer func() { _ = c.conn.SetDeadline(time.Time{}) }()
 	}
-	resp, err := c.raw.Do(wireRequest(req))
+	var resp authsvc.Response
+	err := writeFrame(c.conn, req)
+	if err == nil {
+		err = readFrame(c.conn, &resp)
+	}
 	if err != nil {
 		c.broken = true
-		_ = c.raw.Close()
+		_ = c.conn.Close()
 		return authsvc.Response{}, err
 	}
-	return resp.service(), nil
+	return resp, nil
 }
 
-func (c *tcpServiceClient) Close() error { return c.raw.Close() }
+func (c *tcpClient) Close() error { return c.conn.Close() }
 
 // NewHTTPClient returns the unified client over the HTTP/JSON codec.
 // baseURL is the server root (e.g. "http://127.0.0.1:7780"); hc may be
@@ -98,18 +102,18 @@ func NewHTTPClient(baseURL string, hc *http.Client) authsvc.Client {
 	if hc == nil {
 		hc = http.DefaultClient
 	}
-	c := &httpServiceClient{base: strings.TrimRight(baseURL, "/"), hc: hc}
+	c := &httpClient{base: strings.TrimRight(baseURL, "/"), hc: hc}
 	c.Ops = authsvc.Ops{Doer: c}
 	return c
 }
 
-type httpServiceClient struct {
+type httpClient struct {
 	authsvc.Ops
 	base string
 	hc   *http.Client
 }
 
-func (c *httpServiceClient) Do(ctx context.Context, req authsvc.Request) (authsvc.Response, error) {
+func (c *httpClient) Do(ctx context.Context, req authsvc.Request) (authsvc.Response, error) {
 	stampBudget(ctx, &req)
 	var (
 		httpReq *http.Request
@@ -120,7 +124,7 @@ func (c *httpServiceClient) Do(ctx context.Context, req authsvc.Request) (authsv
 		httpReq, err = http.NewRequestWithContext(ctx, http.MethodGet, path, nil)
 	} else {
 		var body bytes.Buffer
-		if err := json.NewEncoder(&body).Encode(wireRequest(req)); err != nil {
+		if err := json.NewEncoder(&body).Encode(req); err != nil {
 			return authsvc.Response{}, fmt.Errorf("authproto: encoding request: %w", err)
 		}
 		httpReq, err = http.NewRequestWithContext(ctx, http.MethodPost, path, &body)
@@ -136,15 +140,15 @@ func (c *httpServiceClient) Do(ctx context.Context, req authsvc.Request) (authsv
 		return authsvc.Response{}, err
 	}
 	defer httpResp.Body.Close()
-	var resp Response
+	var resp authsvc.Response
 	if err := json.NewDecoder(httpResp.Body).Decode(&resp); err != nil {
 		return authsvc.Response{}, fmt.Errorf("authproto: decoding response (status %d): %w",
 			httpResp.StatusCode, err)
 	}
-	return resp.service(), nil
+	return resp, nil
 }
 
-func (c *httpServiceClient) Close() error {
+func (c *httpClient) Close() error {
 	c.hc.CloseIdleConnections()
 	return nil
 }

@@ -84,17 +84,17 @@ func TestServiceClientContextCancel(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	tcp, err := DialService(l.Addr().String(), testDialTimeout)
+	tcp, err := Dial(l.Addr().String(), testDialTimeout)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer tcp.Close()
-	if _, err := tcp.Do(ctx, authsvc.Request{Op: OpPing}); err == nil {
+	if _, err := tcp.Do(ctx, authsvc.Request{Op: authsvc.OpPing}); err == nil {
 		t.Error("tcp client ignored canceled context")
 	}
 	web := NewHTTPClient(ts.URL, nil)
 	defer web.Close()
-	if _, err := web.Do(ctx, authsvc.Request{Op: OpPing}); err == nil {
+	if _, err := web.Do(ctx, authsvc.Request{Op: authsvc.OpPing}); err == nil {
 		t.Error("http client ignored canceled context")
 	}
 }
@@ -138,7 +138,7 @@ func TestHTTPChangeAndResetEndpoints(t *testing.T) {
 	// Administrative reset on the admin surface unlocks it.
 	adminC := NewHTTPClient(admin.URL, nil)
 	defer adminC.Close()
-	resp, err = adminC.Do(ctx, authsvc.Request{Op: OpReset, User: "h"})
+	resp, err = adminC.Do(ctx, authsvc.Request{Op: authsvc.OpReset, User: "h"})
 	if err != nil || !resp.OK() {
 		t.Fatalf("admin reset: %+v %v", resp, err)
 	}
@@ -166,7 +166,7 @@ func TestSharedLimiterAcrossFronts(t *testing.T) {
 	done := make(chan error, 8)
 	for i := 0; i < 4; i++ {
 		go func() {
-			c, err := DialService(l.Addr().String(), testDialTimeout)
+			c, err := Dial(l.Addr().String(), testDialTimeout)
 			if err != nil {
 				done <- err
 				return
@@ -209,18 +209,18 @@ func TestSharedLimiterAcrossFronts(t *testing.T) {
 func TestTCPServiceClientPoisonedAfterTimeout(t *testing.T) {
 	serverConn, clientConn := net.Pipe()
 	defer serverConn.Close()
-	c := ServiceClient(NewClient(clientConn))
+	c := NewClient(clientConn)
 	defer c.Close()
 
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer cancel()
 	// Nobody reads the pipe: the write blocks until the deadline kills
 	// the exchange.
-	if _, err := c.Do(ctx, authsvc.Request{Op: OpPing}); err == nil {
+	if _, err := c.Do(ctx, authsvc.Request{Op: authsvc.OpPing}); err == nil {
 		t.Fatal("exchange against a dead peer succeeded")
 	}
 	// A fresh context must not resurrect the desynchronized connection.
-	if _, err := c.Do(context.Background(), authsvc.Request{Op: OpPing}); err == nil {
+	if _, err := c.Do(context.Background(), authsvc.Request{Op: authsvc.OpPing}); err == nil {
 		t.Fatal("poisoned client accepted another call")
 	}
 }
@@ -240,31 +240,32 @@ func TestTCPFrontRefusesReset(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if resp, err := c.Enroll("t", clicks(0)); err != nil || !resp.OK {
+	ctx := context.Background()
+	if resp, err := c.Enroll(ctx, "t", clicks(0)); err != nil || !resp.OK() {
 		t.Fatalf("enroll: %+v %v", resp, err)
 	}
 	// Lock the account with wrong passwords, attempting a wire-level
 	// reset between guesses.
 	for i := 0; i < 2; i++ {
-		if resp, err := c.Login("t", clicks(9)); err != nil || resp.OK {
+		if resp, err := c.Login(ctx, "t", clicks(9)); err != nil || resp.OK() {
 			t.Fatalf("guess %d: %+v %v", i, resp, err)
 		}
-		resetResp, err := c.Do(Request{Op: OpReset, User: "t"})
+		resetResp, err := c.Do(ctx, authsvc.Request{Op: authsvc.OpReset, User: "t"})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if resetResp.OK {
+		if resetResp.OK() {
 			t.Fatal("public TCP front accepted an administrative reset")
 		}
 	}
-	if resp, err := c.Login("t", clicks(0)); err != nil || !resp.Locked {
+	if resp, err := c.Login(ctx, "t", clicks(0)); err != nil || !resp.Locked() {
 		t.Fatalf("lockout was bypassed via wire resets: %+v %v", resp, err)
 	}
 	// The in-process admin path still resets.
-	if resp := s.Handle(Request{Op: OpReset, User: "t"}); !resp.OK {
+	if resp := s.Handle(authsvc.Request{Op: authsvc.OpReset, User: "t"}); !resp.OK() {
 		t.Fatalf("in-process reset refused: %+v", resp)
 	}
-	if resp, err := c.Login("t", clicks(0)); err != nil || !resp.OK {
+	if resp, err := c.Login(ctx, "t", clicks(0)); err != nil || !resp.OK() {
 		t.Fatalf("login after admin reset: %+v %v", resp, err)
 	}
 }

@@ -3,7 +3,10 @@ package authproto
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"math/rand"
+	"net"
+	"net/http"
 	"reflect"
 	"strings"
 	"testing"
@@ -18,7 +21,7 @@ import (
 // (decodeHTTPRequest is shared), so the fuzzer exercises production
 // code, not a test replica.
 func FuzzHTTPDecode(f *testing.F) {
-	good, err := json.Marshal(Request{Op: OpLogin, User: "alice", Clicks: clicks(0)})
+	good, err := json.Marshal(authsvc.Request{Op: authsvc.OpLogin, User: "alice", Clicks: clicks(0)})
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -31,8 +34,8 @@ func FuzzHTTPDecode(f *testing.F) {
 	f.Add([]byte(`null`))
 	f.Add([]byte(strings.Repeat(`[`, 10000)))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		req, err := decodeHTTPRequest(OpLogin, bytes.NewReader(data))
-		if err == nil && req.Op != OpLogin {
+		req, err := decodeHTTPRequest(authsvc.OpLogin, bytes.NewReader(data))
+		if err == nil && req.Op != authsvc.OpLogin {
 			t.Errorf("decoder let the body override the route op: %q", req.Op)
 		}
 	})
@@ -41,7 +44,7 @@ func FuzzHTTPDecode(f *testing.F) {
 // randomRequest builds an arbitrary but valid service request from a
 // seeded source — the generator for the codec property test.
 func randomRequest(rng *rand.Rand) authsvc.Request {
-	ops := []authsvc.Op{OpPing, OpEnroll, OpLogin, OpChange, OpReset}
+	ops := []authsvc.Op{authsvc.OpPing, authsvc.OpEnroll, authsvc.OpLogin, authsvc.OpChange, authsvc.OpReset}
 	req := authsvc.Request{
 		Version: rng.Intn(2), // 0 (legacy) or 1 (explicit)
 		Op:      ops[rng.Intn(len(ops))],
@@ -65,7 +68,7 @@ func randomRequest(rng *rand.Rand) authsvc.Request {
 		return cs
 	}
 	req.Clicks = mkClicks()
-	if req.Op == OpChange {
+	if req.Op == authsvc.OpChange {
 		req.NewClicks = mkClicks()
 	}
 	if rng.Intn(3) == 0 {
@@ -84,28 +87,27 @@ func TestCodecRoundTripProperty(t *testing.T) {
 	for i := 0; i < 500; i++ {
 		orig := randomRequest(rng)
 
-		// TCP: service request -> wire frame -> bytes -> wire -> service.
+		// TCP: service request -> frame -> bytes -> service request.
 		var frame bytes.Buffer
-		if err := writeFrame(&frame, wireRequest(orig)); err != nil {
+		if err := writeFrame(&frame, orig); err != nil {
 			t.Fatalf("case %d: writeFrame: %v", i, err)
 		}
-		var viaTCP Request
-		if err := readFrame(&frame, &viaTCP); err != nil {
+		var a authsvc.Request
+		if err := readFrame(&frame, &a); err != nil {
 			t.Fatalf("case %d: readFrame: %v", i, err)
 		}
 
-		// HTTP: the same wire shape as a JSON body, decoded by the HTTP
-		// front's decoder with the op taken from the route.
-		body, err := json.Marshal(wireRequest(orig))
+		// HTTP: the same JSON as a body, decoded by the HTTP front's
+		// decoder with the op taken from the route.
+		body, err := json.Marshal(orig)
 		if err != nil {
 			t.Fatalf("case %d: marshal body: %v", i, err)
 		}
-		viaHTTP, err := decodeHTTPRequest(orig.Op, bytes.NewReader(body))
+		b, err := decodeHTTPRequest(orig.Op, bytes.NewReader(body))
 		if err != nil {
 			t.Fatalf("case %d: decodeHTTPRequest: %v", i, err)
 		}
 
-		a, b := viaTCP.service(), viaHTTP.service()
 		if !reflect.DeepEqual(a, orig) {
 			t.Fatalf("case %d: TCP round trip mangled request:\n got %+v\nwant %+v", i, a, orig)
 		}
@@ -115,9 +117,9 @@ func TestCodecRoundTripProperty(t *testing.T) {
 	}
 }
 
-// TestWireResponseRoundTrip: service responses survive the wire shape
-// with their typed code intact, and legacy responses (no code field)
-// map onto the closest typed outcome.
+// TestWireResponseRoundTrip: a service response survives the wire
+// shape with its typed code intact: a client decoding a front's frame
+// into authsvc.Response gets back what the service returned.
 func TestWireResponseRoundTrip(t *testing.T) {
 	for _, resp := range []authsvc.Response{
 		{Version: 1, Code: authsvc.CodeOK, Remaining: 10},
@@ -130,48 +132,74 @@ func TestWireResponseRoundTrip(t *testing.T) {
 		if err := writeFrame(&frame, wireResponse(resp)); err != nil {
 			t.Fatal(err)
 		}
-		var wire Response
-		if err := readFrame(&frame, &wire); err != nil {
+		var got authsvc.Response
+		if err := readFrame(&frame, &got); err != nil {
 			t.Fatal(err)
 		}
-		if got := wire.service(); !reflect.DeepEqual(got, resp) {
+		if !reflect.DeepEqual(got, resp) {
 			t.Errorf("round trip: got %+v, want %+v", got, resp)
-		}
-	}
-	legacy := []struct {
-		wire Response
-		want authsvc.Code
-	}{
-		{Response{OK: true}, authsvc.CodeOK},
-		{Response{Locked: true, Error: "account locked"}, authsvc.CodeLocked},
-		{Response{Error: "login failed", Remaining: 3}, authsvc.CodeDenied},
-	}
-	for _, tc := range legacy {
-		if got := tc.wire.service().Code; got != tc.want {
-			t.Errorf("legacy %+v: code = %q, want %q", tc.wire, got, tc.want)
 		}
 	}
 }
 
 // TestLoginResponsesIndistinguishableOnWire pins the user-enumeration
-// fix at the outermost boundary: the full wire Response JSON for a
-// wrong password and for an unknown user must be byte-identical.
+// fix at the outermost boundary: the bytes each front writes for a
+// wrong password and for an unknown user — the TCP frame body, the
+// HTTP status line and body — must be identical, lockout included.
 func TestLoginResponsesIndistinguishableOnWire(t *testing.T) {
 	s := testServer(t, 5)
-	if resp := s.Handle(Request{Op: OpEnroll, User: "real", Clicks: clicks(0)}); !resp.OK {
+	if resp := s.Handle(authsvc.Request{Op: authsvc.OpEnroll, User: "real", Clicks: clicks(0)}); !resp.OK() {
 		t.Fatalf("enroll: %+v", resp)
 	}
+	l := newLocalListener(t)
+	defer l.Close()
+	go func() { _ = s.Serve(l) }()
+	conn, err := net.Dial("tcp", l.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	ts := newHTTPTestServer(t, s)
+	defer ts.Close()
+
+	tcpReply := func(user string) []byte {
+		if err := writeFrame(conn, authsvc.Request{Op: authsvc.OpLogin, User: user, Clicks: clicks(9)}); err != nil {
+			t.Fatal(err)
+		}
+		n, err := readPrefix(conn)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body := make([]byte, n)
+		if _, err := io.ReadFull(conn, body); err != nil {
+			t.Fatal(err)
+		}
+		return body
+	}
+	httpReply := func(user string) []byte {
+		body, err := json.Marshal(authsvc.Request{User: user, Clicks: clicks(9)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.Post(ts.URL+"/v1/login", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		out, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return append([]byte(resp.Status+"\n"), out...)
+	}
 	for i := 0; i < 6; i++ {
-		wrongPW, err := json.Marshal(s.Handle(Request{Op: OpLogin, User: "real", Clicks: clicks(9)}))
-		if err != nil {
-			t.Fatal(err)
-		}
-		unknown, err := json.Marshal(s.Handle(Request{Op: OpLogin, User: "ghost", Clicks: clicks(9)}))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(wrongPW, unknown) {
-			t.Errorf("attempt %d: wire bodies differ:\n real  %s\n ghost %s", i, wrongPW, unknown)
+		for _, front := range []struct {
+			name  string
+			reply func(user string) []byte
+		}{{"tcp", tcpReply}, {"http", httpReply}} {
+			if real, ghost := front.reply("real"), front.reply("ghost"); !bytes.Equal(real, ghost) {
+				t.Errorf("%s attempt %d: wire bytes differ:\n real  %s\n ghost %s", front.name, i, real, ghost)
+			}
 		}
 	}
 }
@@ -191,7 +219,7 @@ func TestServiceClientsOverBothTransports(t *testing.T) {
 	defer ts.Close()
 
 	runClientSuite(t, "tcp", func() authsvc.Client {
-		c, err := DialService(l.Addr().String(), testDialTimeout)
+		c, err := Dial(l.Addr().String(), testDialTimeout)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -213,12 +241,12 @@ func TestHTTPDecodeRejectsTrailingData(t *testing.T) {
 		`{"user":"a"} garbage`,
 		`{"user":"a"}]`,
 	} {
-		if _, err := decodeHTTPRequest(OpLogin, strings.NewReader(body)); err == nil {
+		if _, err := decodeHTTPRequest(authsvc.OpLogin, strings.NewReader(body)); err == nil {
 			t.Errorf("trailing data accepted: %q", body)
 		}
 	}
 	// Trailing whitespace is not data.
-	if _, err := decodeHTTPRequest(OpLogin, strings.NewReader("{\"user\":\"a\"}  \n")); err != nil {
+	if _, err := decodeHTTPRequest(authsvc.OpLogin, strings.NewReader("{\"user\":\"a\"}  \n")); err != nil {
 		t.Errorf("trailing whitespace rejected: %v", err)
 	}
 }

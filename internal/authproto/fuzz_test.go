@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"testing"
 
+	"clickpass/internal/authsvc"
 	"clickpass/internal/dataset"
 )
 
@@ -11,7 +12,7 @@ import (
 // frame reader; they either parse as a request or return an error.
 func FuzzReadFrame(f *testing.F) {
 	var good bytes.Buffer
-	if err := writeFrame(&good, Request{Op: OpPing}); err != nil {
+	if err := writeFrame(&good, authsvc.Request{Op: authsvc.OpPing}); err != nil {
 		f.Fatal(err)
 	}
 	f.Add(good.Bytes())
@@ -20,7 +21,7 @@ func FuzzReadFrame(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 2, '{', '}'})
 	f.Add([]byte{0, 0, 0, 5, 'h', 'e', 'l', 'l', 'o'})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		var req Request
+		var req authsvc.Request
 		_ = readFrame(bytes.NewReader(data), &req)
 	})
 }
@@ -32,7 +33,7 @@ func FuzzHandle(f *testing.F) {
 	f.Add("weird", "x", 0, 0)
 	f.Fuzz(func(t *testing.T, op, user string, x, y int) {
 		srv := fuzzServer(t)
-		req := Request{Op: Op(op), User: user}
+		req := authsvc.Request{Op: authsvc.Op(op), User: user}
 		for i := 0; i < 5; i++ {
 			req.Clicks = append(req.Clicks, clickAt(x+i, y-i))
 		}

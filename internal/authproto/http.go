@@ -17,7 +17,7 @@ import (
 //	POST /v1/change  adds "new_clicks"
 //	GET  /v1/ping
 //
-// Responses are the same Response JSON as the TCP protocol, and every
+// Responses are the same JSON as the TCP protocol's, and every
 // request — ping included — runs through the same authsvc pipeline as
 // the TCP front, so both transports share one admission limiter and
 // one metrics registry. Login failures return 401, lockouts and rate
@@ -32,14 +32,13 @@ import (
 func (s *Server) HTTPHandler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/v1/ping", func(w http.ResponseWriter, r *http.Request) {
-		resp := s.HandleContext(r.Context(), Request{Op: OpPing})
-		setRetryAfter(w, resp)
-		writeJSON(w, statusFor(resp), resp)
+		resp := s.handler.Handle(r.Context(), authsvc.Request{Op: authsvc.OpPing})
+		writeResponse(w, statusFor(resp), resp)
 	})
-	mux.HandleFunc("/v1/enroll", s.httpOp(OpEnroll))
-	mux.HandleFunc("/v1/login", s.httpOp(OpLogin))
-	mux.HandleFunc("/v1/change", s.httpOp(OpChange))
-	mux.HandleFunc("/v1/validate", s.httpOp(OpValidate))
+	mux.HandleFunc("/v1/enroll", s.httpOp(authsvc.OpEnroll))
+	mux.HandleFunc("/v1/login", s.httpOp(authsvc.OpLogin))
+	mux.HandleFunc("/v1/change", s.httpOp(authsvc.OpChange))
+	mux.HandleFunc("/v1/validate", s.httpOp(authsvc.OpValidate))
 	return mux
 }
 
@@ -59,7 +58,7 @@ func (s *Server) HTTPHandler() http.Handler {
 // (admitted, counted, deadline-bounded).
 func (s *Server) AdminHandler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("/v1/reset", s.httpOp(OpReset))
+	mux.HandleFunc("/v1/reset", s.httpOp(authsvc.OpReset))
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		s.metrics.WritePrometheus(w)
@@ -95,48 +94,47 @@ func (s *Server) RegisterMetrics(f func(io.Writer)) {
 	s.extraMetrics = append(s.extraMetrics, f)
 }
 
-// decodeHTTPRequest decodes one HTTP/JSON request body into the wire
-// request for op. It is the whole HTTP decode path — shared by the
-// handler, the fuzzer, and the TCP/HTTP round-trip property test — so
-// the two transports cannot drift in how they read a request.
-func decodeHTTPRequest(op Op, body io.Reader) (Request, error) {
-	var req Request
+// decodeHTTPRequest decodes one HTTP/JSON request body into the
+// service request for op. It is the whole HTTP decode path — shared by
+// the handler, the fuzzer, and the TCP/HTTP round-trip property test —
+// so the two transports cannot drift in how they read a request.
+func decodeHTTPRequest(op authsvc.Op, body io.Reader) (authsvc.Request, error) {
+	var req authsvc.Request
 	dec := json.NewDecoder(io.LimitReader(body, MaxFrame+1))
 	if err := dec.Decode(&req); err != nil {
-		return Request{}, fmt.Errorf("authproto: malformed request body: %w", err)
+		return authsvc.Request{}, fmt.Errorf("authproto: malformed request body: %w", err)
 	}
 	// Exactly one JSON value, like a TCP frame: json.Unmarshal on a
 	// frame body rejects trailing bytes, so the streaming decoder must
 	// too or the transports drift.
 	if _, err := dec.Token(); err != io.EOF {
-		return Request{}, fmt.Errorf("authproto: trailing data after request body")
+		return authsvc.Request{}, fmt.Errorf("authproto: trailing data after request body")
 	}
 	req.Op = op
 	return req, nil
 }
 
-func (s *Server) httpOp(op Op) http.HandlerFunc {
+func (s *Server) httpOp(op authsvc.Op) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodPost {
-			writeJSON(w, http.StatusMethodNotAllowed, Response{Error: "POST required"})
+			writeResponse(w, http.StatusMethodNotAllowed, invalid("POST required"))
 			return
 		}
 		req, err := decodeHTTPRequest(op, http.MaxBytesReader(w, r.Body, MaxFrame))
 		if err != nil {
-			writeJSON(w, http.StatusBadRequest, Response{Error: "malformed request body"})
+			writeResponse(w, http.StatusBadRequest, invalid("malformed request body"))
 			return
 		}
-		resp := s.HandleContext(r.Context(), req)
-		setRetryAfter(w, resp)
-		writeJSON(w, statusFor(resp), resp)
+		resp := s.handler.Handle(r.Context(), req)
+		writeResponse(w, statusFor(resp), resp)
 	}
 }
 
 // setRetryAfter surfaces an overload shed's retry hint as the
 // standard Retry-After header (whole seconds, rounded up so "500ms"
 // does not become "retry immediately").
-func setRetryAfter(w http.ResponseWriter, resp Response) {
-	if authsvc.Code(resp.Code) != authsvc.CodeOverloaded || resp.RetryAfterMs <= 0 {
+func setRetryAfter(w http.ResponseWriter, resp authsvc.Response) {
+	if resp.Code != authsvc.CodeOverloaded || resp.RetryAfterMs <= 0 {
 		return
 	}
 	secs := (resp.RetryAfterMs + 999) / 1000
@@ -144,8 +142,8 @@ func setRetryAfter(w http.ResponseWriter, resp Response) {
 }
 
 // statusFor maps a typed service outcome to its HTTP status.
-func statusFor(resp Response) int {
-	switch authsvc.Code(resp.Code) {
+func statusFor(resp authsvc.Response) int {
+	switch resp.Code {
 	case authsvc.CodeOK:
 		return http.StatusOK
 	case authsvc.CodeLocked, authsvc.CodeThrottled:
@@ -167,8 +165,11 @@ func statusFor(resp Response) int {
 	}
 }
 
-func writeJSON(w http.ResponseWriter, status int, v interface{}) {
+// writeResponse writes every reply of the HTTP front: any Retry-After,
+// the status, and the same JSON the TCP front frames, plus a newline.
+func writeResponse(w http.ResponseWriter, status int, resp authsvc.Response) {
+	setRetryAfter(w, resp)
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v)
+	_ = json.NewEncoder(w).Encode(wireResponse(resp))
 }

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"clickpass/internal/authsvc"
+	"clickpass/internal/vault"
 )
 
 // flakyListener scripts Accept: a run of transient errors, then
@@ -108,7 +109,7 @@ func TestTransientAcceptErrorClassification(t *testing.T) {
 		t.Error("ErrClosed classified transient (Serve handles it first, but the classifier should still say no)")
 	}
 	if !transientAcceptError(timeoutErr{}) {
-		t.Error("net.Error timeout not classified transient")
+		t.Error("net.Err timeout not classified transient")
 	}
 }
 
@@ -120,7 +121,7 @@ func (timeoutErr) Temporary() bool { return true }
 
 // TestStatusForOverloaded: the typed overload refusal maps to 503.
 func TestStatusForOverloaded(t *testing.T) {
-	if got := statusFor(Response{Code: string(authsvc.CodeOverloaded)}); got != http.StatusServiceUnavailable {
+	if got := statusFor(authsvc.Response{Code: authsvc.CodeOverloaded}); got != http.StatusServiceUnavailable {
 		t.Fatalf("statusFor(overloaded) = %d, want 503", got)
 	}
 }
@@ -129,19 +130,19 @@ func TestStatusForOverloaded(t *testing.T) {
 // whole-second Retry-After header, rounded up; other codes set none.
 func TestSetRetryAfterHeader(t *testing.T) {
 	for _, tc := range []struct {
-		code   string
+		code   authsvc.Code
 		ms     int
 		header string
 	}{
-		{string(authsvc.CodeOverloaded), 500, "1"},
-		{string(authsvc.CodeOverloaded), 1000, "1"},
-		{string(authsvc.CodeOverloaded), 1500, "2"},
-		{string(authsvc.CodeOverloaded), 0, ""},
-		{string(authsvc.CodeUnavailable), 1000, ""},
-		{string(authsvc.CodeOK), 1000, ""},
+		{authsvc.CodeOverloaded, 500, "1"},
+		{authsvc.CodeOverloaded, 1000, "1"},
+		{authsvc.CodeOverloaded, 1500, "2"},
+		{authsvc.CodeOverloaded, 0, ""},
+		{authsvc.CodeUnavailable, 1000, ""},
+		{authsvc.CodeOK, 1000, ""},
 	} {
 		w := httptest.NewRecorder()
-		setRetryAfter(w, Response{Code: tc.code, RetryAfterMs: tc.ms})
+		setRetryAfter(w, authsvc.Response{Code: tc.code, RetryAfterMs: tc.ms})
 		if got := w.Header().Get("Retry-After"); got != tc.header {
 			t.Errorf("setRetryAfter(%s, %dms): header %q, want %q", tc.code, tc.ms, got, tc.header)
 		}
@@ -149,24 +150,30 @@ func TestSetRetryAfterHeader(t *testing.T) {
 }
 
 // TestHTTPOverloadEndToEnd drives a saturated server over real HTTP:
-// one slot, one queue seat, injected latency holding the slot — the
-// third concurrent login must get a fast 503 with Retry-After, and
-// the Prometheus endpoint must count the shed.
+// one slot, one queue seat, a slow store holding the slot — the third
+// concurrent login must get a fast 503 with Retry-After, and the
+// Prometheus endpoint must count the shed.
 func TestHTTPOverloadEndToEnd(t *testing.T) {
-	s := testServer(t, 10)
+	// Every store call sleeps 400ms inside its admission slot — a slow
+	// dependency, the canonical overload generator.
+	slow := vault.NewFlaky(vault.NewSharded(0), vault.FlakyOptions{Seed: 1, LatencyRate: 1, Latency: 400 * time.Millisecond})
+	s, err := NewServer(testCfg(t), slow, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
 	s.SetMaxConns(1)
 	s.SetOverload(authsvc.OverloadPolicy{Queue: 1, RetryAfter: 2 * time.Second})
-	// Every request sleeps 400ms inside its admission slot — a slow
-	// dependency, the canonical overload generator.
-	s.SetFaults(authsvc.FaultOptions{Seed: 1, LatencyRate: 1, Latency: 400 * time.Millisecond})
 
 	ts := httptest.NewServer(s.HTTPHandler())
 	defer ts.Close()
 	admin := httptest.NewServer(s.AdminHandler())
 	defer admin.Close()
 
-	get := func() *http.Response {
-		resp, err := ts.Client().Get(ts.URL + "/v1/ping")
+	// Logins for an unknown user: each reads the store once, and the
+	// user's failure count stays below the lockout.
+	body := `{"user":"nobody","clicks":[{"x":1,"y":2}]}`
+	login := func() *http.Response {
+		resp, err := ts.Client().Post(ts.URL+"/v1/login", "application/json", strings.NewReader(body))
 		if err != nil {
 			t.Error(err)
 			return nil
@@ -178,14 +185,14 @@ func TestHTTPOverloadEndToEnd(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if resp := get(); resp != nil {
+			if resp := login(); resp != nil {
 				resp.Body.Close()
 			}
 		}()
 		time.Sleep(80 * time.Millisecond) // let it occupy slot / queue seat
 	}
 	t0 := time.Now()
-	resp := get() // queue full -> shed
+	resp := login() // queue full -> shed
 	shedLat := time.Since(t0)
 	if resp == nil {
 		t.Fatal("shed request failed at transport")

@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"clickpass/internal/authsvc"
 	"clickpass/internal/core"
 	"clickpass/internal/geom"
 	"clickpass/internal/passpoints"
@@ -33,18 +34,19 @@ func TestShardedStoreEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if resp, err := c.Enroll("iris", clicks(0)); err != nil || !resp.OK {
+	ctx := context.Background()
+	if resp, err := c.Enroll(ctx, "iris", clicks(0)); err != nil || !resp.OK() {
 		t.Fatalf("enroll: %+v %v", resp, err)
 	}
-	if resp, err := c.Login("iris", clicks(3)); err != nil || !resp.OK {
+	if resp, err := c.Login(ctx, "iris", clicks(3)); err != nil || !resp.OK() {
 		t.Fatalf("login: %+v %v", resp, err)
 	}
 	for i := 0; i < 3; i++ {
-		if _, err := c.Login("iris", clicks(12)); err != nil {
+		if _, err := c.Login(ctx, "iris", clicks(12)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if resp, err := c.Login("iris", clicks(0)); err != nil || !resp.Locked {
+	if resp, err := c.Login(ctx, "iris", clicks(0)); err != nil || !resp.Locked() {
 		t.Fatalf("lockout over sharded store: %+v %v", resp, err)
 	}
 }
@@ -67,7 +69,8 @@ func TestGracefulShutdownDrains(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if err := c.Ping(); err != nil {
+	bg := context.Background()
+	if err := c.Ping(bg); err != nil {
 		t.Fatal(err)
 	}
 	var pinged atomic.Int64
@@ -77,7 +80,7 @@ func TestGracefulShutdownDrains(t *testing.T) {
 		// high probability; the client stops at the first error (the
 		// server closing the drained connection).
 		for {
-			if err := c.Ping(); err != nil {
+			if err := c.Ping(bg); err != nil {
 				reqDone <- nil
 				return
 			}
@@ -104,7 +107,7 @@ func TestGracefulShutdownDrains(t *testing.T) {
 	// New connections are refused: dial fails, or a dialed conn gets no
 	// service and dies immediately.
 	if c2, err := Dial(l.Addr().String(), 200*time.Millisecond); err == nil {
-		if err := c2.Ping(); err == nil {
+		if err := c2.Ping(bg); err == nil {
 			t.Error("server answered a ping after Shutdown returned")
 		}
 		c2.Close()
@@ -128,7 +131,7 @@ func TestShutdownWaitsForMidFrameRequest(t *testing.T) {
 	}
 	defer conn.Close()
 
-	body, err := json.Marshal(Request{Op: OpPing})
+	body, err := json.Marshal(authsvc.Request{Op: authsvc.OpPing})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,12 +153,12 @@ func TestShutdownWaitsForMidFrameRequest(t *testing.T) {
 	if _, err := conn.Write(body); err != nil {
 		t.Fatalf("writing late body: %v", err)
 	}
-	var resp Response
+	var resp authsvc.Response
 	_ = conn.SetReadDeadline(time.Now().Add(2 * time.Second))
 	if err := readFrame(conn, &resp); err != nil {
 		t.Fatalf("mid-frame request was dropped by shutdown: %v", err)
 	}
-	if !resp.OK {
+	if !resp.OK() {
 		t.Fatalf("mid-frame ping refused: %+v", resp)
 	}
 	if err := <-shutdownDone; err != nil {
@@ -197,7 +200,7 @@ func TestShutdownClosesIdleConnections(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if err := c.Ping(); err != nil {
+	if err := c.Ping(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	// The connection now sits idle. Shutdown must still return fast.
@@ -289,14 +292,15 @@ func TestServe256ConcurrentBounded(t *testing.T) {
 						return
 					}
 					defer c.Close()
+					ctx := context.Background()
 					user := fmt.Sprintf("swarm-%d", w)
-					if resp, err := c.Enroll(user, clicks(w%40)); err != nil || !resp.OK {
+					if resp, err := c.Enroll(ctx, user, clicks(w%40)); err != nil || !resp.OK() {
 						errs <- fmt.Errorf("client %d enroll: %+v %v", w, resp, err)
 						return
 					}
 					for i := 0; i < ops; i++ {
-						resp, err := c.Login(user, clicks(w%40+3))
-						if err != nil || !resp.OK {
+						resp, err := c.Login(ctx, user, clicks(w%40+3))
+						if err != nil || !resp.OK() {
 							errs <- fmt.Errorf("client %d login %d: %+v %v", w, i, resp, err)
 							return
 						}

@@ -113,7 +113,7 @@ func TestSessionEndToEndTCP(t *testing.T) {
 	defer l.Close()
 	go func() { _ = s.Serve(l) }()
 
-	c, err := DialService(l.Addr().String(), 2*time.Second)
+	c, err := Dial(l.Addr().String(), 2*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,22 +193,21 @@ func TestSessionEndToEndHTTP(t *testing.T) {
 // cannot keep an earlier stolen token alive.
 func TestSessionLockoutRevokes(t *testing.T) {
 	s, _, _ := sessionServer(t)
-	ctx := context.Background()
-	if resp := s.Handle(Request{Op: OpEnroll, User: "mallory", Clicks: clicks(0)}); !resp.OK {
+	if resp := s.Handle(authsvc.Request{Op: authsvc.OpEnroll, User: "mallory", Clicks: clicks(0)}); !resp.OK() {
 		t.Fatalf("enroll: %+v", resp)
 	}
-	login := s.Handle(Request{Op: OpLogin, User: "mallory", Clicks: clicks(0)})
-	if !login.OK || login.Token == "" {
+	login := s.Handle(authsvc.Request{Op: authsvc.OpLogin, User: "mallory", Clicks: clicks(0)})
+	if !login.OK() || login.Token == "" {
 		t.Fatalf("login: %+v", login)
 	}
 	for i := 0; i < 3; i++ {
-		s.Handle(Request{Op: OpLogin, User: "mallory", Clicks: clicks(9)})
+		s.Handle(authsvc.Request{Op: authsvc.OpLogin, User: "mallory", Clicks: clicks(9)})
 	}
-	if resp := s.Handle(Request{Op: OpLogin, User: "mallory", Clicks: clicks(0)}); !resp.Locked {
+	if resp := s.Handle(authsvc.Request{Op: authsvc.OpLogin, User: "mallory", Clicks: clicks(0)}); !resp.Locked() {
 		t.Fatalf("expected lockout, got %+v", resp)
 	}
-	resp := s.HandleContext(ctx, Request{Op: OpValidate, Token: login.Token})
-	if authsvc.Code(resp.Code) != authsvc.CodeDenied {
+	resp := s.Handle(authsvc.Request{Op: authsvc.OpValidate, Token: login.Token})
+	if resp.Code != authsvc.CodeDenied {
 		t.Fatalf("validate after lockout: %+v", resp)
 	}
 }
@@ -218,11 +217,11 @@ func TestSessionLockoutRevokes(t *testing.T) {
 // minting.
 func TestValidateWithoutSessionTier(t *testing.T) {
 	s := testServer(t, 3)
-	resp := s.Handle(Request{Op: OpValidate, Token: "whatever"})
-	if authsvc.Code(resp.Code) != authsvc.CodeInvalid {
+	resp := s.Handle(authsvc.Request{Op: authsvc.OpValidate, Token: "whatever"})
+	if resp.Code != authsvc.CodeInvalid {
 		t.Fatalf("validate without session tier: %+v", resp)
 	}
-	login := s.Handle(Request{Op: OpLogin, User: "nobody", Clicks: clicks(0)})
+	login := s.Handle(authsvc.Request{Op: authsvc.OpLogin, User: "nobody", Clicks: clicks(0)})
 	if login.Token != "" {
 		t.Fatalf("sessionless server minted a token: %+v", login)
 	}

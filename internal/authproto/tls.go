@@ -11,6 +11,8 @@ import (
 	"math/big"
 	"net"
 	"time"
+
+	"clickpass/internal/authsvc"
 )
 
 // SelfSignedCert generates an ephemeral ECDSA P-256 certificate for
@@ -64,10 +66,10 @@ func (s *Server) ServeTLS(l net.Listener, cert tls.Certificate) error {
 	return s.Serve(tls.NewListener(l, cfg))
 }
 
-// DialTLS connects to a TLS-wrapped server. rootDER, if non-nil, is a
-// DER certificate to trust (pin) — the self-signed deployment case;
-// otherwise the system roots are used.
-func DialTLS(addr string, timeout time.Duration, rootDER []byte) (*Client, error) {
+// DialTLS connects the framed-TCP client to a TLS-wrapped server.
+// rootDER, if non-nil, is a DER certificate to trust (pin) — the
+// self-signed deployment case; otherwise the system roots are used.
+func DialTLS(addr string, timeout time.Duration, rootDER []byte) (authsvc.Client, error) {
 	cfg := &tls.Config{MinVersion: tls.VersionTLS12}
 	if rootDER != nil {
 		cert, err := x509.ParseCertificate(rootDER)
@@ -83,5 +85,5 @@ func DialTLS(addr string, timeout time.Duration, rootDER []byte) (*Client, error
 	if err != nil {
 		return nil, fmt.Errorf("authproto: tls dial %s: %w", addr, err)
 	}
-	return &Client{conn: conn}, nil
+	return NewClient(conn), nil
 }

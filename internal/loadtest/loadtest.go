@@ -57,7 +57,7 @@ func TCPTransport(addr string, timeout time.Duration) func(client int) (authsvc.
 		timeout = 5 * time.Second
 	}
 	return func(int) (authsvc.Client, error) {
-		return authproto.DialService(addr, timeout)
+		return authproto.Dial(addr, timeout)
 	}
 }
 

@@ -84,7 +84,7 @@ func userClicks(user string) []dataset.Click {
 // their names.
 func enrollUsers(tb testing.TB, addr string, n int) []string {
 	tb.Helper()
-	c, err := authproto.DialService(addr, 5*time.Second)
+	c, err := authproto.Dial(addr, 5*time.Second)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -403,7 +403,7 @@ func TestLoadTransportsAgree(t *testing.T) {
 	users := enrollUsers(t, addr, 4)
 
 	ctx := context.Background()
-	tcp, err := authproto.DialService(addr, 2*time.Second)
+	tcp, err := authproto.Dial(addr, 2*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}

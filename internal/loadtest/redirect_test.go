@@ -107,8 +107,8 @@ func TestLoadRedirect421Swarm(t *testing.T) {
 
 	// Pin the raw wire shape first: a write against the follower's
 	// HTTP front answers 421 with the primary's address in the body.
-	body, err := json.Marshal(authproto.Request{
-		Op: authproto.OpChange, User: users[0],
+	body, err := json.Marshal(authsvc.Request{
+		Op: authsvc.OpChange, User: users[0],
 		Clicks: userClicks(users[0]), NewClicks: userClicks(users[0]),
 	})
 	if err != nil {
@@ -118,7 +118,7 @@ func TestLoadRedirect421Swarm(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var wire authproto.Response
+	var wire authsvc.Response
 	if err := json.NewDecoder(hres.Body).Decode(&wire); err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +126,7 @@ func TestLoadRedirect421Swarm(t *testing.T) {
 	if hres.StatusCode != http.StatusMisdirectedRequest {
 		t.Fatalf("follower write answered HTTP %d, want 421", hres.StatusCode)
 	}
-	if wire.Code != string(authsvc.CodeNotPrimary) || wire.Primary != primaryAddr {
+	if wire.Code != authsvc.CodeNotPrimary || wire.Primary != primaryAddr {
 		t.Fatalf("follower 421 body = code %q primary %q, want %q/%q",
 			wire.Code, wire.Primary, authsvc.CodeNotPrimary, primaryAddr)
 	}
@@ -143,7 +143,7 @@ func TestLoadRedirect421Swarm(t *testing.T) {
 			}
 			rc := authsvc.NewRetryClient(inner, authsvc.RetryPolicy{
 				Redirect: func(addr string) (authsvc.Client, error) {
-					return authproto.DialService(addr, 5*time.Second)
+					return authproto.Dial(addr, 5*time.Second)
 				},
 			})
 			retryClients[i] = rc

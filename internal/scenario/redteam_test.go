@@ -35,13 +35,13 @@ func testScheme(tb testing.TB) core.Scheme {
 	return s
 }
 
-// startServer runs a fresh in-process pwserver over a memory vault
-// with the given lockout and returns its TCP address, an HTTP front
-// URL, and a shutdown func; tune (may be nil) adjusts the server
-// before it starts serving. Every red-team run gets its own server:
+// startServer runs a fresh in-process pwserver over store (nil means a
+// fresh memory vault) with the given lockout and returns its TCP
+// address, an HTTP front URL, and a shutdown func; tune (may be nil)
+// adjusts the server before it starts serving. Every red-team run gets its own server:
 // attacks burn lockout budget, so servers cannot be shared between
 // runs.
-func startServer(tb testing.TB, lockout int, tune func(*authproto.Server)) (addr, httpURL string, shutdown func()) {
+func startServer(tb testing.TB, lockout int, store vault.Store, tune func(*authproto.Server)) (addr, httpURL string, shutdown func()) {
 	tb.Helper()
 	cfg := passpoints.Config{
 		Image:      geom.Size{W: 451, H: 331},
@@ -49,7 +49,10 @@ func startServer(tb testing.TB, lockout int, tune func(*authproto.Server)) (addr
 		Scheme:     testScheme(tb),
 		Iterations: 2,
 	}
-	srv, err := authproto.NewServer(cfg, vault.NewSharded(0), lockout)
+	if store == nil {
+		store = vault.NewSharded(0)
+	}
+	srv, err := authproto.NewServer(cfg, store, lockout)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -197,7 +200,7 @@ func TestRedTeamCurveGolden(t *testing.T) {
 	for _, workers := range []int{1, 2, 8} {
 		for _, transport := range []string{"tcp", "http"} {
 			t.Run(fmt.Sprintf("workers=%d/%s", workers, transport), func(t *testing.T) {
-				addr, httpURL, shutdown := startServer(t, lockout, nil)
+				addr, httpURL, shutdown := startServer(t, lockout, nil, nil)
 				defer shutdown()
 				dial := loadtest.TCPTransport(addr, 5*time.Second)
 				if transport == "http" {
@@ -251,7 +254,7 @@ func TestRedTeamMatchesOnline(t *testing.T) {
 		t.Fatalf("online model compromised %d accounts, want >= 2 (planted)", online.Compromised)
 	}
 
-	addr, _, shutdown := startServer(t, lockout, nil)
+	addr, _, shutdown := startServer(t, lockout, nil, nil)
 	defer shutdown()
 	cfg := Config{Dial: loadtest.TCPTransport(addr, 5*time.Second), Workers: 4}
 	users := enrollField(t, cfg, field)
@@ -286,13 +289,13 @@ func TestRedTeamShedEquivalence(t *testing.T) {
 	want := modelCurve(t, field, lab, img, lockout)
 
 	// One admission slot, a two-deep queue, and deterministic latency
-	// spikes that hold the slot: with eight workers the queue overflows
-	// and the limiter sheds fast CodeOverloaded refusals — the overload
-	// regime the equivalence claim is about.
-	_, httpURL, shutdown := startServer(t, lockout, func(srv *authproto.Server) {
+	// spikes on store calls, which hold the slot: with eight workers the
+	// queue overflows and the limiter sheds fast CodeOverloaded refusals
+	// — the overload regime the equivalence claim is about.
+	slow := vault.NewFlaky(vault.NewSharded(0), vault.FlakyOptions{Seed: 9, LatencyRate: 0.25, Latency: 2 * time.Millisecond})
+	_, httpURL, shutdown := startServer(t, lockout, slow, func(srv *authproto.Server) {
 		srv.SetMaxConns(1)
 		srv.SetOverload(authsvc.OverloadPolicy{Queue: 2})
-		srv.SetFaults(authsvc.FaultOptions{Seed: 9, LatencyRate: 0.25, Latency: 2 * time.Millisecond})
 	})
 	defer shutdown()
 	cfg := Config{
@@ -345,7 +348,7 @@ func TestEnrollStreamCohort(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	addr, _, shutdown := startServer(t, 1<<20, nil)
+	addr, _, shutdown := startServer(t, 1<<20, nil, nil)
 	defer shutdown()
 	cfg := Config{Dial: loadtest.TCPTransport(addr, 5*time.Second), Workers: 4}
 	users, err := EnrollStream(cfg, CohortAccounts(ccfg))

@@ -2,6 +2,9 @@ package vault
 
 import (
 	"errors"
+	"fmt"
+	"strconv"
+	"strings"
 	"sync"
 	"time"
 
@@ -15,10 +18,11 @@ import (
 // or "user exists".
 var ErrInjected = errors.New("vault: injected fault")
 
-// FlakyOptions configures NewFlaky, the storage half of the
-// fault-injection harness. All fault decisions come from one seeded
-// splitmix64 stream guarded by a mutex, so a run is deterministic for
-// a fixed operation order: same seed, same faults.
+// FlakyOptions configures NewFlaky, the auth service's one fault
+// injector (pwserver's -chaos, the service's fault-torture suite, the
+// overload tests). All fault decisions come from one seeded splitmix64
+// stream guarded by a mutex, so a run is deterministic for a fixed
+// operation order: same seed, same faults.
 type FlakyOptions struct {
 	// Seed initializes the fault stream; 0 means 1.
 	Seed uint64
@@ -35,6 +39,55 @@ type FlakyOptions struct {
 	StallEvery int
 	// Stall is the mutation-stall duration; 0 selects 20ms.
 	Stall time.Duration
+}
+
+// ParseFlakySpec parses a pwserver -chaos specification: a
+// comma-separated list of key=value pairs, e.g.
+//
+//	seed=7,err=0.01,latrate=0.05,lat=25ms
+//
+// Keys: seed (uint), err (probability of an injected error), latrate
+// (probability of a latency spike), lat (spike duration). Unknown keys
+// and out-of-range probabilities are errors; an empty spec returns the
+// zero FlakyOptions, which injects nothing. StallEvery is not exposed.
+func ParseFlakySpec(spec string) (FlakyOptions, error) {
+	var o FlakyOptions
+	if strings.TrimSpace(spec) == "" {
+		return o, nil
+	}
+	for _, part := range strings.Split(spec, ",") {
+		key, val, ok := strings.Cut(strings.TrimSpace(part), "=")
+		if !ok {
+			return o, fmt.Errorf("vault: fault spec %q: want key=value", part)
+		}
+		switch key {
+		case "seed":
+			n, err := strconv.ParseUint(val, 10, 64)
+			if err != nil {
+				return o, fmt.Errorf("vault: fault seed %q: %w", val, err)
+			}
+			o.Seed = n
+		case "err", "latrate":
+			p, err := strconv.ParseFloat(val, 64)
+			if err != nil || p < 0 || p > 1 {
+				return o, fmt.Errorf("vault: fault rate %s=%q: want a probability in [0,1]", key, val)
+			}
+			if key == "err" {
+				o.ErrRate = p
+			} else {
+				o.LatencyRate = p
+			}
+		case "lat":
+			d, err := time.ParseDuration(val)
+			if err != nil || d < 0 {
+				return o, fmt.Errorf("vault: fault latency %q: want a duration", val)
+			}
+			o.Latency = d
+		default:
+			return o, fmt.Errorf("vault: unknown fault key %q (want seed, err, latrate, lat)", key)
+		}
+	}
+	return o, nil
 }
 
 func (o FlakyOptions) latency() time.Duration {

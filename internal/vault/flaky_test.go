@@ -162,3 +162,24 @@ func retryPut(s Store, rec *passpoints.Record) error {
 	}
 	return errors.New("Put never got past the fault injector")
 }
+
+// TestParseFlakySpec covers pwserver's -chaos grammar: seed, err,
+// latrate and lat, and the specs it refuses.
+func TestParseFlakySpec(t *testing.T) {
+	o, err := ParseFlakySpec("seed=7,err=0.01,latrate=0.05,lat=25ms")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := FlakyOptions{Seed: 7, ErrRate: 0.01, LatencyRate: 0.05, Latency: 25 * time.Millisecond}
+	if o != want {
+		t.Fatalf("parsed %+v, want %+v", o, want)
+	}
+	if o, err := ParseFlakySpec("  "); err != nil || o != (FlakyOptions{}) {
+		t.Errorf("empty spec: %+v, %v; want zero options, nil", o, err)
+	}
+	for _, bad := range []string{"err=2", "err=-0.1", "lat=xyz", "lat=-1ms", "seed=-1", "bogus=1", "err", "stall=5"} {
+		if _, err := ParseFlakySpec(bad); err == nil {
+			t.Errorf("ParseFlakySpec(%q) accepted", bad)
+		}
+	}
+}
