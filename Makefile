@@ -146,19 +146,21 @@ bench-redteam:
 redteam-smoke:
 	$(GO) test ./cmd/pwserver -run TestRedteamSmoke -v
 
-# fuzz-smoke runs the decoder and token fuzz targets for FUZZTIME each
+# fuzz-smoke runs the codec and token fuzz targets for FUZZTIME each
 # (go test -fuzz takes one target per run): the differential
 # FuzzCanonicalDecode of the vault formats and of the replication
-# messages, FuzzOpen, FuzzUnmarshalRecord, FuzzVerify (Verify against
-# VerifyPacked), FuzzValidateToken, whose mutated session tokens
-# meet a verify cache that holds the genuine ones, and the serving
-# fronts' request decoders FuzzReadFrame (a TCP frame) and
-# FuzzHTTPDecode (an HTTP body), both straight into authsvc.Request.
-# Under `go test ./...` they only replay their seeds.
+# messages, the differential FuzzAppendString (canonjson's string
+# writer against encoding/json), FuzzOpen, FuzzUnmarshalRecord,
+# FuzzVerify (Verify against VerifyPacked), FuzzValidateToken, whose
+# mutated session tokens meet a verify cache that holds the genuine
+# ones, and the serving fronts' request decoders FuzzReadFrame (a TCP
+# frame) and FuzzHTTPDecode (an HTTP body), both straight into
+# authsvc.Request. Under `go test ./...` they only replay their seeds.
 FUZZTIME ?= 20s
 fuzz-smoke:
 	$(GO) test ./internal/vault -run '^$$' -fuzz '^FuzzCanonicalDecode$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/vault/repl -run '^$$' -fuzz '^FuzzCanonicalDecode$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/canonjson -run '^$$' -fuzz '^FuzzAppendString$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/vault -run '^$$' -fuzz '^FuzzOpen$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/passpoints -run '^$$' -fuzz '^FuzzUnmarshalRecord$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/passpoints -run '^$$' -fuzz '^FuzzVerify$$' -fuzztime $(FUZZTIME)

@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -144,6 +145,29 @@ func TestHTTPChangeAndResetEndpoints(t *testing.T) {
 	}
 	if resp, err := c.Login(ctx, "h", clicks(0)); err != nil || !resp.OK() {
 		t.Fatalf("login after reset: %+v %v", resp, err)
+	}
+}
+
+// TestHTTPRetryClientUnknownRoute: a reset sent to the public HTTP
+// front through a RetryClient is one request answered invalid, not a
+// transport failure that the client re-sends as idempotent.
+func TestHTTPRetryClientUnknownRoute(t *testing.T) {
+	s := testServer(t, 2)
+	h := s.HTTPHandler()
+	var requests atomic.Int64
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		requests.Add(1)
+		h.ServeHTTP(w, r)
+	}))
+	defer ts.Close()
+	c := authsvc.NewRetryClient(NewHTTPClient(ts.URL, nil), authsvc.RetryPolicy{BaseDelay: time.Millisecond})
+	defer c.Close()
+	resp, err := c.Do(context.Background(), authsvc.Request{Op: authsvc.OpReset, User: "h"})
+	if err != nil || resp.Code != authsvc.CodeInvalid {
+		t.Fatalf("reset on the public front: %+v, %v; want code invalid and no error", resp, err)
+	}
+	if n, st := requests.Load(), c.Stats(); n != 1 || st.Retries != 0 {
+		t.Fatalf("reset sent %d times with %d retries, want once", n, st.Retries)
 	}
 }
 

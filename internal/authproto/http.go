@@ -22,7 +22,8 @@ import (
 // the TCP front, so both transports share one admission limiter and
 // one metrics registry. Login failures return 401, lockouts and rate
 // limits 429, malformed requests 400, duplicate enrollments 409,
-// admission/deadline refusals 503.
+// admission/deadline refusals 503. Any other path gets 404 with the
+// same JSON, code invalid, so a client always reads a code.
 //
 // The administrative lockout reset is deliberately NOT routed here:
 // an unauthenticated public reset would let an online guesser clear
@@ -39,6 +40,9 @@ func (s *Server) HTTPHandler() http.Handler {
 	mux.HandleFunc("/v1/login", s.httpOp(authsvc.OpLogin))
 	mux.HandleFunc("/v1/change", s.httpOp(authsvc.OpChange))
 	mux.HandleFunc("/v1/validate", s.httpOp(authsvc.OpValidate))
+	mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
+		writeResponse(w, http.StatusNotFound, invalid("no such route"))
+	})
 	return mux
 }
 

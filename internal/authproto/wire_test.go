@@ -169,8 +169,8 @@ func TestWireGoldenResponsesHTTP(t *testing.T) {
 }
 
 // TestWireGoldenHTTPErrors: the bodies the HTTP front writes when a
-// request never reaches the service — a malformed body and a method
-// other than POST.
+// request never reaches the service — a malformed body, a method other
+// than POST, and a path the public front does not serve.
 func TestWireGoldenHTTPErrors(t *testing.T) {
 	s := goldenServer(t)
 	ts := httptest.NewServer(s.HTTPHandler())
@@ -187,6 +187,12 @@ func TestWireGoldenHTTPErrors(t *testing.T) {
 	}
 	checkHTTPReply(t, "GET login", resp, http.StatusMethodNotAllowed,
 		`{"v":1,"ok":false,"code":"invalid","error":"POST required"}`)
+	resp, err = http.Post(ts.URL+"/v1/reset", "application/json", strings.NewReader(`{"user":"alice"}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkHTTPReply(t, "POST reset", resp, http.StatusNotFound,
+		`{"v":1,"ok":false,"code":"invalid","error":"no such route"}`)
 }
 
 func checkHTTPReply(t *testing.T, name string, resp *http.Response, code int, want string) {

@@ -103,13 +103,18 @@ func Keys[T any]() []string {
 	return keys
 }
 
-// Byte classes: JSON whitespace, and the bytes a string may hold
-// without an escape (ASCII from 0x20, less the quote and backslash).
-var spaceByte, plainByte [256]bool
+// Byte classes: JSON whitespace, the bytes a string may hold without
+// an escape (ASCII from 0x20, less the quote and backslash), and the
+// ones encoding/json writes without one (less <, > and & too).
+var spaceByte, plainByte, bareByte [256]bool
 
 // escapes maps the byte after a backslash to the byte it stands for,
 // for every JSON escape but \u; zero marks the rest.
 var escapes = [256]byte{'"': '"', '\\': '\\', '/': '/', 'b': '\b', 'f': '\f', 'n': '\n', 'r': '\r', 't': '\t'}
+
+// shortEscapes maps a byte encoding/json escapes by a letter to that
+// letter; it writes every other escaped ASCII byte as \u00xx.
+var shortEscapes = [256]byte{'"': '"', '\\': '\\', '\b': 'b', '\f': 'f', '\n': 'n', '\r': 'r', '\t': 't'}
 
 func init() {
 	for _, c := range " \t\n\r" {
@@ -117,6 +122,7 @@ func init() {
 	}
 	for c := 0x20; c < 0x80; c++ {
 		plainByte[c] = c != '"' && c != '\\'
+		bareByte[c] = plainByte[c] && c != '<' && c != '>' && c != '&'
 	}
 }
 
@@ -265,19 +271,49 @@ func escape(s []byte) (rune, int) {
 	return e, 5
 }
 
-// AppendString appends s as encoding/json writes a string: quoted,
-// escaping quotes, backslashes, control bytes, <, > and &, U+2028,
-// U+2029 and invalid UTF-8. Printable ASCII that needs no escape is
-// copied as is; any other string takes encoding/json's own path.
+// AppendString appends s as encoding/json writes a string, byte for
+// byte: quoted, with quotes, backslashes and control bytes escaped
+// (\b, \f, \n, \r and \t by letter, the rest as \u00xx), <, > and &
+// as \u003c, \u003e and \u0026, U+2028 and U+2029 as \u2028 and
+// \u2029, and each byte of invalid UTF-8 as \ufffd. It allocates only
+// when dst lacks room.
 func AppendString(dst []byte, s string) []byte {
-	for i := 0; i < len(s); i++ {
-		if c := s[i]; !plainByte[c] || c == '<' || c == '>' || c == '&' {
-			q, _ := json.Marshal(s) // a string always encodes
-			return append(dst, q...)
-		}
-	}
+	const hex = "0123456789abcdef"
 	dst = append(dst, '"')
-	dst = append(dst, s...)
+	start := 0 // s[start:i] is yet to be copied
+	for i := 0; i < len(s); {
+		if c := s[i]; c < utf8.RuneSelf {
+			if !bareByte[c] {
+				dst = append(dst, s[start:i]...)
+				if e := shortEscapes[c]; e != 0 {
+					dst = append(dst, '\\', e)
+				} else {
+					dst = append(dst, '\\', 'u', '0', '0', hex[c>>4], hex[c&0xf])
+				}
+				start = i + 1
+			}
+			i++
+			continue
+		}
+		r, size := utf8.DecodeRuneInString(s[i:])
+		var esc string
+		switch {
+		case r == utf8.RuneError && size == 1:
+			esc = `\ufffd`
+		case r == '\u2028':
+			esc = `\u2028`
+		case r == '\u2029':
+			esc = `\u2029`
+		default:
+			i += size
+			continue
+		}
+		dst = append(dst, s[start:i]...)
+		dst = append(dst, esc...)
+		i += size
+		start = i
+	}
+	dst = append(dst, s[start:]...)
 	return append(dst, '"')
 }
 

@@ -1,6 +1,7 @@
 package canonjson
 
 import (
+	"bytes"
 	"encoding/json"
 	"math"
 	"reflect"
@@ -217,5 +218,38 @@ func TestInternReturnsKnownString(t *testing.T) {
 		}
 	}); allocs != 0 {
 		t.Errorf("Intern of a known string allocated %v times", allocs)
+	}
+}
+
+// escapeSeeds holds a string of every kind AppendString escapes, and
+// some it copies as they are.
+var escapeSeeds = []string{
+	"", "plain ASCII ~\x7f", "q\"b\\ \b\f\n\r\t\x00\x01\x1f", "<a&b>",
+	"zoë 密码 😀 \ufffd", "\u2028\u2029 \u2027\u202a", "\xff \xe2\x80 \xed\xa0\x80 \xc3",
+}
+
+// FuzzAppendString: AppendString writes exactly what json.Marshal
+// writes for the same string, after whatever dst already holds.
+func FuzzAppendString(f *testing.F) {
+	for _, s := range escapeSeeds {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		want, err := json.Marshal(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := AppendString([]byte("x"), s); !bytes.Equal(got, append([]byte("x"), want...)) {
+			t.Fatalf("AppendString(%q) = %q, json.Marshal %q", s, got[1:], want)
+		}
+	})
+}
+
+func TestAppendStringInPlace(t *testing.T) {
+	buf := make([]byte, 0, 256)
+	for _, s := range escapeSeeds {
+		if allocs := testing.AllocsPerRun(10, func() { buf = AppendString(buf[:0], s) }); allocs != 0 {
+			t.Errorf("AppendString(%q) into a buffer with room allocated %v times", s, allocs)
+		}
 	}
 }

@@ -83,13 +83,16 @@ func mintDistinct(b *testing.B, m *Manager, prefix string, n int) []string {
 	return toks
 }
 
-// resetCache empties m's verify cache in place, keeping each shard's
-// table, so a benchmark does not time the tables' allocation.
+// resetCache empties m's verify cache in place, zeroing each shard's
+// fill counts but keeping its table, so a benchmark does not time the
+// tables' allocation.
 func resetCache(m *Manager) {
 	for i := range m.cache {
 		sh := &m.cache[i]
 		sh.mu.Lock()
-		clear(sh.slots)
+		if sh.fill != nil {
+			*sh.fill = [cacheSets]uint8{}
+		}
 		sh.n = 0
 		sh.mu.Unlock()
 	}

@@ -6,11 +6,12 @@ import (
 )
 
 // FuzzValidateToken: no mutation of a valid token — bit flips,
-// truncations, extensions, resigned or restructured frames — may ever
-// validate, except the identity mutation. The fuzzer mutates the
-// token string; the oracle is string equality with a known-good
-// token, made sound by the Strict base64 decoding (each accepted
-// token has exactly one spelling).
+// truncations, extensions, inserted line breaks, resigned or
+// restructured frames — may ever validate, except the identity
+// mutation. The fuzzer mutates the token string; the oracle is string
+// equality with a known-good token, made sound by the Strict base64
+// decoding and the refusal of the line breaks base64 skips (each
+// accepted token has exactly one spelling).
 func FuzzValidateToken(f *testing.F) {
 	clk := newClock()
 	m, err := New(Options{TTL: time.Hour, Now: clk.now})
@@ -59,6 +60,8 @@ func FuzzValidateToken(f *testing.F) {
 	f.Add(goodEd + "A")
 	f.Add("")
 	f.Add("not-base64-!!!")
+	f.Add(goodEd[:10] + "\n" + goodEd[10:])
+	f.Add(goodHM + "\r\n")
 
 	f.Fuzz(func(t *testing.T, token string) {
 		if user, err := m.Validate(token); err == nil {

@@ -103,6 +103,7 @@ type Options struct {
 
 // key is an installed signing/verification key.
 type key struct {
+	id      uint64 // unique among the keys a Manager installs; binds cache entries
 	alg     Alg
 	gen     uint64
 	secret  []byte // HMAC key, or Ed25519 seed
@@ -122,22 +123,25 @@ type keyRecord struct {
 
 // Verify-memoization cache. A full Ed25519 verify costs tens of
 // microseconds — the same order as the PassPoints hash chain it is
-// supposed to undercut — so the Manager remembers tokens whose
-// signature has already checked out and re-verifies only the cheap,
-// mutable predicates (expiry, generation window, revocation
-// watermark, and that the verifying key is still the one installed)
-// on later sightings. Only signature validity is cached; nothing that
-// can change after minting is.
+// supposed to undercut — so the Manager remembers which tokens'
+// signatures have already checked out, and under which key. Validate
+// checks the generation window and the installed key before it looks,
+// and the expiry and revocation watermark after, on every call, reading
+// each claim back from the token: only signature validity is cached,
+// and nothing that can change after minting is.
 //
-// Entries are keyed by the SHA-256 digest of the token string, not by
-// the string. A token that never verified can hit only through a
-// SHA-256 collision. The digest's first byte picks the shard. A shard
-// is a fixed table of cacheShardCap slots, each holding the digest and
-// the entry inline, grouped into cacheWays-slot sets. Two slices of
-// the digest name a token's two candidate sets (two choices keep the
-// sets evenly loaded), and a lookup compares the full digest in both.
-// A set fills front to back and never frees one slot, so its occupied
-// slots are a prefix of it.
+// An entry is nothing but the SHA-256 digest of the token followed by
+// the id of the installed key that verified it. A token that never
+// verified can hit only through a SHA-256 collision, and a token
+// verified under a key since deleted or replaced cannot hit at all,
+// because an installed key never shares its id. The digest's first byte
+// picks the shard. A shard is a fixed table of cacheShardCap digests,
+// grouped into cacheWays-slot sets. Two slices of the digest name a
+// token's two candidate sets (two choices keep the sets evenly
+// loaded), and a lookup compares the full digest in both. A set fills
+// front to back and never frees one slot, so its occupied slots are
+// the first fill[set] of it. The tables hold no pointers, so the
+// garbage collector never scans them.
 const (
 	cacheShardCount = 16
 	cacheShardCap   = 4096
@@ -145,86 +149,70 @@ const (
 	cacheSets       = cacheShardCap / cacheWays
 )
 
-type cacheEntry struct {
-	k      *key // the key that verified the signature; nil in an empty slot
-	expiry int64
-	minted int64
-	user   string
-}
-
-type cacheSlot struct {
-	digest [sha256.Size]byte
-	cacheEntry
-}
-
 type cacheShard struct {
 	mu    sync.Mutex
-	slots []cacheSlot // cacheShardCap slots; nil until the first insert
-	n     int         // occupied slots
-	evict uint32      // round-robin eviction cursor
+	slots *[cacheShardCap][sha256.Size]byte // nil until the first insert
+	fill  *[cacheSets]uint8                 // occupied slots per set; made with slots
+	n     int                               // occupied slots
+	evict uint32                            // round-robin eviction cursor
 }
 
-// candidateSets returns the first slot of each of d's two candidate
-// sets. Neither slice includes d[0], which picked the shard.
+// candidateSets returns d's two candidate sets. Neither slice includes
+// d[0], which picked the shard.
 func candidateSets(d *[sha256.Size]byte) [2]int {
 	return [2]int{
-		int(binary.LittleEndian.Uint32(d[1:5])%cacheSets) * cacheWays,
-		int(binary.LittleEndian.Uint32(d[5:9])%cacheSets) * cacheWays,
+		int(binary.LittleEndian.Uint32(d[1:5]) % cacheSets),
+		int(binary.LittleEndian.Uint32(d[5:9]) % cacheSets),
 	}
 }
 
-// find returns the index of the slot holding d, or -1. Caller holds mu.
-func (s *cacheShard) find(d *[sha256.Size]byte) int {
+// find reports whether the shard holds d. Caller holds mu.
+func (s *cacheShard) find(d *[sha256.Size]byte) bool {
 	if s.slots == nil {
-		return -1
+		return false
 	}
 	for _, set := range candidateSets(d) {
-		for i := set; i < set+cacheWays && s.slots[i].k != nil; i++ {
-			if s.slots[i].digest == *d {
-				return i
+		first := set * cacheWays
+		for i := first; i < first+int(s.fill[set]); i++ {
+			if s.slots[i] == *d {
+				return true
 			}
 		}
 	}
-	return -1
+	return false
 }
 
-// insert stores e under d: in the slot already holding d if there is
-// one, so two concurrent misses on one token take one slot; else in
-// the emptier candidate set; else over a round-robin victim from one
-// of the two full sets. Caller holds mu.
-func (s *cacheShard) insert(d *[sha256.Size]byte, e cacheEntry) {
+// insert stores d unless the shard holds it already, so two concurrent
+// misses on one token take one slot: in the emptier candidate set, or
+// else over a round-robin victim from one of the two full sets. Caller
+// holds mu.
+func (s *cacheShard) insert(d *[sha256.Size]byte) {
 	if s.slots == nil {
-		s.slots = make([]cacheSlot, cacheShardCap)
+		s.slots = new([cacheShardCap][sha256.Size]byte)
+		s.fill = new([cacheSets]uint8)
 	}
-	i := s.find(d)
-	if i < 0 {
-		sets := candidateSets(d)
-		ua, ub := s.used(sets[0]), s.used(sets[1])
-		switch {
-		case ua < cacheWays && ua <= ub:
-			i = sets[0] + ua
-		case ub < cacheWays:
-			i = sets[1] + ub
-		default:
-			// The cache is a memoization, not an LRU: correctness
-			// never depends on what is in it.
-			s.evict++
-			i = sets[s.evict&1] + int(s.evict>>1)%cacheWays
-			s.n--
-		}
+	if s.find(d) {
+		return
+	}
+	sets := candidateSets(d)
+	a, b := sets[0], sets[1]
+	var i int
+	switch {
+	case s.fill[a] < cacheWays && s.fill[a] <= s.fill[b]:
+		i = a*cacheWays + int(s.fill[a])
+		s.fill[a]++
 		s.n++
+	case s.fill[b] < cacheWays:
+		i = b*cacheWays + int(s.fill[b])
+		s.fill[b]++
+		s.n++
+	default:
+		// The cache is a memoization, not an LRU: correctness
+		// never depends on what is in it.
+		s.evict++
+		i = sets[s.evict&1]*cacheWays + int(s.evict>>1)%cacheWays
 	}
-	s.slots[i] = cacheSlot{digest: *d, cacheEntry: e}
-}
-
-// used returns the number of occupied slots, its first ones, in the
-// set starting at set. Caller holds mu.
-func (s *cacheShard) used(set int) int {
-	n := 0
-	for n < cacheWays && s.slots[set+n].k != nil {
-		n++
-	}
-	return n
+	s.slots[i] = *d
 }
 
 // Manager mints, validates, rotates, and revokes session tokens.
@@ -237,9 +225,10 @@ type Manager struct {
 	// cannot persist two different secrets under one generation.
 	rotateMu sync.Mutex
 
-	mu   sync.RWMutex
-	keys map[uint64]*key
-	cur  uint64 // current minting generation; 0 = none installed
+	mu     sync.RWMutex
+	keys   map[uint64]*key
+	cur    uint64 // current minting generation; 0 = none installed
+	lastID uint64 // id of the key installed last
 
 	revMu sync.RWMutex
 	rev   map[string]int64 // user → minted-at-or-before watermark, unix nanos
@@ -363,7 +352,7 @@ func (m *Manager) Rotate() error {
 
 	var retired []uint64
 	m.mu.Lock()
-	m.keys[gen] = k
+	m.install(k)
 	if gen > m.cur {
 		m.cur = gen
 	}
@@ -387,6 +376,15 @@ func (m *Manager) Rotate() error {
 	m.rotations.Add(1)
 	m.opts.Logf("session: rotated to key generation %d (%s)", gen, k.alg)
 	return nil
+}
+
+// install makes k its generation's key under a fresh id, so no cache
+// entry made under an earlier key of that generation can hit. Caller
+// holds mu for writing.
+func (m *Manager) install(k *key) {
+	m.lastID++
+	k.id = m.lastID
+	m.keys[k.gen] = k
 }
 
 // newKey generates key material for gen under alg.
@@ -457,9 +455,9 @@ func (m *Manager) ApplyKV(kvKey string, val []byte) {
 		}
 		m.mu.Lock()
 		// A re-delivered record (Reseed, a snapshot install) keeps the
-		// installed key: cache hits are checked against its identity.
+		// installed key, and with its id the cache entries it verified.
 		if old := m.keys[gen]; old == nil || old.alg != k.alg || !bytes.Equal(old.secret, k.secret) {
-			m.keys[gen] = k
+			m.install(k)
 		}
 		if gen > m.cur {
 			m.cur = gen
@@ -525,73 +523,80 @@ func (m *Manager) Mint(user string) (string, error) {
 // and revocation watermarks are all consulted in memory. The error is
 // ErrBadToken, ErrExpired, ErrStaleGeneration, or ErrRevoked.
 func (m *Manager) Validate(token string) (string, error) {
-	// Hashing a copy in a stack buffer keeps tokens up to 256 bytes
-	// from allocating; []byte(token) would allocate on every call.
+	// One copy of the token in a stack buffer feeds the prefix decode
+	// and the digest, so tokens up to 248 bytes allocate for neither;
+	// []byte(token) would allocate on every call.
 	var buf [256]byte
-	digest := sha256.Sum256(append(buf[:0], token...))
-	sh := &m.cache[digest[0]%cacheShardCount]
-	var ent cacheEntry
-	sh.mu.Lock()
-	i := sh.find(&digest)
-	if i >= 0 {
-		ent = sh.slots[i].cacheEntry
-	}
-	sh.mu.Unlock()
-	if i < 0 {
-		c, payload, sig, err := decodeToken(token)
-		if err != nil {
-			m.rejBadToken.Add(1)
-			return "", err
-		}
+	in := append(buf[:0], token...)
+	var p prefix
+	var c claims
+	userLen, sigLen, ok := p.decode(in, &c)
+	var k *key
+	if ok {
 		m.mu.RLock()
-		k := m.keys[c.gen]
-		inWindow := c.gen == m.cur || c.gen+1 == m.cur
-		m.mu.RUnlock()
-		if !inWindow {
-			m.rejStaleGen.Add(1)
-			return "", ErrStaleGeneration
+		if c.gen == m.cur || c.gen+1 == m.cur {
+			k = m.keys[c.gen]
 		}
-		if k == nil || k.alg != c.alg || !k.verify(payload, sig) {
+		m.mu.RUnlock()
+	}
+	if k == nil || k.alg != c.alg || len(token) != tokenEncoding.EncodedLen(tokenHdrLen+userLen+sigLen) {
+		return "", m.reject(token)
+	}
+
+	digest := sha256.Sum256(binary.LittleEndian.AppendUint64(in, k.id))
+	sh := &m.cache[digest[0]%cacheShardCount]
+	sh.mu.Lock()
+	hit := sh.find(&digest)
+	sh.mu.Unlock()
+	if hit {
+		m.cacheHits.Add(1)
+		c.user = p.user(in[:len(token)], userLen)
+	} else {
+		full, payload, sig, err := decodeToken(token)
+		if err != nil || !k.verify(payload, sig) {
 			m.rejBadToken.Add(1)
 			return "", ErrBadToken
 		}
-		ent = cacheEntry{k: k, expiry: c.expiry, minted: c.minted, user: c.user}
 		sh.mu.Lock()
-		sh.insert(&digest, ent)
+		sh.insert(&digest)
 		sh.mu.Unlock()
-	} else {
-		m.cacheHits.Add(1)
+		c.user = full.user
 	}
 
-	// The mutable predicates are re-checked on every call, cached or
-	// not: a cache hit only skips the signature arithmetic. A key
-	// deleted or replaced under its generation since the entry was
-	// cached refuses it, as the signature check would on a miss.
-	m.mu.RLock()
-	inWindow := ent.k.gen == m.cur || ent.k.gen+1 == m.cur
-	keyHeld := m.keys[ent.k.gen] == ent.k
-	m.mu.RUnlock()
-	if !inWindow {
-		m.rejStaleGen.Add(1)
-		return "", ErrStaleGeneration
-	}
-	if !keyHeld {
-		m.rejBadToken.Add(1)
-		return "", ErrBadToken
-	}
-	if m.opts.Now().UnixNano() >= ent.expiry {
+	// The mutable predicates are checked on every call, cached or not:
+	// a cache hit only skips the signature arithmetic.
+	if m.opts.Now().UnixNano() >= c.expiry {
 		m.rejExpired.Add(1)
 		return "", ErrExpired
 	}
 	m.revMu.RLock()
-	wm := m.rev[ent.user]
+	wm := m.rev[c.user]
 	m.revMu.RUnlock()
-	if ent.minted <= wm {
+	if c.minted <= wm {
 		m.rejRevoked.Add(1)
 		return "", ErrRevoked
 	}
 	m.validateOK.Add(1)
-	return ent.user, nil
+	return c.user, nil
+}
+
+// reject returns the verdict on a token refused before the cache, with
+// the precedence a full decode gives: a token that does not decode is
+// bad, one outside the generation window is stale, and any other — no
+// key installed for its generation, or an algorithm or length that
+// disagrees with the key — is bad.
+func (m *Manager) reject(token string) error {
+	if c, _, _, err := decodeToken(token); err == nil {
+		m.mu.RLock()
+		inWindow := c.gen == m.cur || c.gen+1 == m.cur
+		m.mu.RUnlock()
+		if !inWindow {
+			m.rejStaleGen.Add(1)
+			return ErrStaleGeneration
+		}
+	}
+	m.rejBadToken.Add(1)
+	return ErrBadToken
 }
 
 // Revoke stamps user's revocation watermark at now: every token

@@ -100,24 +100,48 @@ func newTestManager(t *testing.T, opts Options) *Manager {
 	return m
 }
 
+// TestMintValidateRoundTrip mints and validates names of every length
+// up to one past the prefixUser bytes Validate decodes before the
+// cache (each base64 alignment of the name's end), a name whose token
+// overflows Validate's stack buffer, and the longest name a token
+// holds. The second pass of each is a cache hit, which reads the name
+// back from the token.
 func TestMintValidateRoundTrip(t *testing.T) {
+	var names []string
+	for _, n := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 200, tokenMaxUser} {
+		b := make([]byte, n)
+		for i := range b {
+			b[i] = "abcdefghijklmnopqrstuvwxyz"[(i*7+n)%26]
+		}
+		names = append(names, string(b))
+	}
 	for _, alg := range []Alg{AlgEd25519, AlgHMAC} {
 		t.Run(alg.String(), func(t *testing.T) {
 			clk := newClock()
 			m := newTestManager(t, Options{Alg: alg, TTL: time.Hour, Now: clk.now})
-			tok, err := m.Mint("alice")
-			if err != nil {
-				t.Fatalf("Mint: %v", err)
-			}
-			for i := 0; i < 2; i++ { // second pass exercises the verify cache
-				user, err := m.Validate(tok)
-				if err != nil || user != "alice" {
-					t.Fatalf("Validate pass %d = %q, %v", i, user, err)
+			var toks []string
+			for _, name := range names {
+				tok, err := m.Mint(name)
+				if err != nil {
+					t.Fatalf("Mint(%d bytes): %v", len(name), err)
+				}
+				toks = append(toks, tok)
+				for pass := 0; pass < 2; pass++ { // the second pass hits the verify cache
+					hits := m.cacheHits.Load()
+					user, err := m.Validate(tok)
+					if err != nil || user != name {
+						t.Fatalf("%d-byte name, pass %d: Validate = %q, %v", len(name), pass, user, err)
+					}
+					if got := m.cacheHits.Load() - hits; got != uint64(pass) {
+						t.Fatalf("%d-byte name, pass %d: %d cache hits, want %d", len(name), pass, got, pass)
+					}
 				}
 			}
 			clk.advance(time.Hour + time.Nanosecond)
-			if _, err := m.Validate(tok); !errors.Is(err, ErrExpired) {
-				t.Fatalf("after TTL: err = %v, want ErrExpired", err)
+			for _, tok := range toks {
+				if _, err := m.Validate(tok); !errors.Is(err, ErrExpired) {
+					t.Fatalf("after TTL: err = %v, want ErrExpired", err)
+				}
 			}
 		})
 	}
@@ -466,8 +490,9 @@ func TestCacheHitNeedsInstalledKey(t *testing.T) {
 }
 
 // TestVerifyCacheBounded overfills the cache: it must hold at most
-// cacheShardCount*cacheShardCap entries, each costing at most 100
-// bytes of live heap (table slot and user name).
+// cacheShardCount*cacheShardCap entries, each costing at most 40 bytes
+// of live heap: a 32-byte digest slot and its set's share of a fill
+// count, with no name or other allocation per entry.
 func TestVerifyCacheBounded(t *testing.T) {
 	clk := newClock()
 	// HMAC keeps 70k+ mint/validate pairs fast under -race.
@@ -494,8 +519,8 @@ func TestVerifyCacheBounded(t *testing.T) {
 	if n := promSeries(t, m, "session_verify_cache_entries"); n != held {
 		t.Fatalf("session_verify_cache_entries = %d with %d held after evictions", n, held)
 	}
-	if perEntry > 100 {
-		t.Fatalf("cache holds %.1f bytes of live heap per entry, want at most 100", perEntry)
+	if perEntry > 40 {
+		t.Fatalf("cache holds %.1f bytes of live heap per entry, want at most 40", perEntry)
 	}
 }
 
@@ -622,15 +647,16 @@ func promSeries(t *testing.T, m *Manager, name string) int {
 	return 0
 }
 
-// cacheEntries counts the occupied slots of m's verify cache.
+// cacheEntries counts the occupied slots of m's verify cache from its
+// sets' fill counts.
 func cacheEntries(m *Manager) int {
 	held := 0
 	for i := range m.cache {
 		sh := &m.cache[i]
 		sh.mu.Lock()
-		for j := range sh.slots {
-			if sh.slots[j].k != nil {
-				held++
+		if sh.fill != nil {
+			for _, n := range sh.fill {
+				held += int(n)
 			}
 		}
 		sh.mu.Unlock()
