@@ -38,8 +38,8 @@ bench-json:
 # store at every fsync policy — on the auth mix and the pure-write
 # path as BENCH_store.json (the fsync-latency table in
 # PERFORMANCE.md's "Durable vault" section), plus the start-up rows:
-# opening 10k records from a snapshot (open-snapshot) and by log
-# replay (open-replay).
+# opening 10k records from a JSON snapshot (open-snapshot) and by
+# replaying their binary log frames (open-replay).
 bench-store:
 	$(GO) run ./cmd/pwbench -store -out .
 
@@ -148,18 +148,22 @@ redteam-smoke:
 
 # fuzz-smoke runs the codec and token fuzz targets for FUZZTIME each
 # (go test -fuzz takes one target per run): the differential
-# FuzzCanonicalDecode of the vault formats and of the replication
-# messages, the differential FuzzAppendString (canonjson's string
-# writer against encoding/json), FuzzOpen, FuzzUnmarshalRecord,
-# FuzzVerify (Verify against VerifyPacked), FuzzValidateToken, whose
-# mutated session tokens meet a verify cache that holds the genuine
-# ones, and the serving fronts' request decoders FuzzReadFrame (a TCP
-# frame) and FuzzHTTPDecode (an HTTP body), both straight into
-# authsvc.Request. Under `go test ./...` they only replay their seeds.
+# FuzzCanonicalDecode of the vault's JSON formats and of the
+# replication messages, FuzzLogPayload (a binary log payload the
+# decoder accepts re-encodes to exactly its bytes, and a put's packed
+# record reads back without panicking), the differential
+# FuzzAppendString (canonjson's string writer against encoding/json),
+# FuzzOpen, FuzzUnmarshalRecord, FuzzVerify (Verify against
+# VerifyPacked), FuzzValidateToken, whose mutated session tokens meet a
+# verify cache that holds the genuine ones, and the serving fronts'
+# request decoders FuzzReadFrame (a TCP frame) and FuzzHTTPDecode (an
+# HTTP body), both straight into authsvc.Request. Under `go test ./...`
+# they only replay their seeds.
 FUZZTIME ?= 20s
 fuzz-smoke:
 	$(GO) test ./internal/vault -run '^$$' -fuzz '^FuzzCanonicalDecode$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/vault/repl -run '^$$' -fuzz '^FuzzCanonicalDecode$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/vault -run '^$$' -fuzz '^FuzzLogPayload$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/canonjson -run '^$$' -fuzz '^FuzzAppendString$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/vault -run '^$$' -fuzz '^FuzzOpen$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/passpoints -run '^$$' -fuzz '^FuzzUnmarshalRecord$$' -fuzztime $(FUZZTIME)

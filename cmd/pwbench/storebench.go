@@ -275,7 +275,9 @@ const openRecords = 10000
 // records: open-snapshot opens a Sharded store from the MarshalIndent
 // snapshot SaveTo writes, and open-replay opens a Durable store by
 // replaying the same records from its shard logs. Both spend most of
-// their time decoding records, so these rows gate the decode path.
+// their time decoding records, so these rows gate the two decode paths:
+// JSON through canonjson for the snapshot, and for the logs the binary
+// put frames, each a tag and the account's packed bytes.
 func measureOpens(dir string) ([]StoreRun, error) {
 	src := vault.NewSharded(0)
 	for _, rec := range storeRecords(openRecords) {

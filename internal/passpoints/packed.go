@@ -3,6 +3,7 @@ package passpoints
 import (
 	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"strconv"
 
 	"clickpass/internal/canonjson"
@@ -23,7 +24,8 @@ import (
 // are the codes 0 and 1; any other kind of n bytes is the code n+2 and
 // its bytes. For servebench's five-click accounts that is about 80
 // bytes, against 248 for a Record and the four allocations it points
-// to.
+// to. Pack, ReadPacked and ParsePacked build one; the latter two
+// return Pack's bytes for the record they read.
 type Packed struct{ s string }
 
 // Kind codes in the packed layout.
@@ -89,6 +91,12 @@ func appendInt32(b []byte, v int32) []byte { return binary.AppendVarint(b, int64
 // IsZero reports whether p is the zero Packed, which holds no record.
 func (p Packed) IsZero() bool { return p.s == "" }
 
+// Len returns the length of p's bytes.
+func (p Packed) Len() int { return len(p.s) }
+
+// Append appends p's bytes, which ParsePacked reads back, to b.
+func (p Packed) Append(b []byte) []byte { return append(b, p.s...) }
+
 // User returns the record's user name without allocating: it shares
 // p's memory, so a map keyed by it costs no second copy of the name.
 func (p Packed) User() string {
@@ -145,8 +153,9 @@ func (p Packed) unpack(rec *Record) {
 }
 
 // unpacker reads a Packed's fields in order. A Packed is only ever
-// built by Pack or ReadPacked, so it does no bounds checking of its
-// own.
+// built by Pack, by ReadPacked, which returns Pack of what it read, or
+// by ParsePacked, which accepts only Pack's bytes, so it does no bounds
+// checking of its own.
 type unpacker struct {
 	s   string
 	off int
@@ -204,6 +213,106 @@ func (d *unpacker) str(n int) string {
 	s := d.s[d.off : d.off+n]
 	d.off += n
 	return s
+}
+
+// errNotPacked is ParsePacked's refusal.
+var errNotPacked = errors.New("passpoints: not a packed record")
+
+// ParsePacked returns the Packed whose bytes are data, in one new
+// allocation, if data is exactly what Pack writes for a record that
+// names a user: the constructor for packed bytes read from disk or the
+// network. It reads the record through a checker that bounds every
+// length and varint by data, packs it again and compares, so it accepts
+// only Pack's own bytes: minimal varints, int32 fields in range, the
+// kind constants as their codes, a non-empty user and nothing trailing.
+// So Pack(p.Record()) has exactly the bytes of every p it returns, and
+// the unchecked reads of Record, User, AppendJSON and VerifyPacked stay
+// in bounds. The record it reads lives on the stack and aliases data,
+// so the one allocation is the result.
+func ParsePacked(data []byte) (Packed, error) {
+	var (
+		rec    Record
+		clears [DefaultClicks]ClearID
+	)
+	c := checker{b: data}
+	user := c.field()
+	switch k := c.uvarint(); k {
+	case kindCentered:
+		rec.Kind = KindCentered
+	case kindRobust:
+		rec.Kind = KindRobust
+	default:
+		rec.Kind = SchemeKind(c.bytes(k - kindOther))
+	}
+	rec.SquareSidePx, rec.ImageW, rec.ImageH = c.int32(), c.int32(), c.int32()
+	if n := c.uvarint(); n > 0 {
+		rec.Clears = clears[:0]
+		for i := uint64(1); i < n && !c.bad; i++ {
+			rec.Clears = append(rec.Clears, ClearID{DX: c.int32(), DY: c.int32(), Grid: c.byte()})
+		}
+	}
+	rec.Salt = c.field()
+	rec.Iterations = c.int32()
+	rec.Digest = c.field()
+	if c.bad || len(user) == 0 {
+		return Packed{}, errNotPacked
+	}
+	if p := pack(user, &rec); p.s == string(data) {
+		return p, nil
+	}
+	return Packed{}, errNotPacked
+}
+
+// checker reads packed bytes of unknown origin in order, as unpacker
+// reads a Packed, which it leaves unchecked to keep Record and
+// VerifyPacked fast. A read past the end of b, or a varint longer than
+// 64 bits, sets bad and reads a zero value.
+type checker struct {
+	b   []byte
+	bad bool
+}
+
+func (c *checker) uvarint() uint64 {
+	v, n := binary.Uvarint(c.b)
+	if n <= 0 {
+		c.bad = true
+		return 0
+	}
+	c.b = c.b[n:]
+	return v
+}
+
+func (c *checker) int32() int32 {
+	u := c.uvarint()
+	return int32(int64(u>>1) ^ -int64(u&1))
+}
+
+func (c *checker) byte() byte {
+	b := c.bytes(1)
+	if len(b) == 0 {
+		return 0
+	}
+	return b[0]
+}
+
+func (c *checker) bytes(n uint64) []byte {
+	if n > uint64(len(c.b)) {
+		c.bad = true
+		return nil
+	}
+	s := c.b[:n:n]
+	c.b = c.b[n:]
+	return s
+}
+
+// field reads a slice field: its length prefix, then its bytes, or nil
+// for the prefix 0.
+func (c *checker) field() []byte {
+	n := c.uvarint()
+	if n == 0 {
+		return nil
+	}
+	return c.bytes(n - 1)
 }
 
 // VerifyPacked checks a login attempt against a packed record through

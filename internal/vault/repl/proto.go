@@ -35,11 +35,14 @@ import (
 // fencing comes from quorum acks, not from this courtesy message.
 
 // protoVersion is the replication protocol this release speaks, sent in
-// hello and welcome. Version 2 ships a snapshot as log frames. Version
-// 1, whose messages carry no number, shipped it as JSON maps, which
-// this release would read as an empty shard; so both nodes of a pair
-// must run one release.
-const protoVersion = 2
+// hello and welcome; both nodes of a pair must run one release.
+// Version 3 ships frames with binary payloads. A version 2 node refuses
+// those as undecodable, mid-stream, and would redial into the same
+// refusal forever, so the handshake refuses it instead. Version 2
+// shipped JSON payloads, and version 1, whose messages carry no number,
+// shipped a snapshot as JSON maps, which this release would read as an
+// empty shard.
+const protoVersion = 3
 
 // Message types.
 const (

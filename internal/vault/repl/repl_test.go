@@ -3,8 +3,10 @@ package repl
 import (
 	"bufio"
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"net"
 	"os"
@@ -854,12 +856,15 @@ func TestReplBootstrapInstallsSnapshotLog(t *testing.T) {
 	}
 }
 
-// TestReplRefusesOldProtocolPeer: a node on the earlier replication
-// protocol, whose hello and welcome carry no protocol number and whose
-// snapshot this release would read as an empty shard, is refused in
-// both directions. A primary answers its hello with no welcome; a
-// follower ends the connection at its welcome, and at any message type
-// it does not know, before installing anything.
+// TestReplRefusesOldProtocolPeer: a node on an earlier replication
+// protocol is refused in both directions. That is protocol 1, whose
+// hello and welcome carry no protocol number and whose snapshot this
+// release would read as an empty shard, and protocol 2, which ships
+// JSON payloads this release reads but refuses the binary payloads this
+// release ships. A primary answers such a hello with no welcome; a
+// follower ends the connection at such a welcome, and at any message
+// type it does not know, before installing anything. Each refusal is
+// logged once.
 func TestReplRefusesOldProtocolPeer(t *testing.T) {
 	t.Run("old-follower", func(t *testing.T) {
 		logs := &logLines{}
@@ -877,16 +882,18 @@ func TestReplRefusesOldProtocolPeer(t *testing.T) {
 			var m wireMsg
 			return m, readMsg(bufio.NewReader(c), &m)
 		}
-		if m, err := hello(0); err == nil {
-			t.Fatalf("primary answered an old-protocol hello with %q", m.Type)
-		} else if isTimeout(err) {
-			t.Fatal("primary kept an old-protocol follower's connection open")
-		}
-		if logs.count("replication protocol 0") != 1 {
-			t.Fatal("the primary did not log one refusal")
+		for _, old := range []int{0, 2} {
+			if m, err := hello(old); err == nil {
+				t.Fatalf("primary answered a protocol-%d hello with %q", old, m.Type)
+			} else if isTimeout(err) {
+				t.Fatalf("primary kept a protocol-%d follower's connection open", old)
+			}
+			if n := logs.count(fmt.Sprintf("replication protocol %d,", old)); n != 1 {
+				t.Fatalf("the primary logged %d refusals of protocol %d, want 1", n, old)
+			}
 		}
 		if s := p.Stats(); s.Fenced || len(s.Followers) != 0 {
-			t.Fatalf("after the refusal: %+v", s)
+			t.Fatalf("after the refusals: %+v", s)
 		}
 		if m, err := hello(protoVersion); err != nil || m.Type != msgWelcome || m.Proto != protoVersion {
 			t.Fatalf("current-protocol hello answered %+v, %v; want a welcome", m, err)
@@ -933,25 +940,46 @@ func TestReplRefusesOldProtocolPeer(t *testing.T) {
 				t.Fatal("follower kept the connection open")
 			}
 		}
-		// What an old primary's snapshot decodes to here: no frames.
-		var empty []wireMsg
+		// What a protocol 1 primary's snapshot decodes to here: no
+		// frames. A protocol 2 primary's carries JSON frames, which this
+		// release would install.
+		rec, err := testRecord("intruder").Marshal()
+		if err != nil {
+			t.Fatal(err)
+		}
+		payload := fmt.Appendf(nil, `{"op":"put","user":"","rec":%s}`, rec)
+		intruder := binary.LittleEndian.AppendUint32(nil, uint32(len(payload)))
+		intruder = append(binary.LittleEndian.AppendUint32(intruder, crc32.ChecksumIEEE(payload)), payload...)
+		var empty, v2 []wireMsg
 		for s := 0; s < 4; s++ {
 			empty = append(empty, wireMsg{Type: msgSnapshot, Shard: s, Seq: 1})
+			v2 = append(v2, wireMsg{Type: msgSnapshot, Shard: s, Seq: 1, Frames: intruder})
 		}
 		serve(wireMsg{Type: msgWelcome, RunID: 7, Shards: 4}, empty...)
+		serve(wireMsg{Type: msgWelcome, Proto: 2, RunID: 7, Shards: 4}, v2...)
 		serve(wireMsg{Type: msgWelcome, Proto: protoVersion, RunID: 7, Shards: 4}, append([]wireMsg{{Type: "records"}}, empty...)...)
 		if got := snapshotBytes(t, fst); got != want {
 			t.Fatal("follower installed a snapshot from a refused primary")
 		}
-		// The follower logs a refusal once it has hung up, so the second
+		// The follower logs a refusal once it has hung up, so the last
 		// may land after serve returns.
-		waitFor(t, 5*time.Second, "the follower to log both refusals", func() bool {
-			return logs.count("replication protocol 0") > 0 && logs.count(`unexpected "records" message`) > 0
+		refusals := []string{"replication protocol 0,", "replication protocol 2,", `unexpected "records" message`}
+		waitFor(t, 5*time.Second, "the follower to log every refusal", func() bool {
+			for _, r := range refusals {
+				if logs.count(r) == 0 {
+					return false
+				}
+			}
+			return true
 		})
+		for _, r := range refusals {
+			if n := logs.count(r); n != 1 {
+				t.Errorf("the follower logged %q %d times, want once", r, n)
+			}
+		}
 	})
 }
 
-// isTimeout reports whether err is a network timeout.
 func isTimeout(err error) bool {
 	var ne net.Error
 	return errors.As(err, &ne) && ne.Timeout()

@@ -37,7 +37,6 @@ import (
 	"log"
 	"maps"
 
-	"clickpass/internal/canonjson"
 	"clickpass/internal/passpoints"
 )
 
@@ -326,7 +325,7 @@ func decodeFrames(frames []byte) ([]walEntry, error) {
 			return nil, fmt.Errorf("vault: frame CRC mismatch at offset %d", off)
 		}
 		var e walEntry
-		if err := canonjson.Unmarshal(payload, &e, readWalEntry); err != nil {
+		if err := decodePayload(payload, &e); err != nil {
 			return nil, fmt.Errorf("vault: corrupt frame payload at offset %d: %w", off, err)
 		}
 		if e.Op == walOpCkpt {
@@ -358,14 +357,14 @@ func (d *Durable) notifyKV(entries []walEntry) {
 // write path, through the same appendLog as a local mutation and the
 // same walEntry apply switch as startup replay. The received frames
 // are staged as they are. The batch is validated in full first
-// (framing, CRCs, JSON, no generation markers) and applied
-// all-or-nothing: a corrupt batch is an error with no effect, so the
-// sender can simply resend from the last acknowledged position. Under
-// SyncAlways the append is fsynced before returning — the durability a
-// quorum ack then vouches for — and a failed write or fsync rolls the
-// batch back under the one failure rule of appendLog. Once the batch
-// is applied, the compactor is kicked when the shard's garbage crosses
-// the same ratio mutate checks.
+// (framing, CRCs, payloads that decode, no generation markers) and
+// applied all-or-nothing: a corrupt batch is an error with no effect,
+// so the sender can simply resend from the last acknowledged position.
+// Under SyncAlways the append is fsynced before returning — the
+// durability a quorum ack then vouches for — and a failed write or
+// fsync rolls the batch back under the one failure rule of appendLog.
+// Once the batch is applied, the compactor is kicked when the shard's
+// garbage crosses the same ratio mutate checks.
 func (d *Durable) ApplyReplFrames(i int, frames []byte) error {
 	if i < 0 || i >= len(d.logs) {
 		return fmt.Errorf("vault: no shard %d", i)

@@ -318,6 +318,14 @@ func frameOf(payload []byte) []byte {
 	return append(out, payload...)
 }
 
+// jsonFrame frames e as releases before binary payloads wrote it: the
+// bytes json.Marshal writes for the entry, which their hand-written
+// encoder matched byte for byte.
+func jsonFrame(t testing.TB, e walEntry) []byte {
+	t.Helper()
+	return frameOf(mustMarshal(t, e))
+}
+
 // TestInstallShardSnapshotRefusesBadFrames: a snapshot that fails the
 // validator ApplyReplFrames uses — a torn frame, a CRC failure, a
 // payload that does not decode, a generation marker — is refused
@@ -327,7 +335,7 @@ func frameOf(payload []byte) []byte {
 // the source's and bringing a fail-stopped shard back healthy.
 func TestInstallShardSnapshotRefusesBadFrames(t *testing.T) {
 	frames, want := snapshotSource(t)
-	marker := appendFrame(nil, &walEntry{Op: walOpCkpt, Ckpt: 1, Full: true})
+	marker := jsonFrame(t, walEntry{Op: walOpCkpt, Ckpt: 1, Full: true})
 	crc := bytes.Clone(frames)
 	crc[walHeaderSize+2] ^= 0x40
 	bad := []struct {

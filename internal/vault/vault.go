@@ -7,14 +7,17 @@
 // that set in memory, loaded from a JSON snapshot and written to one
 // atomically by SaveTo. Durable, the crash-safe backend, pairs each
 // shard with a checksummed append-only log, appends every mutation to
-// it before acking, and replays the logs on startup. Every append — a
-// local mutation, ImportJSON, and a replication follower's
+// it before acking, and replays the logs on startup. A log record is
+// binary: a put carries the account's packed bytes as they are, and
+// replay still reads the JSON records earlier releases wrote. Every
+// append — a local mutation, ImportJSON, and a replication follower's
 // ApplyReplFrames — goes through one group commit, fsynced when the
-// caller asks for it, under one failure rule. Both speak the same on-disk JSON snapshot format (Durable via
-// SaveTo/ImportJSON), so a deployment can migrate between backends in
-// place. Stealing this state is the offline-attack scenario of the
-// paper's §5.1 — it exposes salts, iteration counts, clear grid
-// identifiers and digests, but no click-points.
+// caller asks for it, under one failure rule. Both backends speak the
+// same on-disk JSON snapshot format (Durable via SaveTo/ImportJSON), so
+// a deployment can migrate between backends in place. Stealing this
+// state is the offline-attack scenario of the paper's §5.1 — it exposes
+// salts, iteration counts, clear grid identifiers and digests, but no
+// click-points.
 package vault
 
 import (

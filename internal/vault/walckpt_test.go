@@ -156,8 +156,8 @@ func TestCheckpointCrashWindows(t *testing.T) {
 }
 
 // writeParentDir lays out a one-shard directory the way an earlier
-// release wrote it: meta.json, a log of the given entries, and, when
-// ckpt is non-empty, a checkpoint file holding it.
+// release wrote it: meta.json, a log of the given entries as JSON
+// frames, and, when ckpt is non-empty, a checkpoint file holding it.
 func writeParentDir(t *testing.T, ckpt string, entries ...walEntry) string {
 	t.Helper()
 	dir := t.TempDir()
@@ -165,9 +165,8 @@ func writeParentDir(t *testing.T, ckpt string, entries ...walEntry) string {
 		t.Fatal(err)
 	}
 	var log []byte
-	for i := range entries {
-		frame := appendFrame(nil, &entries[i])
-		log = append(log, frame...)
+	for _, e := range entries {
+		log = append(log, jsonFrame(t, e)...)
 	}
 	if err := os.WriteFile(filepath.Join(dir, shardLogName(0)), log, 0o600); err != nil {
 		t.Fatal(err)

@@ -13,7 +13,6 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -307,9 +306,11 @@ var (
 	_ LockoutStore = (*Durable)(nil)
 )
 
-// walEntry is the JSON payload of one log record. Op distinguishes
-// the mutation classes; exactly one of Rec / Failures / Key+Val
-// carries the data.
+// walEntry is one log record, decoded. Op distinguishes the mutation
+// classes; exactly one of Rec / Failures / Key+Val carries the data.
+// This release writes each as a binary payload (see appendPayload) and
+// decodes both that and the JSON payload earlier releases wrote (see
+// decodePayload); the struct tags name the JSON members.
 type walEntry struct {
 	// Op is "put" (store or overwrite Rec), "del" (remove User),
 	// "lock" (set User's failed-attempt counter to Failures; 0
@@ -342,12 +343,22 @@ const (
 	walOpCkpt = "ckpt"
 )
 
+// The tags that open a binary payload, one per op this release writes.
+// None is '{', which opens every JSON payload.
+const (
+	walTagPut byte = 1 + iota
+	walTagDel
+	walTagLock
+	walTagKV
+)
+
 // walEntryKeys are walEntry's JSON member names in declaration order.
 var walEntryKeys = canonjson.Keys[walEntry]()
 
-// readWalEntry reads a log record's payload without reflection (see
-// package canonjson); every string and blob is a copy, so the entry
-// never aliases the replay buffer.
+// readWalEntry reads a JSON log payload, as releases before binary
+// payloads wrote it, without reflection (see package canonjson); every
+// string and blob is a copy, so the entry never aliases the replay
+// buffer.
 func readWalEntry(r *canonjson.Reader, e *walEntry) {
 	r.Object(walEntryKeys, func(i int) {
 		switch i {
@@ -371,13 +382,104 @@ func readWalEntry(r *canonjson.Reader, e *walEntry) {
 	})
 }
 
+// appendPayload appends e's binary payload to b: its op's tag, then a
+// put's packed record, which names its user; a del's user; a lock's
+// failure count as a zigzag varint, then its user; or a kv's key length
+// as a uvarint, its key and its value. Every op this release writes has
+// a tag; a generation marker has none.
+func appendPayload(b []byte, e *walEntry) []byte {
+	switch e.Op {
+	case walOpPut:
+		return e.Rec.Append(append(b, walTagPut))
+	case walOpDel:
+		return append(append(b, walTagDel), e.User...)
+	case walOpLock:
+		return append(binary.AppendVarint(append(b, walTagLock), int64(e.Failures)), e.User...)
+	case walOpKV:
+		b = binary.AppendUvarint(append(b, walTagKV), uint64(len(e.Key)))
+		return append(append(b, e.Key...), e.Val...)
+	}
+	panic("vault: no binary payload for log op " + e.Op)
+}
+
+// payloadSize returns the length of e's binary payload (see
+// appendPayload) without encoding it.
+func payloadSize(e *walEntry) int {
+	var v [binary.MaxVarintLen64]byte
+	switch e.Op {
+	case walOpPut:
+		return 1 + e.Rec.Len()
+	case walOpDel:
+		return 1 + len(e.User)
+	case walOpLock:
+		return 1 + len(binary.AppendVarint(v[:0], int64(e.Failures))) + len(e.User)
+	}
+	return 1 + len(binary.AppendUvarint(v[:0], uint64(len(e.Key)))) + len(e.Key) + len(e.Val)
+}
+
+// errBadPayload refuses a binary payload appendPayload cannot have
+// written.
+var errBadPayload = errors.New("vault: malformed binary log payload")
+
+// decodePayload decodes one log record's payload into e. A payload that
+// opens with '{' is JSON, as every release before binary payloads wrote
+// it (generation markers included), and goes to readWalEntry. Any other
+// must be exactly what appendPayload writes for some entry: a known tag,
+// minimal varints, a key no longer than the payload, and for a put the
+// bytes passpoints.ParsePacked accepts. Strings and blobs are copies, as
+// readWalEntry's are, and an empty kv value decodes as nil: a deletion.
+func decodePayload(payload []byte, e *walEntry) error {
+	if len(payload) == 0 {
+		return errBadPayload
+	}
+	if payload[0] == '{' {
+		return canonjson.Unmarshal(payload, e, readWalEntry)
+	}
+	body := payload[1:]
+	switch payload[0] {
+	case walTagPut:
+		rec, err := passpoints.ParsePacked(body)
+		if err != nil {
+			return err
+		}
+		*e = walEntry{Op: walOpPut, Rec: rec}
+	case walTagDel:
+		*e = walEntry{Op: walOpDel, User: string(body)}
+	case walTagLock:
+		f, n := binary.Varint(body)
+		if !minimalVarint(body, n) {
+			return errBadPayload
+		}
+		*e = walEntry{Op: walOpLock, User: string(body[n:]), Failures: int(f)}
+	case walTagKV:
+		k, n := binary.Uvarint(body)
+		if !minimalVarint(body, n) || k > uint64(len(body)-n) {
+			return errBadPayload
+		}
+		key, val := body[n:n+int(k)], body[n+int(k):]
+		*e = walEntry{Op: walOpKV, Key: string(key)}
+		if len(val) > 0 {
+			e.Val = slices.Clone(val)
+		}
+	default:
+		return fmt.Errorf("vault: unknown log payload tag %#x", payload[0])
+	}
+	return nil
+}
+
+// minimalVarint reports whether binary.Varint or Uvarint read a varint
+// of n > 0 bytes from the head of b that is as short as it can be: one
+// byte, or a last byte that is not zero.
+func minimalVarint(b []byte, n int) bool { return n == 1 || n > 1 && b[n-1] != 0 }
+
 // walHeaderSize is the fixed per-record framing: a little-endian
 // uint32 payload length followed by the IEEE CRC32 of the payload.
 const walHeaderSize = 8
 
-// walMaxRecord bounds a decoded record length. A corrupt length field
-// must not make replay allocate gigabytes; no legitimate entry (one
-// user record) approaches this.
+// walMaxRecord bounds a record's payload length. A corrupt length field
+// must not make replay allocate gigabytes, and replay reads a longer
+// one as exactly that, so appendLog refuses an entry whose payload
+// would exceed it.
 const walMaxRecord = 1 << 26
 
 // shardLogName returns the log file name for shard i.
@@ -602,7 +704,7 @@ func replayLog(f walFile, apply func(*walEntry) error) (int, int64, error) {
 			break // corrupt payload
 		}
 		var e walEntry
-		if err := canonjson.Unmarshal(payload, &e, readWalEntry); err != nil {
+		if err := decodePayload(payload, &e); err != nil {
 			return 0, 0, fmt.Errorf("vault: %s: record %d at offset %d does not decode: %w", f.Name(), n, off, err)
 		}
 		if err := apply(&e); err != nil {
@@ -630,59 +732,40 @@ func replayLog(f walFile, apply func(*walEntry) error) (int, int64, error) {
 }
 
 // appendFrame appends e's log frame to buf: a little-endian uint32
-// payload length and the payload's IEEE CRC32, then the payload, the
-// bytes json.Marshal writes for e. The header is reserved, the payload
-// encoded straight behind it, and the header filled in.
+// payload length and the payload's IEEE CRC32, then the binary payload
+// (see appendPayload). The header is reserved, the payload encoded
+// straight behind it, and the header filled in.
 func appendFrame(buf []byte, e *walEntry) []byte {
 	start := len(buf)
-	buf = e.appendJSON(append(buf, make([]byte, walHeaderSize)...))
+	buf = appendPayload(append(buf, make([]byte, walHeaderSize)...), e)
 	payload := buf[start+walHeaderSize:]
 	binary.LittleEndian.PutUint32(buf[start:], uint32(len(payload)))
 	binary.LittleEndian.PutUint32(buf[start+4:], crc32.ChecksumIEEE(payload))
 	return buf
 }
 
-// appendJSON appends the bytes json.Marshal writes for e to b, without
-// reflection.
-func (e *walEntry) appendJSON(b []byte) []byte {
-	b = canonjson.AppendString(append(b, `{"op":`...), e.Op)
-	b = canonjson.AppendString(append(b, `,"user":`...), e.User)
-	if !e.Rec.IsZero() {
-		b = e.Rec.AppendJSON(append(b, `,"rec":`...))
-	}
-	if e.Failures != 0 {
-		b = strconv.AppendInt(append(b, `,"failures":`...), int64(e.Failures), 10)
-	}
-	if e.Key != "" {
-		b = canonjson.AppendString(append(b, `,"key":`...), e.Key)
-	}
-	if len(e.Val) > 0 {
-		b = canonjson.AppendBase64(append(b, `,"val":`...), e.Val)
-	}
-	if e.Ckpt != 0 {
-		b = strconv.AppendUint(append(b, `,"ckpt":`...), e.Ckpt, 10)
-	}
-	if e.Full {
-		b = append(b, `,"full":true`...)
-	}
-	return append(b, '}')
-}
-
 // appendLog is the shard's one append path, behind every local
 // mutation, ImportJSON and ApplyReplFrames. It refuses a closed or
-// fail-stopped shard, stages frames — the encoding of entries, or nil
-// to encode them here — behind any batch in flight, applies the
-// entries with their undos pending, and waits in awaitCommit until a
-// batch leader has written them, and fsynced them when sync is set or
-// another record in the batch asked for it. It returns the seq of the
-// call's last entry, taken when the entries are staged, so a quorum
-// wait covers exactly them. Caller holds sh.mu; appendLog may release
-// and reacquire it.
+// fail-stopped shard, and entries to encode of which one has a payload
+// over walMaxRecord, which replay would take for a corrupt length and
+// drop with every record after it. It stages frames — the encoding of
+// entries, or nil to encode them here — behind any batch in flight,
+// applies the entries with their undos pending, and waits in
+// awaitCommit until a batch leader has written them, and fsynced them
+// when sync is set or another record in the batch asked for it. It
+// returns the seq of the call's last entry, taken when the entries are
+// staged, so a quorum wait covers exactly them. Caller holds sh.mu;
+// appendLog may release and reacquire it.
 func (sh *walShard) appendLog(entries []walEntry, frames []byte, sync bool) (uint64, error) {
 	if err := sh.writable(); err != nil {
 		return 0, err
 	}
 	if frames == nil {
+		for i := range entries {
+			if n := payloadSize(&entries[i]); n > walMaxRecord {
+				return 0, fmt.Errorf("vault: %s entry of %d bytes exceeds the %d-byte log record limit", entries[i].Op, n, walMaxRecord)
+			}
+		}
 		for i := range entries {
 			sh.wbuf = appendFrame(sh.wbuf, &entries[i])
 		}
@@ -1039,8 +1122,8 @@ func (d *Durable) SetKV(key string, val []byte) error {
 				return nil
 			})
 	}
-	// Copy val: the caller may reuse its buffer, and the shard map (and
-	// a staged-but-unflushed log frame's JSON) must not alias it.
+	// Copy val: the caller may reuse its buffer, and the shard map keeps
+	// the slice it is given.
 	v := make([]byte, len(val))
 	copy(v, val)
 	return d.mutate(key, walEntry{Op: walOpKV, Key: key, Val: v}, nil)
@@ -1240,13 +1323,12 @@ func encodeState(records map[string]passpoints.Packed, lockouts map[string]int, 
 	users := slices.Sorted(maps.Keys(records))
 	locked := slices.Sorted(maps.Keys(lockouts))
 	keys := slices.Sorted(maps.Keys(kv))
-	var frames, scratch []byte
+	var frames []byte
 	size := 0
 	for sizing := true; ; sizing = false {
 		add := func(e walEntry) {
 			if sizing {
-				scratch = e.appendJSON(scratch[:0])
-				size += walHeaderSize + len(scratch)
+				size += walHeaderSize + payloadSize(&e)
 			} else {
 				frames = appendFrame(frames, &e)
 			}
