@@ -148,8 +148,10 @@ redteam-smoke:
 
 # fuzz-smoke runs the codec and token fuzz targets for FUZZTIME each
 # (go test -fuzz takes one target per run): the differential
-# FuzzCanonicalDecode of the vault's JSON formats and of the
-# replication messages, FuzzLogPayload (a binary log payload the
+# FuzzCanonicalDecode of the vault's JSON formats and of the JSON
+# replication messages, FuzzReplMsg (a binary snapshot or frames
+# message the reader accepts re-encodes to exactly its bytes),
+# FuzzLogPayload (a binary log payload the
 # decoder accepts re-encodes to exactly its bytes, and a put's packed
 # record reads back without panicking), the differential
 # FuzzAppendString (canonjson's string writer against encoding/json),
@@ -163,6 +165,7 @@ FUZZTIME ?= 20s
 fuzz-smoke:
 	$(GO) test ./internal/vault -run '^$$' -fuzz '^FuzzCanonicalDecode$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/vault/repl -run '^$$' -fuzz '^FuzzCanonicalDecode$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/vault/repl -run '^$$' -fuzz '^FuzzReplMsg$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/vault -run '^$$' -fuzz '^FuzzLogPayload$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/canonjson -run '^$$' -fuzz '^FuzzAppendString$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/vault -run '^$$' -fuzz '^FuzzOpen$$' -fuzztime $(FUZZTIME)

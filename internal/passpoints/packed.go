@@ -265,20 +265,22 @@ func ParsePacked(data []byte) (Packed, error) {
 
 // checker reads packed bytes of unknown origin in order, as unpacker
 // reads a Packed, which it leaves unchecked to keep Record and
-// VerifyPacked fast. A read past the end of b, or a varint longer than
+// VerifyPacked fast. It advances an offset, as unpacker does, so a read
+// stores no pointer. A read past the end of b, or a varint longer than
 // 64 bits, sets bad and reads a zero value.
 type checker struct {
 	b   []byte
+	off int
 	bad bool
 }
 
 func (c *checker) uvarint() uint64 {
-	v, n := binary.Uvarint(c.b)
+	v, n := binary.Uvarint(c.b[c.off:])
 	if n <= 0 {
 		c.bad = true
 		return 0
 	}
-	c.b = c.b[n:]
+	c.off += n
 	return v
 }
 
@@ -296,12 +298,13 @@ func (c *checker) byte() byte {
 }
 
 func (c *checker) bytes(n uint64) []byte {
-	if n > uint64(len(c.b)) {
+	if n > uint64(len(c.b)-c.off) {
 		c.bad = true
 		return nil
 	}
-	s := c.b[:n:n]
-	c.b = c.b[n:]
+	end := c.off + int(n)
+	s := c.b[c.off:end:end]
+	c.off = end
 	return s
 }
 

@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
@@ -269,6 +270,24 @@ func TestAppendRefusesOversizedEntry(t *testing.T) {
 	}
 	if _, ok := back.GetKV("big"); ok {
 		t.Error("the refused value came back after a reopen")
+	}
+}
+
+// TestSetKVRefusesOversizedBeforeCopy: SetKV refuses a value over the
+// record limit before it copies the value, so the refusal allocates
+// next to nothing however large the value is.
+func TestSetKVRefusesOversizedBeforeCopy(t *testing.T) {
+	d := openDurableT(t, DurableOptions{Shards: 1, Sync: SyncAlways, NoAutoCompact: true})
+	big := make([]byte, walMaxRecord)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	err := d.SetKV("big", big)
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("SetKV acked a value over the log's record limit")
+	}
+	if n := after.TotalAlloc - before.TotalAlloc; n >= 1<<20 {
+		t.Errorf("the refused SetKV allocated %d bytes, want under 1 MiB", n)
 	}
 }
 

@@ -1,7 +1,11 @@
 package repl
 
 import (
+	"bufio"
+	"bytes"
+	"encoding/binary"
 	"encoding/json"
+	"hash/crc32"
 	"math"
 	"reflect"
 	"testing"
@@ -11,11 +15,11 @@ import (
 
 // canonMsgs returns one message of every type with the fields the
 // protocol sends in it (20-digit epochs and run ids), plus one message
-// with every field set.
+// with every field set, a hello so that writeMsg sends it as JSON.
 func canonMsgs(t testing.TB) []wireMsg {
 	frames := []byte("\x1c\x00\x00\x00\xde\xad\xbe\xef{\"op\":\"put\",\"user\":\"zoë <admin> & 密码\"}")
 	every := wireMsg{
-		Type: msgSnapshot, Proto: protoVersion, Epoch: math.MaxUint64, RunID: 10000000000000000000, Shards: 4,
+		Type: msgHello, Proto: protoVersion, Epoch: math.MaxUint64, RunID: 10000000000000000000, Shards: 4,
 		Seqs: []uint64{0, math.MaxUint64}, Advertise: "10.0.0.1:7000", Shard: 3, Seq: 42,
 		Frames: []byte{1, 2, 3},
 	}
@@ -32,11 +36,16 @@ func canonMsgs(t testing.TB) []wireMsg {
 		{Type: msgSnapshot, Shard: 1, Seq: 9, Frames: frames},
 		{Type: msgSnapshot, Shard: 0},
 		{Type: msgFrames, Shard: 31, Seq: math.MaxUint64, Frames: []byte("framed bytes")},
+		{Type: msgFrames, Shard: math.MaxInt, Seq: 128, Frames: []byte{'{'}},
 		{Type: msgAck, Shard: 2, Seq: 5},
 		{Type: msgPing},
 		every,
 	}
 }
+
+// jsonMsg reports whether the protocol sends m as JSON: every type but
+// snapshot and frames.
+func jsonMsg(m wireMsg) bool { return m.Type != msgSnapshot && m.Type != msgFrames }
 
 // wireDecodesLikeJSON checks readWireMsg against encoding/json on
 // data: it must decline, or accept input encoding/json accepts and
@@ -57,8 +66,8 @@ func wireDecodesLikeJSON(t *testing.T, data []byte) bool {
 	return true
 }
 
-// TestCanonicalDecodeCoversWireMsgs: every message type the protocol
-// sends decodes on the reflection-free path, to encoding/json's value.
+// TestCanonicalDecodeCoversWireMsgs: every message type decodes from
+// JSON on the reflection-free path, to encoding/json's value.
 func TestCanonicalDecodeCoversWireMsgs(t *testing.T) {
 	for _, m := range canonMsgs(t) {
 		data, err := json.Marshal(m)
@@ -73,7 +82,8 @@ func TestCanonicalDecodeCoversWireMsgs(t *testing.T) {
 
 // FuzzCanonicalDecode: for arbitrary bytes, the reflection-free
 // wireMsg decoder either declines or returns exactly encoding/json's
-// value, and never accepts what encoding/json rejects.
+// value, and never accepts what encoding/json rejects. FuzzReplMsg
+// covers the binary snapshot and frames messages.
 func FuzzCanonicalDecode(f *testing.F) {
 	for _, m := range canonMsgs(f) {
 		data, _ := json.Marshal(m)
@@ -94,5 +104,86 @@ func FuzzCanonicalDecode(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		wireDecodesLikeJSON(t, data)
+	})
+}
+
+// framed returns a reader over payload framed as one message, with its
+// length and CRC.
+func framed(payload []byte) *bufio.Reader {
+	b := binary.LittleEndian.AppendUint32(nil, uint32(len(payload)))
+	b = append(binary.LittleEndian.AppendUint32(b, crc32.ChecksumIEEE(payload)), payload...)
+	return bufio.NewReader(bytes.NewReader(b))
+}
+
+// refusedPayloads are message payloads writeMsg cannot have written.
+var refusedPayloads = [][]byte{
+	{wireTagFrames + 1, 0, 0},            // an unknown type byte
+	{wireTagSnapshot, 0x80, 0x00, 1},     // a non-minimal shard
+	{wireTagFrames, 1, 0x81, 0x80, 0x00}, // a non-minimal seq
+	{wireTagSnapshot, 1},                 // no seq
+	{wireTagFrames, 1, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01}, // an overlong seq
+	{wireTagFrames, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x80, 0x01, 0},       // a shard past MaxInt
+	[]byte(`{"type":"frames","shard":1}`),                                                // frames as JSON
+	[]byte(`{"type":"snapshot","shard":1,"seq":9,"frames":"AQI="}`),                      // a protocol 3 snapshot
+}
+
+// TestReplMsgRoundTrip: every canonMsgs message reads back as the value
+// written, and every refusedPayloads payload is refused.
+func TestReplMsgRoundTrip(t *testing.T) {
+	for _, m := range canonMsgs(t) {
+		var b bytes.Buffer
+		if err := writeMsg(&b, &m); err != nil {
+			t.Fatal(err)
+		}
+		var got wireMsg
+		if err := readMsg(bufio.NewReader(&b), &got); err != nil || !reflect.DeepEqual(got, m) {
+			t.Errorf("%+v reads back as %+v, %v", m, got, err)
+		}
+	}
+	for _, p := range refusedPayloads {
+		var m wireMsg
+		if err := readMsg(framed(p), &m); err == nil {
+			t.Errorf("accepted %q as %+v", p, m)
+		}
+	}
+}
+
+// FuzzReplMsg: for arbitrary bytes, framed as a message, readMsg
+// either fails or accepts. Every snapshot or frames message it accepts
+// is binary, and writeMsg re-encodes it to exactly the framed bytes;
+// every other message it accepts is JSON. The seeds are every
+// canonMsgs message as writeMsg frames it, and refusedPayloads.
+func FuzzReplMsg(f *testing.F) {
+	for _, m := range canonMsgs(f) {
+		var b bytes.Buffer
+		if err := writeMsg(&b, &m); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(b.Bytes()[wireHeaderSize:])
+	}
+	for _, refused := range refusedPayloads {
+		f.Add(refused)
+	}
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		var m wireMsg
+		if readMsg(framed(payload), &m) != nil {
+			return
+		}
+		if payload[0] == '{' {
+			if !jsonMsg(m) {
+				t.Fatalf("accepted a %s message in JSON: %q", m.Type, payload)
+			}
+			return
+		}
+		if jsonMsg(m) || m.Shard < 0 {
+			t.Fatalf("accepted binary %q as %+v", payload, m)
+		}
+		var b bytes.Buffer
+		if err := writeMsg(&b, &m); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(b.Bytes()[wireHeaderSize:], payload) {
+			t.Fatalf("%q decodes to %+v, which encodes to %q", payload, m, b.Bytes()[wireHeaderSize:])
+		}
 	})
 }

@@ -160,9 +160,7 @@ func (n *Node) followOnce(fo *followerState) error {
 	if _, err := n.store.AdvanceEpoch(w.Epoch); err != nil {
 		return fmt.Errorf("persisting primary epoch: %w", err)
 	}
-	// booting lists the shards still owed their first snapshot from a
-	// new stream incarnation, which the primary snapshots in full.
-	var booting map[int]bool
+	a := &applier{n: n, fo: fo, c: c, runID: w.RunID, inflight: make(map[int]bool), slots: make(chan struct{}, maxInstalls)}
 	fo.mu.Lock()
 	if w.RunID != fo.upstreamRun {
 		// Our floors are meaningless to the new incarnation. Until every
@@ -170,15 +168,50 @@ func (n *Node) followOnce(fo *followerState) error {
 		// disconnect redials into a full bootstrap: a floor of 0 would
 		// resume a shard this node never received.
 		fo.upstreamRun = 0
-		booting = make(map[int]bool, n.shards)
+		a.booting = make(map[int]bool, n.shards)
 		for i := range fo.applied {
 			fo.applied[i] = 0
-			booting[i] = true
+			a.booting[i] = true
 		}
 	}
 	fo.mu.Unlock()
 	n.touch()
+	a.fail(a.read(br))
+	return a.wait()
+}
 
+// maxInstalls caps the snapshot installs one connection runs at once.
+// At the cap the reader stops reading, so TCP flow control holds the
+// rest of a bootstrap at the primary, and a follower holds at most
+// maxInstalls+1 shard snapshots and runs at most maxInstalls log
+// rewrites at a time.
+const maxInstalls = 4
+
+// applier is the apply side of one connection to the primary. Each
+// snapshot installs and acks on its own goroutine while the reader
+// reads on, so the installs overlap their CPU and fsyncs. The reader
+// waits for every install in flight before it applies frames, or
+// before a snapshot for a shard still installing, so each shard
+// applies its stream in order. The first failure, an install's or the
+// reader's, closes the connection and is the connection's error.
+type applier struct {
+	n        *Node
+	fo       *followerState
+	c        net.Conn
+	runID    uint64        // the primary's, adopted once booting empties
+	booting  map[int]bool  // shards owed their first snapshot (guarded by fo.mu)
+	inflight map[int]bool  // shards installing since the reader last waited (reader only)
+	slots    chan struct{} // one per install in flight
+	installs sync.WaitGroup
+	wmu      sync.Mutex // serializes acks to c
+
+	mu  sync.Mutex
+	err error // the first failure
+}
+
+// read applies the stream until it fails, and returns the failure.
+func (a *applier) read(br *bufio.Reader) error {
+	n := a.n
 	for {
 		var m wireMsg
 		if err := readMsg(br, &m); err != nil {
@@ -192,31 +225,29 @@ func (n *Node) followOnce(fo *followerState) error {
 			if m.Shard < 0 || m.Shard >= n.shards {
 				return fmt.Errorf("snapshot for unknown shard %d", m.Shard)
 			}
-			if err := n.store.InstallShardSnapshot(m.Shard, m.Frames); err != nil {
-				return fmt.Errorf("installing shard %d snapshot: %w", m.Shard, err)
+			if a.inflight[m.Shard] {
+				if err := a.wait(); err != nil {
+					return err
+				}
 			}
-			fo.setApplied(m.Shard, m.Seq)
-			delete(booting, m.Shard)
-			if booting != nil && len(booting) == 0 {
-				booting = nil
-				fo.mu.Lock()
-				fo.upstreamRun = w.RunID
-				fo.mu.Unlock()
-			}
-			if err := writeMsg(c, &wireMsg{Type: msgAck, Shard: m.Shard, Seq: m.Seq}); err != nil {
-				return err
-			}
+			a.slots <- struct{}{}
+			a.inflight[m.Shard] = true
+			a.installs.Add(1)
+			go a.install(m)
 		case msgFrames:
 			if m.Shard < 0 || m.Shard >= n.shards {
 				return fmt.Errorf("frames for unknown shard %d", m.Shard)
 			}
+			if err := a.wait(); err != nil {
+				return err
+			}
 			if err := n.store.ApplyReplFrames(m.Shard, m.Frames); err != nil {
 				return fmt.Errorf("applying shard %d batch: %w", m.Shard, err)
 			}
-			fo.setApplied(m.Shard, m.Seq)
+			a.fo.setApplied(m.Shard, m.Seq)
 			// ApplyReplFrames fsynced under SyncAlways, so this ack is
 			// the durable coverage a quorum-mode primary waits on.
-			if err := writeMsg(c, &wireMsg{Type: msgAck, Shard: m.Shard, Seq: m.Seq}); err != nil {
+			if err := a.ack(m.Shard, m.Seq); err != nil {
 				return err
 			}
 		default:
@@ -226,6 +257,57 @@ func (n *Node) followOnce(fo *followerState) error {
 			return fmt.Errorf("unexpected %q message from the primary", m.Type)
 		}
 	}
+}
+
+// install installs one shard's snapshot, records its floor and acks it.
+func (a *applier) install(m wireMsg) {
+	defer func() {
+		<-a.slots
+		a.installs.Done()
+	}()
+	if err := a.n.store.InstallShardSnapshot(m.Shard, m.Frames); err != nil {
+		a.fail(fmt.Errorf("installing shard %d snapshot: %w", m.Shard, err))
+		return
+	}
+	fo := a.fo
+	fo.setApplied(m.Shard, m.Seq)
+	fo.mu.Lock()
+	delete(a.booting, m.Shard)
+	if a.booting != nil && len(a.booting) == 0 {
+		a.booting = nil
+		fo.upstreamRun = a.runID
+	}
+	fo.mu.Unlock()
+	if err := a.ack(m.Shard, m.Seq); err != nil {
+		a.fail(err)
+	}
+}
+
+// ack tells the primary that shard is applied through seq.
+func (a *applier) ack(shard int, seq uint64) error {
+	a.wmu.Lock()
+	defer a.wmu.Unlock()
+	return writeMsg(a.c, &wireMsg{Type: msgAck, Shard: shard, Seq: seq})
+}
+
+// fail records err unless a failure came first, and closes the
+// connection, which ends the reader.
+func (a *applier) fail(err error) {
+	a.mu.Lock()
+	if a.err == nil {
+		a.err = err
+	}
+	a.mu.Unlock()
+	a.c.Close()
+}
+
+// wait waits for every install in flight and returns the first failure.
+func (a *applier) wait() error {
+	a.installs.Wait()
+	clear(a.inflight)
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	return a.err
 }
 
 // setApplied records the follower's applied floor for a shard.

@@ -4,26 +4,34 @@ import (
 	"bufio"
 	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
+	"math"
 
 	"clickpass/internal/canonjson"
 )
 
 // The replication wire protocol: length-prefixed, CRC32-checksummed
-// JSON messages over one TCP connection per follower — the same
-// framing discipline as the WAL itself, so a torn or corrupted
-// message is detected (and kills the connection) instead of being
-// half-applied. A shard's state travels only as WAL frames: a
-// snapshot is the shard's log as compaction would write it, and a
-// frames message is one committed batch. The conversation:
+// messages over one TCP connection per follower — the same framing
+// discipline as the WAL itself, so a torn or corrupted message is
+// detected (and kills the connection) instead of being half-applied. A
+// shard's state travels only as WAL frames: a snapshot is the shard's
+// log as compaction would write it, and a frames message is one
+// committed batch. The conversation:
 //
 //	follower → hello   (protocol, epoch, known run id, per-shard applied seqs)
 //	primary  → welcome (protocol, epoch, run id, shard count, advertise addr)
 //	primary  → snapshot per shard needing bootstrap (its log frames), then
 //	primary  → frames / ping ...       (continuous)
 //	follower → ack per applied batch   (continuous)
+//
+// hello, welcome, ack and ping are JSON. snapshot and frames, which
+// carry nearly every byte, are binary: a type byte that is never '{',
+// the shard and seq as minimal uvarints, then the frames exactly as the
+// log holds them, so neither side base64s them or parses JSON around
+// them, and the follower stages the bytes it read.
 //
 // Each side refuses a peer whose hello or welcome names another
 // protocol than protoVersion, and a follower ends the connection on a
@@ -35,14 +43,9 @@ import (
 // fencing comes from quorum acks, not from this courtesy message.
 
 // protoVersion is the replication protocol this release speaks, sent in
-// hello and welcome; both nodes of a pair must run one release.
-// Version 3 ships frames with binary payloads. A version 2 node refuses
-// those as undecodable, mid-stream, and would redial into the same
-// refusal forever, so the handshake refuses it instead. Version 2
-// shipped JSON payloads, and version 1, whose messages carry no number,
-// shipped a snapshot as JSON maps, which this release would read as an
-// empty shard.
-const protoVersion = 3
+// hello and welcome. Both nodes of a pair must run one release: a peer
+// on any other version is refused at the handshake, not mid-stream.
+const protoVersion = 4
 
 // Message types.
 const (
@@ -54,8 +57,16 @@ const (
 	msgPing     = "ping"
 )
 
-// wireMsg is the single JSON envelope every replication message uses;
-// Type selects which fields are meaningful.
+// The type bytes that open a binary message. Neither is '{', which
+// opens every JSON message.
+const (
+	wireTagSnapshot byte = 1 + iota
+	wireTagFrames
+)
+
+// wireMsg is the one envelope every replication message uses; Type
+// selects which fields are meaningful. writeMsg sends a snapshot or
+// frames message binary and every other type as JSON.
 type wireMsg struct {
 	// Type is one of the msg* constants.
 	Type string `json:"type"`
@@ -132,21 +143,36 @@ const wireMaxMsg = 1 << 30
 
 // writeMsg frames and writes one message in a single Write call.
 func writeMsg(w io.Writer, m *wireMsg) error {
-	payload, err := json.Marshal(m)
-	if err != nil {
-		return fmt.Errorf("repl: encoding %s: %w", m.Type, err)
+	var buf []byte
+	switch m.Type {
+	case msgSnapshot, msgFrames:
+		tag := wireTagSnapshot
+		if m.Type == msgFrames {
+			tag = wireTagFrames
+		}
+		buf = make([]byte, wireHeaderSize, wireHeaderSize+1+2*binary.MaxVarintLen64+len(m.Frames))
+		buf = binary.AppendUvarint(append(buf, tag), uint64(m.Shard))
+		buf = append(binary.AppendUvarint(buf, m.Seq), m.Frames...)
+	default:
+		payload, err := json.Marshal(m)
+		if err != nil {
+			return fmt.Errorf("repl: encoding %s: %w", m.Type, err)
+		}
+		buf = append(make([]byte, wireHeaderSize, wireHeaderSize+len(payload)), payload...)
 	}
-	buf := make([]byte, wireHeaderSize+len(payload))
+	payload := buf[wireHeaderSize:]
 	binary.LittleEndian.PutUint32(buf[0:4], uint32(len(payload)))
 	binary.LittleEndian.PutUint32(buf[4:8], crc32.ChecksumIEEE(payload))
-	copy(buf[wireHeaderSize:], payload)
 	if _, err := w.Write(buf); err != nil {
 		return fmt.Errorf("repl: writing %s: %w", m.Type, err)
 	}
 	return nil
 }
 
-// readMsg reads and validates one framed message into m.
+// readMsg reads and validates one framed message into m: a payload
+// that opens with '{' through readWireMsg, any other through
+// readBinaryMsg. A snapshot or frames message in JSON is refused, as
+// this protocol never sends one.
 func readMsg(r *bufio.Reader, m *wireMsg) error {
 	var header [wireHeaderSize]byte
 	if _, err := io.ReadFull(r, header[:]); err != nil {
@@ -165,8 +191,51 @@ func readMsg(r *bufio.Reader, m *wireMsg) error {
 		return fmt.Errorf("repl: message CRC mismatch")
 	}
 	*m = wireMsg{}
+	if payload[0] != '{' {
+		return readBinaryMsg(payload, m)
+	}
 	if err := canonjson.Unmarshal(payload, m, readWireMsg); err != nil {
 		return fmt.Errorf("repl: decoding message: %w", err)
+	}
+	if m.Type == msgSnapshot || m.Type == msgFrames {
+		return fmt.Errorf("repl: a %s message in JSON", m.Type)
+	}
+	return nil
+}
+
+// errBadMsg refuses a binary message writeMsg cannot have written.
+var errBadMsg = errors.New("repl: malformed binary message")
+
+// readBinaryMsg decodes a binary payload into the zero m: it must be
+// exactly what writeMsg writes, a known type byte, then minimal
+// uvarints, the first of which fits an int. Empty frames decode as
+// nil. m.Frames aliases payload, and nothing the follower keeps pins
+// it: decodeFrames copies every string and blob of the entries it
+// returns, and the log append and replacement copy the frames.
+func readBinaryMsg(payload []byte, m *wireMsg) error {
+	switch payload[0] {
+	case wireTagSnapshot:
+		m.Type = msgSnapshot
+	case wireTagFrames:
+		m.Type = msgFrames
+	default:
+		return fmt.Errorf("repl: unknown message type byte %#x", payload[0])
+	}
+	off := 1
+	var shard uint64
+	for _, v := range []*uint64{&shard, &m.Seq} {
+		x, n := binary.Uvarint(payload[off:])
+		if n <= 0 || n > 1 && payload[off+n-1] == 0 {
+			return errBadMsg
+		}
+		*v, off = x, off+n
+	}
+	if shard > math.MaxInt {
+		return errBadMsg
+	}
+	m.Shard = int(shard)
+	if off < len(payload) {
+		m.Frames = payload[off:]
 	}
 	return nil
 }

@@ -857,12 +857,9 @@ func TestReplBootstrapInstallsSnapshotLog(t *testing.T) {
 }
 
 // TestReplRefusesOldProtocolPeer: a node on an earlier replication
-// protocol is refused in both directions. That is protocol 1, whose
-// hello and welcome carry no protocol number and whose snapshot this
-// release would read as an empty shard, and protocol 2, which ships
-// JSON payloads this release reads but refuses the binary payloads this
-// release ships. A primary answers such a hello with no welcome; a
-// follower ends the connection at such a welcome, and at any message
+// protocol (1, whose hello and welcome carry no protocol number, 2 or
+// 3) is refused in both directions. A primary answers such a hello
+// with no welcome; a follower ends the connection at such a welcome, and at any message
 // type it does not know, before installing anything. Each refusal is
 // logged once.
 func TestReplRefusesOldProtocolPeer(t *testing.T) {
@@ -882,7 +879,7 @@ func TestReplRefusesOldProtocolPeer(t *testing.T) {
 			var m wireMsg
 			return m, readMsg(bufio.NewReader(c), &m)
 		}
-		for _, old := range []int{0, 2} {
+		for _, old := range []int{0, 2, 3} {
 			if m, err := hello(old); err == nil {
 				t.Fatalf("primary answered a protocol-%d hello with %q", old, m.Type)
 			} else if isTimeout(err) {
@@ -957,13 +954,14 @@ func TestReplRefusesOldProtocolPeer(t *testing.T) {
 		}
 		serve(wireMsg{Type: msgWelcome, RunID: 7, Shards: 4}, empty...)
 		serve(wireMsg{Type: msgWelcome, Proto: 2, RunID: 7, Shards: 4}, v2...)
+		serve(wireMsg{Type: msgWelcome, Proto: 3, RunID: 7, Shards: 4}, v2...)
 		serve(wireMsg{Type: msgWelcome, Proto: protoVersion, RunID: 7, Shards: 4}, append([]wireMsg{{Type: "records"}}, empty...)...)
 		if got := snapshotBytes(t, fst); got != want {
 			t.Fatal("follower installed a snapshot from a refused primary")
 		}
 		// The follower logs a refusal once it has hung up, so the last
 		// may land after serve returns.
-		refusals := []string{"replication protocol 0,", "replication protocol 2,", `unexpected "records" message`}
+		refusals := []string{"replication protocol 0,", "replication protocol 2,", "replication protocol 3,", `unexpected "records" message`}
 		waitFor(t, 5*time.Second, "the follower to log every refusal", func() bool {
 			for _, r := range refusals {
 				if logs.count(r) == 0 {
@@ -1037,4 +1035,300 @@ func TestReplMidBootstrapDisconnectRebootstraps(t *testing.T) {
 	newTestFollower(t, fst, ln.Addr().String(), Options{Redial: 20 * time.Millisecond})
 	want := snapshotBytes(t, pst)
 	waitFor(t, 5*time.Second, "the follower to hold every record", func() bool { return snapshotBytes(t, fst) == want })
+}
+
+// scriptedPrimary plays a primary for one follower connection on ln:
+// it reads the follower's hello, then sends welcome and msgs. A write
+// error is ignored, as the follower may already have hung up.
+func scriptedPrimary(t *testing.T, ln net.Listener, welcome wireMsg, msgs ...wireMsg) (net.Conn, *bufio.Reader, wireMsg) {
+	t.Helper()
+	c, err := ln.Accept()
+	if err != nil {
+		t.Fatal(err)
+	}
+	br := bufio.NewReader(c)
+	_ = c.SetReadDeadline(time.Now().Add(10 * time.Second))
+	var hello wireMsg
+	if err := readMsg(br, &hello); err != nil {
+		t.Fatalf("reading the follower's hello: %v", err)
+	}
+	for _, m := range append([]wireMsg{welcome}, msgs...) {
+		_ = writeMsg(c, &m)
+	}
+	return c, br, hello
+}
+
+// TestReplConcurrentInstallsApplyInOrder: a follower installs each
+// snapshot on its own goroutine, yet every shard applies its stream in
+// order. A scripted primary sends snapshots of shards 0-3, frames for
+// shard 0 on top of its snapshot, a second, newer snapshot of shard 1
+// and frames for shard 1. In every run the follower ends in the state
+// a serial apply of the same messages gives, and acks each message
+// exactly once, in each shard's order.
+func TestReplConcurrentInstallsApplyInOrder(t *testing.T) {
+	src := openTestStore(t)
+	put := func(prefix string) {
+		for i := 0; i < 40; i++ {
+			if err := src.Put(testRecord(fmt.Sprintf("%s%03d", prefix, i))); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	snapshot := func(shard int) wireMsg {
+		frames, seq, err := src.ShardSnapshot(shard)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return wireMsg{Type: msgSnapshot, Shard: shard, Seq: seq, Frames: frames}
+	}
+	put("a")
+	if err := src.SetKV("session/key/1", []byte("k1")); err != nil {
+		t.Fatal(err)
+	}
+	var script []wireMsg
+	for s := 0; s < 4; s++ {
+		script = append(script, snapshot(s))
+	}
+	// shipped collects each shard's committed frames since the last
+	// reset, as one frames message.
+	var (
+		mu      sync.Mutex
+		shipped [4]wireMsg
+	)
+	src.SetReplHooks(vault.ReplHooks{Commit: func(shard int, frames []byte, lastSeq uint64) {
+		mu.Lock()
+		defer mu.Unlock()
+		m := &shipped[shard]
+		*m = wireMsg{Type: msgFrames, Shard: shard, Seq: lastSeq, Frames: append(m.Frames, frames...)}
+	}})
+	frames := func(shard int) wireMsg {
+		mu.Lock()
+		defer mu.Unlock()
+		m := shipped[shard]
+		shipped[shard] = wireMsg{}
+		if len(m.Frames) == 0 {
+			t.Fatalf("no write landed in shard %d", shard)
+		}
+		return m
+	}
+	put("b")
+	if err := src.SetLockout("a001", 2); err != nil {
+		t.Fatal(err)
+	}
+	script = append(script, frames(0), snapshot(1))
+	frames(1)
+	put("c")
+	script = append(script, frames(1))
+	src.SetReplHooks(vault.ReplHooks{})
+
+	want := openTestStore(t)
+	wantAcks := map[int][]uint64{}
+	for _, m := range script {
+		var err error
+		if m.Type == msgSnapshot {
+			err = want.InstallShardSnapshot(m.Shard, m.Frames)
+		} else {
+			err = want.ApplyReplFrames(m.Shard, m.Frames)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantAcks[m.Shard] = append(wantAcks[m.Shard], m.Seq)
+	}
+	wantState := snapshotBytes(t, want)
+	// The sentinel is acked only once every install has returned.
+	sentinel := wireMsg{Type: msgFrames, Shard: 3, Seq: 1 << 40}
+
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	welcome := wireMsg{Type: msgWelcome, Proto: protoVersion, RunID: 7, Shards: 4}
+	for run := 0; run < 50; run++ {
+		fst := openTestStore(t)
+		f := newTestFollower(t, fst, ln.Addr().String(), Options{Redial: time.Hour})
+		c, br, _ := scriptedPrimary(t, ln, welcome, append(script, sentinel)...)
+		acks := map[int][]uint64{}
+		for {
+			var m wireMsg
+			if err := readMsg(br, &m); err != nil {
+				t.Fatalf("run %d: reading acks: %v", run, err)
+			}
+			if m.Type != msgAck {
+				t.Fatalf("run %d: follower sent %+v", run, m)
+			}
+			if m.Shard == sentinel.Shard && m.Seq == sentinel.Seq {
+				break
+			}
+			acks[m.Shard] = append(acks[m.Shard], m.Seq)
+		}
+		if !reflect.DeepEqual(acks, wantAcks) {
+			t.Fatalf("run %d: acks per shard %v, want %v", run, acks, wantAcks)
+		}
+		if snapshotBytes(t, fst) != wantState || !reflect.DeepEqual(fst.Lockouts(), want.Lockouts()) ||
+			!reflect.DeepEqual(fst.KVRange(""), want.KVRange("")) {
+			t.Fatalf("run %d: the follower's state is not the serial apply's", run)
+		}
+		f.Close()
+		c.Close()
+	}
+}
+
+// TestReplFailedInstallEndsConnection: a CRC-valid snapshot whose frames
+// do not decode ends the connection with that install's error, logged
+// once and not as a closed-connection read error. Every install the
+// connection started has returned before the follower redials, and
+// the redial asks for a full bootstrap (run id 0).
+func TestReplFailedInstallEndsConnection(t *testing.T) {
+	src := openTestStore(t)
+	for i := 0; i < 40; i++ {
+		if err := src.Put(testRecord(fmt.Sprintf("user%03d", i))); err != nil {
+			t.Fatal(err)
+		}
+		if err := src.SetKV(fmt.Sprintf("k%03d", i), []byte("v")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var script []wireMsg
+	for s := 0; s < 4; s++ {
+		frames, seq, err := src.ShardSnapshot(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if s == 1 {
+			frames = []byte("not a frame")
+		}
+		script = append(script, wireMsg{Type: msgSnapshot, Shard: s, Seq: seq, Frames: frames})
+	}
+	// events records, in order, each dial and each side-table entry an
+	// install delivers to the KV watch.
+	var (
+		mu     sync.Mutex
+		events []string
+	)
+	record := func(e string) {
+		mu.Lock()
+		events = append(events, e)
+		mu.Unlock()
+	}
+	fst := openTestStore(t)
+	fst.SetKVWatch(func(string, []byte) { record("kv") })
+	dial := func(addr string) (net.Conn, error) { record("dial"); return net.Dial("tcp", addr) }
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	logs := &logLines{}
+	newTestFollower(t, fst, ln.Addr().String(), Options{Dial: dial, Redial: 20 * time.Millisecond, Logf: logs.logf})
+	c, br, _ := scriptedPrimary(t, ln, wireMsg{Type: msgWelcome, Proto: protoVersion, RunID: 7, Shards: 4}, script...)
+	for {
+		var m wireMsg
+		if err := readMsg(br, &m); err != nil {
+			if isTimeout(err) {
+				t.Fatal("the follower kept the connection open")
+			}
+			break
+		}
+		if m.Shard == 1 {
+			t.Fatalf("the follower acked the undecodable snapshot: %+v", m)
+		}
+	}
+	c.Close()
+	c2, err := ln.Accept()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c2.Close()
+	var hello wireMsg
+	_ = c2.SetReadDeadline(time.Now().Add(10 * time.Second))
+	if err := readMsg(bufio.NewReader(c2), &hello); err != nil || hello.RunID != 0 {
+		t.Fatalf("redial's hello = %+v, %v; want run id 0", hello, err)
+	}
+	time.Sleep(50 * time.Millisecond) // an install still running would land now
+	mu.Lock()
+	last := strings.Join(events, " ")
+	mu.Unlock()
+	if strings.Count(last, "dial") != 2 || strings.Contains(last[strings.LastIndex(last, "dial"):], "kv") {
+		t.Fatalf("events %q: want two dials and no install after the second", last)
+	}
+	if n := logs.count("installing shard 1 snapshot"); n != 1 {
+		t.Errorf("the install error was logged %d times, want once", n)
+	}
+	if n := logs.count("use of closed network connection"); n != 0 {
+		t.Errorf("a closed-connection error was logged %d times", n)
+	}
+}
+
+// TestReplBootstrapCapsInstallsInFlight: a bootstrap of more shards
+// than maxInstalls runs at most maxInstalls installs at once, and
+// finishes once they return. Each install blocks in the KV watch,
+// which it calls after its rewrite, until the test releases it.
+func TestReplBootstrapCapsInstallsInFlight(t *testing.T) {
+	const shards = 2 * maxInstalls
+	open := func() *vault.Durable {
+		st, err := vault.OpenDurable(t.TempDir(), vault.DurableOptions{Shards: shards, Sync: vault.SyncAlways, NoAutoCompact: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { st.Close() })
+		return st
+	}
+	src := open()
+	for i := 0; i < 64; i++ {
+		if err := src.SetKV(fmt.Sprintf("k%02d", i), []byte("v")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var script []wireMsg
+	for s := 0; s < shards; s++ {
+		frames, seq, err := src.ShardSnapshot(s)
+		if err != nil || len(frames) == 0 {
+			t.Fatalf("shard %d snapshot %d bytes, %v; want a key in every shard", s, len(frames), err)
+		}
+		script = append(script, wireMsg{Type: msgSnapshot, Shard: s, Seq: seq, Frames: frames})
+	}
+	fst := open()
+	var (
+		mu      sync.Mutex
+		blocked int
+	)
+	inWatch := func() int { mu.Lock(); defer mu.Unlock(); return blocked }
+	release := make(chan struct{})
+	var releaseOnce sync.Once
+	unblock := func() { releaseOnce.Do(func() { close(release) }) }
+	defer unblock() // a failed check must not leave the follower blocked
+	fst.SetKVWatch(func(string, []byte) {
+		mu.Lock()
+		blocked++
+		mu.Unlock()
+		<-release
+		mu.Lock()
+		blocked--
+		mu.Unlock()
+	})
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	newTestFollower(t, fst, ln.Addr().String(), Options{Redial: time.Hour})
+	c, br, _ := scriptedPrimary(t, ln, wireMsg{Type: msgWelcome, Proto: protoVersion, RunID: 7, Shards: shards}, script...)
+	defer c.Close()
+	waitFor(t, 5*time.Second, "maxInstalls installs to reach the KV watch", func() bool { return inWatch() == maxInstalls })
+	time.Sleep(100 * time.Millisecond) // a further install would start now
+	if n := inWatch(); n != maxInstalls {
+		t.Fatalf("%d installs in flight, want at most %d", n, maxInstalls)
+	}
+	unblock()
+	for range shards {
+		var m wireMsg
+		if err := readMsg(br, &m); err != nil || m.Type != msgAck {
+			t.Fatalf("reading acks: %+v, %v", m, err)
+		}
+	}
+	if got, want := fst.KVRange(""), src.KVRange(""); !reflect.DeepEqual(got, want) {
+		t.Fatalf("follower's side table = %v, want %v", got, want)
+	}
 }

@@ -286,7 +286,13 @@ func (d *Durable) InstallShardSnapshot(i int, frames []byte) error {
 	sh.quiesce()
 	installed, err = d.replaceLogLocked(i, sh, frames, len(entries))
 	if installed {
-		sh.records = make(map[string]passpoints.Packed)
+		puts := 0
+		for j := range entries {
+			if entries[j].Op == walOpPut {
+				puts++
+			}
+		}
+		sh.records = make(map[string]passpoints.Packed, puts)
 		sh.lockouts = make(map[string]int)
 		sh.kv = make(map[string][]byte)
 		for j := range entries {

@@ -417,6 +417,15 @@ func payloadSize(e *walEntry) int {
 	return 1 + len(binary.AppendUvarint(v[:0], uint64(len(e.Key)))) + len(e.Key) + len(e.Val)
 }
 
+// checkPayloadSize refuses e, with its size, when its binary payload
+// would exceed walMaxRecord.
+func checkPayloadSize(e *walEntry) error {
+	if n := payloadSize(e); n > walMaxRecord {
+		return fmt.Errorf("vault: %s entry of %d bytes exceeds the %d-byte log record limit", e.Op, n, walMaxRecord)
+	}
+	return nil
+}
+
 // errBadPayload refuses a binary payload appendPayload cannot have
 // written.
 var errBadPayload = errors.New("vault: malformed binary log payload")
@@ -762,8 +771,8 @@ func (sh *walShard) appendLog(entries []walEntry, frames []byte, sync bool) (uin
 	}
 	if frames == nil {
 		for i := range entries {
-			if n := payloadSize(&entries[i]); n > walMaxRecord {
-				return 0, fmt.Errorf("vault: %s entry of %d bytes exceeds the %d-byte log record limit", entries[i].Op, n, walMaxRecord)
+			if err := checkPayloadSize(&entries[i]); err != nil {
+				return 0, err
 			}
 		}
 		for i := range entries {
@@ -1122,11 +1131,14 @@ func (d *Durable) SetKV(key string, val []byte) error {
 				return nil
 			})
 	}
-	// Copy val: the caller may reuse its buffer, and the shard map keeps
-	// the slice it is given.
-	v := make([]byte, len(val))
-	copy(v, val)
-	return d.mutate(key, walEntry{Op: walOpKV, Key: key, Val: v}, nil)
+	// Refuse an oversized value before copying it: the caller may reuse
+	// its buffer, and the shard map keeps the slice it is given.
+	e := walEntry{Op: walOpKV, Key: key, Val: val}
+	if err := checkPayloadSize(&e); err != nil {
+		return err
+	}
+	e.Val = slices.Clone(val)
+	return d.mutate(key, e, nil)
 }
 
 // GetKV returns a copy of key's side-table blob and whether it exists.
